@@ -35,6 +35,10 @@ class BenchProtocol:
     repeats: int = 3
 
     def validate(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.resolution < 1:
+            raise ValueError("resolution must be >= 1")
         if self.timed_runs < 1:
             raise ValueError("timed_runs must be >= 1")
         if self.repeats < 1 or self.repeats % 2 == 0:

@@ -75,6 +75,12 @@ def verify_equivalence(train_model: ModelWeights, deploy_model: ModelWeights,
                        n_probes: int = 100, tol: float = 1e-5,
                        seed: int = 0) -> EquivalenceReport:
     """Compare logits and every block output on random inputs."""
+    if n_probes < 1:
+        raise ValueError(f"need at least one probe, got {n_probes}")
+    if train_model.deploy:
+        raise ValueError("train_model is in deploy form; pass the unfused model")
+    if not deploy_model.deploy:
+        raise ValueError("deploy_model is not in deploy form; fuse it first")
     if train_model.spec.to_dict() != deploy_model.spec.to_dict():
         raise ValueError("models must share a spec")
     if train_model.spec.drop_path_rate != 0.0:
@@ -100,7 +106,7 @@ def verify_equivalence(train_model: ModelWeights, deploy_model: ModelWeights,
             max_diff = max(max_diff, float(d.max()))
             sum_diff += float(d.sum())
             count += d.size
-    mean_diff = sum_diff / count if count else 0.0
+    mean_diff = sum_diff / count
     return EquivalenceReport(samples=n_probes, max_abs_diff=max_diff,
                              mean_abs_diff=mean_diff, tolerance=tol,
                              passed=max_diff <= tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 
@@ -104,7 +105,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._nodes: list[tuple[Tensor, tuple[Optional[Tensor], ...],
+                                Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -115,7 +117,8 @@ class Tape:
         popped = _ACTIVE_TAPES.pop()
         assert popped is self
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> None:
+    def _record(self, out: Tensor, inputs: tuple[Optional[Tensor], ...],
+                backward_fn: Callable) -> None:
         self._nodes.append((out, inputs, backward_fn))
 
     def reset(self) -> None:
@@ -140,7 +143,7 @@ class Tape:
             if g is None:
                 continue
             for inp, gi in zip(inputs, backward_fn(g)):
-                if gi is None:
+                if inp is None or gi is None:
                     continue
                 key = id(inp)
                 if key in grads:
@@ -170,9 +173,12 @@ def _apply(out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = _f32(out_data)
     out.grad = None
-    tensors = tuple(t for t in inputs if isinstance(t, Tensor))
+    # constants stay in place as None so each input lines up with its
+    # position in the tuple backward_fn returns
+    tensors = tuple(t if isinstance(t, Tensor) else None for t in inputs)
     tape = _tape()
-    if tape is not None and any(t.requires_grad for t in tensors):
+    if tape is not None and any(t is not None and t.requires_grad
+                                for t in tensors):
         out.requires_grad = True
         tape._record(out, tensors, backward_fn)
     else:
@@ -200,6 +206,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _coerce(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else _f32(x)
+
+
+def _needs_grad(*inputs) -> tuple[bool, ...]:
+    """Which inputs want a gradient, read at forward time.
+
+    A backward closure returns None for the others, so no work is spent on
+    gradients of constants (the input image, a frozen teacher's activations).
+    """
+    return tuple(isinstance(t, Tensor) and t.requires_grad for t in inputs)
 
 
 def _broadcast_ok(a: np.ndarray, b: np.ndarray) -> None:
@@ -322,8 +337,10 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     diff = da.astype(np.float64) - db.astype(np.float64)
     n = diff.size
     out = np.float32((diff * diff).sum() / n)
+    need_a, need_b = _needs_grad(a, b)
     return _apply(out, (a, b),
-                  lambda g: (g * 2.0 * diff / n, -g * 2.0 * diff / n))
+                  lambda g: (g * 2.0 * diff / n if need_a else None,
+                             -g * 2.0 * diff / n if need_b else None))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +351,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     da, db = _coerce(a), _coerce(b)
     if da.shape[-1] != db.shape[-2]:
         raise ShapeError(f"matmul inner dims: {da.shape} @ {db.shape}")
+    need_a, need_b = _needs_grad(a, b)
 
     def bwd(g):
-        ga = g @ np.swapaxes(db, -1, -2)
-        gb = np.swapaxes(da, -1, -2) @ g
-        return (_unbroadcast(ga, da.shape), _unbroadcast(gb, db.shape))
+        ga = (_unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape)
+              if need_a else None)
+        gb = (_unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape)
+              if need_b else None)
+        return (ga, gb)
 
     return _apply(da @ db, (a, b), bwd)
 
@@ -348,9 +368,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     dx, dw, dbias = _coerce(x), _coerce(w), _coerce(b)
     if dx.ndim != 2 or dw.ndim != 2 or dx.shape[1] != dw.shape[1]:
         raise ShapeError(f"linear: x {dx.shape}, w {dw.shape}")
+    need_x, need_w, need_b = _needs_grad(x, w, b)
 
     def bwd(g):
-        return (g @ dw, g.T @ dx, g.sum(axis=0))
+        return (g @ dw if need_x else None,
+                g.T @ dx if need_w else None,
+                g.sum(axis=0) if need_b else None)
 
     return _apply(dx @ dw.T + dbias, (x, w, b), bwd)
 
@@ -360,18 +383,22 @@ def channel_linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     dx, dw = _coerce(x), _coerce(w)
     if dx.ndim != 4 or dw.ndim != 2 or dw.shape[1] != dx.shape[1]:
         raise ShapeError(f"channel_linear: x {dx.shape}, w {dw.shape}")
-    out = np.einsum("nchw,dc->ndhw", dx, dw, optimize=True)
+    n, c, h, wdt = dx.shape
+    d = dw.shape[0]
+    x3 = dx.reshape(n, c, h * wdt)
+    out = dw @ x3  # one (D, C) @ (C, HW) GEMM per sample
     if b is not None:
-        out = out + _coerce(b)[None, :, None, None]
+        out += _coerce(b)[None, :, None]
+    need_x, need_w, need_b = _needs_grad(x, w, b)
 
     def bwd(g):
-        gx = np.einsum("ndhw,dc->nchw", g, dw, optimize=True)
-        gw = np.einsum("ndhw,nchw->dc", g, dx, optimize=True)
-        gb = g.sum(axis=(0, 2, 3)) if b is not None else None
+        g3 = g.reshape(n, d, h * wdt)
+        gx = (dw.T @ g3).reshape(dx.shape) if need_x else None
+        gw = np.tensordot(g3, x3, axes=([0, 2], [0, 2])) if need_w else None
+        gb = g.sum(axis=(0, 2, 3)) if need_b else None
         return (gx, gw, gb)
 
-    inputs = (x, w, b) if b is not None else (x, w)
-    return _apply(out, inputs, bwd)
+    return _apply(out.reshape(n, d, h, wdt), (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +429,12 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
     out = dg[None, :, None, None] * xhat + dbeta[None, :, None, None]
 
     def bwd(g):
-        m = dx[0].size
         dxhat = g * dg[None, :, None, None]
         mean_dxhat = dxhat.mean(axis=(1, 2, 3), keepdims=True)
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
         gx = istd * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
         gg = (g * xhat).sum(axis=(0, 2, 3))
         gb = g.sum(axis=(0, 2, 3))
-        del m
         return (gx, gg, gb)
 
     return _apply(out, (x, gamma, beta), bwd)
@@ -467,40 +492,62 @@ def avg_pool_same(x: Tensor, k: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Convolution (patch embedding only: small k, stride >= 1, replicate padding)
 
-def _conv_index(n: int, k: int, stride: int, pad: int) -> np.ndarray:
-    out_n = (n + 2 * pad - k) // stride + 1
-    idx = (np.arange(out_n) * stride - pad)[:, None] + np.arange(k)[None, :]
-    return np.clip(idx, 0, n - 1)  # replicate padding keeps constant maps constant
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
-    """Strided dense convolution with edge-replicate padding."""
+    """Strided dense convolution with edge-replicate padding.
+
+    im2col: the strided k x k windows of the edge-padded input are copied
+    into one column matrix with a row per (output position, sample), so the
+    forward and the weight gradient are each one GEMM against the
+    (D, C*k*k) weight matrix.
+    """
     dx, dw, dbias = _coerce(x), _coerce(w), _coerce(b)
     if dx.ndim != 4 or dw.ndim != 4:
         raise ShapeError(f"conv2d: x {dx.shape}, w {dw.shape}")
-    cout, cin, kh, kw = dw.shape
+    cout, cin, k, kw = dw.shape
     if dx.shape[1] != cin:
         raise ShapeError(f"conv2d channel mismatch: {dx.shape[1]} vs {cin}")
-    if kh != kw:
+    if k != kw:
         raise ShapeError("conv2d supports square kernels only")
     n, _, h, wdt = dx.shape
-    ri = _conv_index(h, kh, stride, pad)      # (out_h, k)
-    ci = _conv_index(wdt, kw, stride, pad)    # (out_w, k)
-    patches = dx[:, :, ri[:, None, :, None], ci[None, :, None, :]]
-    # patches: (N, C, out_h, out_w, k, k)
-    out = np.einsum("nchwij,dcij->ndhw", patches, dw, optimize=True)
-    out = out + dbias[None, :, None, None]
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (wdt + 2 * pad - k) // stride + 1
+    # the far side is padded up to the last window's end, so no window
+    # clips; replicate padding keeps constant maps constant
+    ph = max((oh - 1) * stride + k - pad - h, 0)
+    pw = max((ow - 1) * stride + k - pad - wdt, 0)
+    xp = np.pad(dx, ((0, 0), (0, 0), (pad, ph), (pad, pw)), mode="edge")
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
+    cols = win.transpose(2, 3, 0, 1, 4, 5).reshape(oh * ow * n, cin * k * k)
+    w2 = dw.reshape(cout, cin * k * k)
+    out = cols @ w2.T
+    out += dbias
+    need_x, need_w, need_b = _needs_grad(x, w, b)
 
     def bwd(g):
-        gw = np.einsum("ndhw,nchwij->dcij", g, patches, optimize=True)
-        gb = g.sum(axis=(0, 2, 3))
-        gp = np.einsum("ndhw,dcij->nchwij", g, dw, optimize=True)
-        gx = np.zeros_like(dx, dtype=np.float64)
-        np.add.at(gx, (slice(None), slice(None),
-                       ri[:, None, :, None], ci[None, :, None, :]), gp)
-        return (gx, gw, gb)
+        g2 = g.transpose(1, 2, 3, 0).reshape(cout, oh * ow * n)
+        gw = (g2 @ cols).reshape(dw.shape) if need_w else None
+        gb = g.sum(axis=(0, 2, 3)) if need_b else None
+        if not need_x:
+            return (None, gw, gb)
+        # col2im: k*k strided slice-adds into the padded grid, laid out
+        # (C, H, W, N) so each add runs over contiguous samples; then the
+        # replicated border is folded back onto the edge rows and columns
+        gcols = (w2.T @ g2).reshape(cin, k, k, oh, ow, n)
+        gxp = np.zeros((cin, pad + h + ph, pad + wdt + pw, n), np.float64)
+        for i in range(k):
+            for j in range(k):
+                gxp[:, i:i + (oh - 1) * stride + 1:stride,
+                    j:j + (ow - 1) * stride + 1:stride] += gcols[:, i, j]
+        gxp[:, pad] += gxp[:, :pad].sum(axis=1)
+        gxp[:, pad + h - 1] += gxp[:, pad + h:].sum(axis=1)
+        gxp[:, :, pad] += gxp[:, :, :pad].sum(axis=2)
+        gxp[:, :, pad + wdt - 1] += gxp[:, :, pad + wdt:].sum(axis=2)
+        gx = gxp[:, pad:pad + h, pad:pad + wdt].transpose(3, 0, 1, 2)
+        return (np.ascontiguousarray(gx), gw, gb)
 
-    return _apply(out, (x, w, b), bwd)
+    return _apply(out.reshape(oh, ow, n, cout).transpose(2, 3, 0, 1),
+                  (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

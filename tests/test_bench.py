@@ -43,6 +43,10 @@ def test_even_repeats_rejected():
         BenchProtocol(repeats=2).validate()
     with pytest.raises(ValueError):
         BenchProtocol(timed_runs=0).validate()
+    with pytest.raises(ValueError):
+        BenchProtocol(batch_size=0).validate()
+    with pytest.raises(ValueError):
+        BenchProtocol(resolution=0).validate()
 
 
 def test_thread_count_env_override(monkeypatch):

@@ -113,6 +113,22 @@ def test_verify_perturbed_deploy_fails_with_exit_2(tiny_config, tmp_path,
                  "--probes", "3"]) == 2
 
 
+@pytest.mark.parametrize("form", ["probes0", "train_as_deploy"])
+def test_verify_vacuous_or_unfused_is_runtime_error(tiny_config, tmp_path,
+                                                    capsys, form):
+    train_ckpt = str(tmp_path / "train.ckpt")
+    deploy_ckpt = str(tmp_path / "deploy.ckpt")
+    main(["train", "--config", tiny_config, "--out", train_ckpt])
+    main(["fuse", "--in", train_ckpt, "--out", deploy_ckpt])
+    capsys.readouterr()
+    argv = (["--deploy", deploy_ckpt, "--probes", "0"] if form == "probes0"
+            else ["--deploy", train_ckpt, "--probes", "1"])
+    assert main(["verify", "--train", train_ckpt] + argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_inspect_ckpt_summary(tiny_config, tmp_path, capsys):
     ckpt = str(tmp_path / "m.ckpt")
     main(["train", "--config", tiny_config, "--out", ckpt])
@@ -171,3 +187,9 @@ def test_bench_json_report(tiny_config, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["images_per_second"] > 0
     assert "raw_timings" not in report
+
+
+def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
+    assert main(["bench", "--config", tiny_config, "--batch", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "error: batch_size must be >= 1" in err

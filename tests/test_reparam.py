@@ -130,6 +130,17 @@ def test_equivalence_requires_matching_spec_and_no_droppath():
         verify_equivalence(c, d, n_probes=1)
 
 
+def test_equivalence_rejects_vacuous_or_unfused_runs():
+    model = build_model(tiny_spec("affine"), seed=0)
+    deploy = switch_to_deploy(model)
+    with pytest.raises(ValueError, match="probe"):
+        verify_equivalence(model, deploy, n_probes=0)
+    with pytest.raises(ValueError, match="deploy_model"):
+        verify_equivalence(model, model, n_probes=1)
+    with pytest.raises(ValueError, match="train_model"):
+        verify_equivalence(deploy, deploy, n_probes=1)
+
+
 def test_scalar_case_exact_at_tol_zero():
     # one channel, one spatial cell: both forms reduce to the same two
     # float32 multiply-adds, so even tol=0 passes

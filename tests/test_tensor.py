@@ -11,6 +11,19 @@ from helpers import check_gradients
 
 SEEDS = list(range(10))
 
+# (name, input shape, output channels, kernel, stride, pad): the backbone's
+# embeds (7x7/4 at 64^2 and at the 128^2 used by the ERF, 3x3/2), a
+# non-square input, no padding, and an input whose last window ends in the
+# far-side padding
+CONV_GEOMETRIES = [
+    ("k3s2p1-8x8", (2, 2, 8, 8), 3, 3, 2, 1),
+    ("k7s4p2-64x64", (1, 3, 64, 64), 2, 7, 4, 2),
+    ("k7s4p2-128x128", (1, 3, 128, 128), 2, 7, 4, 2),
+    ("k3s2p1-9x6", (2, 2, 9, 6), 3, 3, 2, 1),
+    ("k3s2p0-8x8", (2, 2, 8, 8), 3, 3, 2, 0),
+    ("k3s2p1-7x7", (2, 2, 7, 7), 3, 3, 2, 1),
+]
+
 
 def param(rng, *shape, scale=1.0, offset=0.0):
     return Tensor(offset + scale * rng.normal(0.0, 1.0, shape).astype(np.float32),
@@ -113,11 +126,15 @@ def test_grad_avg_pool(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_conv2d(seed):
     rng = np.random.default_rng(seed)
-    x = param(rng, 2, 2, 8, 8)
-    w = param(rng, 3, 2, 3, 3, scale=0.5)
-    b = param(rng, 3, scale=0.5)
-    wseed = seed + 1
-    check_gradients(lambda: T.conv2d(x, w, b, 2, 1), [x, w, b], rng, wseed=wseed)
+    for name, shape, cout, k, stride, pad in CONV_GEOMETRIES:
+        x = param(rng, *shape)
+        w = param(rng, cout, shape[1], k, k, scale=0.5)
+        b = param(rng, cout, scale=0.5)
+        try:
+            check_gradients(lambda: T.conv2d(x, w, b, stride, pad), [x, w, b],
+                            rng, wseed=seed + 1)
+        except AssertionError as e:
+            raise AssertionError(f"geometry {name}: {e}") from None
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -204,19 +221,79 @@ def test_avg_pool_k1_identity_and_even_k_rejected():
 
 def test_conv2d_matches_brute_force():
     rng = np.random.default_rng(1)
-    x = rng.normal(0, 1, (1, 2, 6, 6)).astype(np.float32)
-    w = rng.normal(0, 1, (3, 2, 3, 3)).astype(np.float32)
-    b = rng.normal(0, 1, 3).astype(np.float32)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), 2, 1).data
-    # brute force with edge-replicate padding
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
-    expect = np.zeros((1, 3, 3, 3))
-    for d in range(3):
-        for i in range(3):
-            for j in range(3):
-                patch = xp[0, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
-                expect[0, d, i, j] = (patch * w[d]).sum() + b[d]
-    np.testing.assert_allclose(out, expect, atol=1e-4)
+    for name, shape, cout, k, s, p in CONV_GEOMETRIES:
+        x = rng.normal(0, 1, shape).astype(np.float32)
+        w = rng.normal(0, 1, (cout, shape[1], k, k)).astype(np.float32)
+        b = rng.normal(0, 1, cout).astype(np.float32)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), s, p).data
+        # brute force with edge-replicate padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge")
+        oh = (shape[2] + 2 * p - k) // s + 1
+        ow = (shape[3] + 2 * p - k) // s + 1
+        expect = np.zeros((shape[0], cout, oh, ow))
+        for i in range(oh):
+            for j in range(ow):
+                patch = xp[:, :, s * i:s * i + k, s * j:s * j + k]
+                expect[:, :, i, j] = np.einsum("ncij,dcij->nd", patch, w) + b
+        np.testing.assert_allclose(out, expect, atol=1e-4, err_msg=name)
+
+
+# (kernel, input shapes); each input is trained alone and together with the
+# others, and must get the same gradient bytes either way
+MASKED_KERNELS = {
+    "conv2d": (lambda a: T.conv2d(*a, 4, 2), [(2, 3, 16, 16), (4, 3, 7, 7), (4,)]),
+    "channel_linear": (lambda a: T.channel_linear(*a), [(2, 3, 4, 4), (5, 3), (5,)]),
+    "linear": (lambda a: T.linear(*a), [(3, 5), (2, 5), (2,)]),
+    "matmul": (lambda a: T.matmul(*a), [(2, 3, 4), (2, 4, 3)]),
+    "mse": (lambda a: T.mse(*a), [(3, 4), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(MASKED_KERNELS))
+def test_needs_grad_mask_is_exact(kernel):
+    fn, shapes = MASKED_KERNELS[kernel]
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(0, 1, s).astype(np.float32) for s in shapes]
+    weight = rng.normal(0, 1, fn([Tensor(a) for a in arrays]).shape)
+
+    def grads(trained):
+        ts = [Tensor(a, requires_grad=i in trained) for i, a in enumerate(arrays)]
+        with Tape() as tape:
+            tape.backward(T.tsum(T.mul(fn(ts), Tensor(weight))))
+        # the kernel's own backward skips the constants
+        _, _, kernel_bwd = tape._nodes[0]
+        skipped = [g is None for g in kernel_bwd(np.ones_like(weight))]
+        assert skipped == [i not in trained for i in range(len(ts))]
+        return [t.grad for t in ts]
+
+    every = grads(set(range(len(arrays))))
+    for i in range(len(arrays)):
+        alone = grads({i})
+        assert np.array_equal(alone[i], every[i]), f"input {i}"
+        assert all(g is None for j, g in enumerate(alone) if j != i)
+
+
+def test_constant_operand_keeps_gradient_positions():
+    # a plain-array constant ahead of a Tensor must not shift which input
+    # each backward output is credited to
+    x = Tensor(np.array([2.0, 3.0], np.float32), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(T.tsum(1.0 - x))
+    np.testing.assert_array_equal(x.grad, [-1.0, -1.0])
+
+    rng = np.random.default_rng(5)
+    image = rng.normal(0, 1, (2, 3, 8, 8)).astype(np.float32)
+    w = param(rng, 4, 3, 3, 3)
+    b = param(rng, 4)
+    grads = []
+    for x in (image, Tensor(image)):
+        w.zero_grad()
+        b.zero_grad()
+        with Tape() as tape:
+            tape.backward(T.tsum(T.conv2d(x, w, b, 2, 1)))
+        grads.append((w.grad, b.grad))
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
 
 
 def test_softmax_log_softmax_consistent():
