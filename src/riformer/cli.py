@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, bench, reparam
 from .checkpoint import load_checkpoint, read_header, save_checkpoint
 from .data import Dataset, SynthSpec, load_cifar10_binary, synth_dataset
-from .models import ModelSpec, build_model
+from .models import ModelSpec, _from_dict, build_model
 from .train import TrainConfig, evaluate, train
 
 
@@ -63,7 +63,7 @@ def _model_spec(cfg: dict) -> ModelSpec:
     if "stages" in block:
         return ModelSpec.from_dict(block)
     block.pop("preset", None)
-    return ModelSpec.nano(**block)
+    return _from_dict(ModelSpec, block, ModelSpec.nano)
 
 
 def _datasets(cfg: dict, seed: int) -> tuple[Dataset, Dataset]:
@@ -77,15 +77,18 @@ def _datasets(cfg: dict, seed: int) -> tuple[Dataset, Dataset]:
         raise ValidationFailure(f"unknown data source {source!r}")
     val_per_class = block.pop("val_per_class", 25)
     block.setdefault("seed", seed)
-    train_spec = SynthSpec(**block, stream="train")
-    val_block = dict(block, samples_per_class=val_per_class)
-    val_spec = SynthSpec(**val_block, stream="val")
+    train_spec = _from_dict(SynthSpec, dict(block, stream="train"))
+    val_spec = _from_dict(SynthSpec, dict(block, stream="val",
+                                          samples_per_class=val_per_class))
     return synth_dataset(train_spec), synth_dataset(val_spec)
 
 
 def _train_like(args, default_recipe: Optional[str] = None) -> int:
     cfg = _load_config(args.config)
     tblock = dict(cfg.get("train", {}))
+    teacher_ckpt = tblock.pop("teacher_ckpt", None)
+    if args.teacher:
+        teacher_ckpt = args.teacher
     _override(tblock, "seed", args.seed, "seed")
     _override(tblock, "epochs", args.epochs, "epochs")
     _override(tblock, "batch_size", args.batch, "batch")
@@ -98,7 +101,6 @@ def _train_like(args, default_recipe: Optional[str] = None) -> int:
     spec = _model_spec(cfg)
     model = build_model(spec, seed=tc.seed)
     teacher = None
-    teacher_ckpt = args.teacher or cfg.get("train", {}).get("teacher_ckpt")
     if teacher_ckpt:
         teacher, _ = load_checkpoint(teacher_ckpt)
     train_ds, val_ds = _datasets(cfg, tc.seed)
@@ -167,7 +169,7 @@ def _bench_model(args, cfg: dict):
 def _protocol(args, cfg: dict) -> bench.BenchProtocol:
     block = dict(cfg.get("bench", {}))
     _override(block, "batch_size", args.batch, "batch")
-    proto = bench.BenchProtocol(**block)
+    proto = _from_dict(bench.BenchProtocol, block)
     proto.validate()
     return proto
 

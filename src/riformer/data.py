@@ -28,13 +28,18 @@ class Dataset:
 
     def batches(self, batch_size: int,
                 rng: np.random.Generator | None = None
-                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """One pass as (images, labels, indices) batches, shuffled by `rng`.
+
+        `indices` are the batch's positions in the dataset, so per-sample
+        results computed once can be looked up again in later passes.
+        """
         idx = np.arange(len(self))
         if rng is not None:
             rng.shuffle(idx)
         for start in range(0, len(self), batch_size):
             sel = idx[start:start + batch_size]
-            yield self.images[sel], self.labels[sel]
+            yield self.images[sel], self.labels[sel], sel
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 from math import ceil
 
 from . import tensor as T
-from .models import ModelSpec, ModelWeights
+from .models import ModelSpec, ModelWeights, _from_dict
 from .tensor import Tensor
 
 FEATURE_TERMS = ("in_prime", "out")
@@ -69,7 +69,7 @@ class ImitationConfig:
         d = dict(d)
         if d.get("layers") is not None:
             d["layers"] = tuple(d["layers"])
-        cfg = cls(**d)
+        cfg = _from_dict(cls, d)
         cfg.validate()
         return cfg
 

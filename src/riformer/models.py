@@ -15,8 +15,8 @@ the "pooling mixer vanishes on constant input" property exact at borders.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, asdict
-from typing import Iterator, Optional
+from dataclasses import dataclass, field, fields, asdict
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +24,18 @@ from . import tensor as T
 from .tensor import Tensor
 
 MIXER_KINDS = ("pooling", "affine", "identity")
+
+
+def _from_dict(cls, d, build: Optional[Callable] = None):
+    """`build(**d)` (by default `cls(**d)`) for the config dataclass `cls`,
+    after rejecting a `d` that is not a dict or has keys `cls` lacks."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} config must be an object, "
+                         f"got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    return (build or cls)(**d)
 
 
 @dataclass
@@ -95,8 +107,8 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         d = dict(d)
-        d["stages"] = [StageSpec(**s) for s in d["stages"]]
-        spec = cls(**d)
+        d["stages"] = [_from_dict(StageSpec, s) for s in d["stages"]]
+        spec = _from_dict(cls, d)
         spec.validate()
         return spec
 

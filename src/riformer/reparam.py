@@ -24,6 +24,9 @@ from . import tensor as T
 from .models import CaptureSet, ModelWeights, forward
 from .tensor import Tensor
 
+# probes per forward in verify_equivalence; larger chunks raise peak memory
+VERIFY_CHUNK = 16
+
 
 @dataclass
 class FusedNorm:
@@ -74,7 +77,8 @@ def switch_to_deploy(model: ModelWeights) -> ModelWeights:
 def verify_equivalence(train_model: ModelWeights, deploy_model: ModelWeights,
                        n_probes: int = 100, tol: float = 1e-5,
                        seed: int = 0) -> EquivalenceReport:
-    """Compare logits and every block output on random inputs."""
+    """Compare logits and every block output on `n_probes` random inputs,
+    run through both models in chunks of VERIFY_CHUNK."""
     if n_probes < 1:
         raise ValueError(f"need at least one probe, got {n_probes}")
     if train_model.deploy:
@@ -91,9 +95,11 @@ def verify_equivalence(train_model: ModelWeights, deploy_model: ModelWeights,
     max_diff = 0.0
     sum_diff = 0.0
     count = 0
-    for _ in range(n_probes):
+    for start in range(0, n_probes, VERIFY_CHUNK):
+        # one draw of k probes gives the same values as k single draws
+        k = min(VERIFY_CHUNK, n_probes - start)
         x = Tensor(rng.normal(0.0, 1.0,
-                              (1, train_model.spec.in_channels, res, res)
+                              (k, train_model.spec.in_channels, res, res)
                               ).astype(np.float32))
         cap_a = CaptureSet.for_layers(all_layers)
         cap_b = CaptureSet.for_layers(all_layers)

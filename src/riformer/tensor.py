@@ -136,7 +136,9 @@ class Tape:
             raise TapeError("loss was not produced under this tape")
         self._consumed = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data, dtype=np.float64)}
+        # gradients stay float32, the forward's precision; kernels that need
+        # wider accumulation widen internally and cast on return
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
         for out, inputs, backward_fn in reversed(self._nodes):
             g = grads.pop(id(out), None)
@@ -334,13 +336,17 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     da, db = _coerce(a), _coerce(b)
     if da.shape != db.shape:
         raise ShapeError(f"mse shape mismatch: {da.shape} vs {db.shape}")
-    diff = da.astype(np.float64) - db.astype(np.float64)
+    # float32 subtraction is correctly rounded; only the sum needs float64
+    diff = da - db
     n = diff.size
-    out = np.float32((diff * diff).sum() / n)
+    out = np.float32((diff * diff).sum(dtype=np.float64) / n)
     need_a, need_b = _needs_grad(a, b)
-    return _apply(out, (a, b),
-                  lambda g: (g * 2.0 * diff / n if need_a else None,
-                             -g * 2.0 * diff / n if need_b else None))
+
+    def bwd(g):
+        ga = diff * np.float32(2.0 * g / n)
+        return (ga if need_a else None, -ga if need_b else None)
+
+    return _apply(out, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +435,12 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
     out = dg[None, :, None, None] * xhat + dbeta[None, :, None, None]
 
     def bwd(g):
+        # the per-sample statistics accumulate in float64, as in the forward
         dxhat = g * dg[None, :, None, None]
-        mean_dxhat = dxhat.mean(axis=(1, 2, 3), keepdims=True)
-        mean_dxhat_xhat = (dxhat * xhat).mean(axis=(1, 2, 3), keepdims=True)
+        mean_dxhat = dxhat.mean(axis=(1, 2, 3), keepdims=True,
+                                dtype=np.float64).astype(np.float32)
+        mean_dxhat_xhat = (dxhat * xhat).mean(
+            axis=(1, 2, 3), keepdims=True, dtype=np.float64).astype(np.float32)
         gx = istd * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
         gg = (g * xhat).sum(axis=(0, 2, 3))
         gb = g.sum(axis=(0, 2, 3))
@@ -484,7 +493,7 @@ def avg_pool_same(x: Tensor, k: int) -> Tensor:
     def bwd(g):
         # out[p] = sum_{q in win(p)} x[q] / cnt(p); window membership is
         # symmetric for centered windows, so the adjoint is a box sum of g/cnt.
-        return (_box_sum(g / counts, k),)
+        return (_box_sum(g / counts, k).astype(np.float32),)
 
     return _apply(out, (x,), bwd)
 
@@ -534,7 +543,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
         # (C, H, W, N) so each add runs over contiguous samples; then the
         # replicated border is folded back onto the edge rows and columns
         gcols = (w2.T @ g2).reshape(cin, k, k, oh, ow, n)
-        gxp = np.zeros((cin, pad + h + ph, pad + wdt + pw, n), np.float64)
+        gxp = np.zeros((cin, pad + h + ph, pad + wdt + pw, n), np.float32)
         for i in range(k):
             for j in range(k):
                 gxp[:, i:i + (oh - 1) * stride + 1:stride,
@@ -579,7 +588,8 @@ def softmax(x: Tensor) -> Tensor:
     out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
+        gx = out * (g - (g * out).sum(axis=-1, keepdims=True))
+        return (gx.astype(np.float32),)
 
     return _apply(out, (x,), bwd)
 
@@ -593,7 +603,7 @@ def log_softmax(x: Tensor) -> Tensor:
     sm = np.exp(out)
 
     def bwd(g):
-        return (g - sm * g.sum(axis=-1, keepdims=True),)
+        return ((g - sm * g.sum(axis=-1, keepdims=True)).astype(np.float32),)
 
     return _apply(out, (x,), bwd)
 
@@ -623,7 +633,7 @@ def kl_div(log_p: Tensor, log_q: Tensor) -> Tensor:
     out = (p * (dlp - dlq)).sum() / n
 
     def bwd(g):
-        return (None, -g * p / n)
+        return (None, (-g * p / n).astype(np.float32))
 
     return _apply(out, (log_p, log_q), bwd)
 
@@ -636,4 +646,5 @@ def drop_path(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = 1.0 - rate
     mask = (rng.random(dx.shape[0]) < keep).astype(np.float64) / keep
     mask = mask.reshape((-1,) + (1,) * (dx.ndim - 1))
-    return _apply(dx * mask, (x,), lambda g: (g * mask,))
+    return _apply(dx * mask, (x,),
+                  lambda g: ((g * mask).astype(np.float32),))

@@ -20,13 +20,17 @@ from .data import Dataset
 from .imitation import (ImitationConfig, LossReport, load_from_teacher,
                         loss_in_prime, loss_out, loss_rel, loss_soft,
                         select_layers, total_loss)
-from .models import CaptureSet, ModelWeights, forward
+from .models import CaptureSet, ModelWeights, _from_dict, forward
 from .optim import AdamW
 from .tensor import NumericsError, Tape, Tensor
 
 RECIPES = ("ce", "hard_kd", "soft_kd", "soft_kd_mi")
 LOG_COLUMNS = ("epoch", "lr", "loss_total", "loss_soft", "loss_in_prime",
                "loss_out", "loss_rel", "val_top1")
+# Bytes of teacher outputs one train() call may keep by sample index. When
+# the logits and later-read MI activations of the whole train set exceed it,
+# nothing is kept and the teacher runs live on every step.
+TEACHER_CACHE_BYTES = 256 * 2**20
 
 
 class TrainingDiverged(RuntimeError):
@@ -83,7 +87,7 @@ class TrainConfig:
         d = dict(d)
         if d.get("imitation"):
             d["imitation"] = ImitationConfig.from_dict(d["imitation"])
-        cfg = cls(**d)
+        cfg = _from_dict(cls, d)
         cfg.validate()
         return cfg
 
@@ -100,7 +104,7 @@ def evaluate(model: ModelWeights, data: Dataset, batch_size: int = 64) -> float:
     if len(data) == 0:
         raise ValueError("empty dataset")
     correct = 0
-    for xb, yb in data.batches(batch_size):
+    for xb, yb, _ in data.batches(batch_size):
         logits = forward(model, Tensor(xb))
         correct += int((np.argmax(logits.data, axis=1) == yb).sum())
     return correct / len(data)
@@ -136,18 +140,25 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
 
     mi_cfg = cfg.imitation
     mi_layers: tuple[int, ...] = ()
+    cache = None
+    if cfg.recipe != "ce" and cfg.epochs > 1:
+        cache = _TeacherCache(len(train_data),
+                              _mi_fields(cfg, range(1, cfg.epochs)))
     if cfg.recipe == "soft_kd_mi":
         mi_layers = mi_cfg.layers or select_layers(model.spec, mi_cfg.layer_count)
 
     log_rows: list[dict] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
+        if cache is not None:
+            # drop the activations no epoch from here on reads
+            cache.retain(_mi_fields(cfg, range(epoch, cfg.epochs)))
         sums = {"total": 0.0, "soft": 0.0, "in_prime": 0.0, "out": 0.0,
                 "rel": 0.0}
         steps = 0
-        for xb, yb in train_data.batches(cfg.batch_size, shuffle_rng):
-            report = _step(model, teacher, xb, yb, cfg, mi_layers, epoch, opt,
-                           lr, droppath_rng)
+        for xb, yb, idx in train_data.batches(cfg.batch_size, shuffle_rng):
+            report = _step(model, teacher, cache, xb, yb, idx, cfg, mi_layers,
+                           epoch, opt, lr, droppath_rng)
             sums["total"] += report.total
             sums["soft"] += report.soft
             sums["in_prime"] += report.in_prime
@@ -171,19 +182,110 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
                        final_val_top1=log_rows[-1]["val_top1"])
 
 
-def _step(model, teacher, xb, yb, cfg: TrainConfig,
-          mi_layers: tuple[int, ...], epoch: int, opt: AdamW, lr: float,
+class _TeacherCache:
+    """The frozen teacher's outputs within one `train()` call, by sample index.
+
+    The teacher runs outside the tape in eval mode, and `Dataset.batches`
+    serves stored samples without augmentation, so a sample's logits and MI
+    activations do not depend on the epoch. The first epoch's live forwards
+    fill one array per output; later epochs gather from them, so a gathered
+    row holds the bytes the first epoch's forward gave. A live forward of a
+    later epoch would agree to float32 rounding only: its GEMMs see other
+    batch mates and row counts, and BLAS may sum in another order.
+    """
+
+    def __init__(self, size: int, fields: set[str]):
+        self.size = size
+        self.fields = fields  # the capture fields a later epoch reads
+        self.logits: Optional[np.ndarray] = None
+        # capture field -> block index -> (size, C, H, W) activations
+        self.acts: dict[str, dict[int, np.ndarray]] = {}
+        self._allocated = False
+
+    @property
+    def kept(self) -> bool:
+        return self.logits is not None
+
+    def retain(self, fields: set[str]) -> None:
+        self.acts = {f: arrs for f, arrs in self.acts.items() if f in fields}
+
+    def store(self, idx: np.ndarray, logits: Tensor,
+              cap: Optional[CaptureSet]) -> None:
+        if not self._allocated:
+            self._allocate(logits, cap)
+        if not self.kept:
+            return
+        self.logits[idx] = logits.data
+        for f, arrs in self.acts.items():
+            for m, arr in arrs.items():
+                arr[idx] = getattr(cap, f)[m].data
+
+    def _allocate(self, logits: Tensor, cap: Optional[CaptureSet]) -> None:
+        # sized from the first batch; over TEACHER_CACHE_BYTES nothing is kept
+        self._allocated = True
+        acts = {f: getattr(cap, f) for f in sorted(self.fields)}
+        row = logits.data[0].nbytes + sum(
+            t.data[0].nbytes for ts in acts.values() for t in ts.values())
+        if self.size * row > TEACHER_CACHE_BYTES:
+            return
+        self.logits = np.empty((self.size,) + logits.shape[1:], np.float32)
+        self.acts = {f: {m: np.empty((self.size,) + t.shape[1:], np.float32)
+                         for m, t in ts.items()}
+                     for f, ts in acts.items()}
+
+    def gather(self, idx: np.ndarray, layers: tuple[int, ...],
+               fields: set[str]) -> tuple[Tensor, Optional[CaptureSet]]:
+        logits = Tensor(self.logits[idx])
+        if not fields:
+            return logits, None
+        cap = CaptureSet.for_layers(layers)
+        for f in fields:
+            getattr(cap, f).update({m: Tensor(arr[idx])
+                                    for m, arr in self.acts[f].items()})
+        return logits, cap
+
+
+# the teacher capture field each MI loss term reads
+_TERM_FIELDS = {"in_prime": "block_out", "out": "mixer_out", "rel": "block_out"}
+
+
+def _mi_fields(cfg: TrainConfig, epochs) -> set[str]:
+    """The teacher capture fields the MI terms read in any of `epochs`."""
+    if cfg.recipe != "soft_kd_mi":
+        return set()
+    return {_TERM_FIELDS[term] for epoch in epochs
+            for term in cfg.imitation.active_terms(epoch)
+            if term in _TERM_FIELDS}
+
+
+def _teacher_outputs(teacher: ModelWeights, cache: Optional[_TeacherCache],
+                     epoch: int, xb: np.ndarray, idx: np.ndarray,
+                     mi_layers: tuple[int, ...], fields: set[str]
+                     ) -> tuple[Tensor, Optional[CaptureSet]]:
+    """Teacher logits, plus its MI capture when the epoch reads `fields`:
+    gathered from `cache` after the first epoch when it kept them, else a
+    live forward."""
+    if cache is not None and epoch > 0 and cache.kept:
+        return cache.gather(idx, mi_layers, fields)
+    # Outside any tape: teacher activations come out as constants, so the
+    # teacher receives no gradient and its weights are untouched.
+    cap = CaptureSet.for_layers(mi_layers) if fields else None
+    logits = forward(teacher, Tensor(xb), capture=cap)
+    if cache is not None and epoch == 0:
+        cache.store(idx, logits, cap)
+    return logits, cap
+
+
+def _step(model, teacher, cache: Optional[_TeacherCache], xb, yb, idx,
+          cfg: TrainConfig, mi_layers: tuple[int, ...], epoch: int,
+          opt: AdamW, lr: float,
           droppath_rng: np.random.Generator) -> LossReport:
-    mi_active = False
+    fields = _mi_fields(cfg, (epoch,))
+    mi_active = bool(fields)
     teacher_logits = teacher_cap = None
-    if cfg.recipe == "soft_kd_mi":
-        active = cfg.imitation.active_terms(epoch)
-        mi_active = bool(active - {"soft"})
-    if teacher is not None and cfg.recipe != "ce":
-        # Outside any tape: teacher activations come out as constants, so the
-        # teacher receives no gradient and its weights are untouched.
-        teacher_cap = (CaptureSet.for_layers(mi_layers) if mi_active else None)
-        teacher_logits = forward(teacher, Tensor(xb), capture=teacher_cap)
+    if cfg.recipe != "ce":
+        teacher_logits, teacher_cap = _teacher_outputs(
+            teacher, cache, epoch, xb, idx, mi_layers, fields)
 
     try:
         with Tape() as tape:

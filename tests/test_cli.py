@@ -193,3 +193,39 @@ def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
     assert main(["bench", "--config", tiny_config, "--batch", "0"]) == 3
     err = capsys.readouterr().err
     assert "error: batch_size must be >= 1" in err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"train": {"bogus": 3}},
+    {"model": {"depths": 2}},
+    {"model": {"stages": [{"depth": 1, "dims": 4}] * 4}},
+    {"imitation": {"bogus": 1}},
+    {"data": {"bogus": 1}},
+    {"bench": {"bogus": 1}},
+], ids=["train", "model", "stage", "imitation", "data", "bench"])
+def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    cmd = "bench" if "bench" in cfg else "train"
+    assert main([cmd, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: unknown ")
+    assert out.err.count("\n") == 1
+    assert "bogus" in out.err or "depths" in out.err or "dims" in out.err
+
+
+def test_config_teacher_ckpt_is_used(tiny_config, tmp_path, capsys):
+    # train.teacher_ckpt names the teacher; it is not a TrainConfig field
+    teacher = str(tmp_path / "teacher.ckpt")
+    assert main(["train", "--config", tiny_config, "--out", teacher]) == 0
+    cfg = json.loads(open(tiny_config).read())
+    cfg["train"].update(recipe="soft_kd", teacher_ckpt=teacher)
+    path = tmp_path / "kd.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "student.ckpt")]) == 0
+    cfg["train"]["teacher_ckpt"] = str(tmp_path / "missing.ckpt")
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 3

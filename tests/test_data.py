@@ -29,18 +29,25 @@ def test_class_balance_and_shapes():
 
 def test_batches_cover_dataset_once():
     ds = synth_dataset(SynthSpec(seed=1, num_classes=2, samples_per_class=5))
-    seen = 0
-    for xb, yb in ds.batches(4):
-        assert len(xb) == len(yb)
-        seen += len(yb)
-    assert seen == len(ds)
+    seen = []
+    for xb, yb, idx in ds.batches(4):
+        assert len(xb) == len(yb) == len(idx)
+        assert np.array_equal(xb, ds.images[idx])
+        assert np.array_equal(yb, ds.labels[idx])
+        seen.extend(idx.tolist())
+    assert seen == list(range(len(ds)))
 
 
 def test_shuffled_batches_are_a_permutation():
     ds = synth_dataset(SynthSpec(seed=1, num_classes=2, samples_per_class=5))
     rng = np.random.default_rng(0)
-    labels = np.concatenate([yb for _, yb in ds.batches(3, rng)])
-    assert sorted(labels.tolist()) == sorted(ds.labels.tolist())
+    batches = list(ds.batches(3, rng))
+    for xb, yb, idx in batches:
+        assert np.array_equal(xb, ds.images[idx])
+        assert np.array_equal(yb, ds.labels[idx])
+    indices = np.concatenate([idx for _, _, idx in batches])
+    assert sorted(indices.tolist()) == list(range(len(ds)))
+    assert indices.tolist() != list(range(len(ds)))
 
 
 def test_mismatched_lengths_rejected():

@@ -5,7 +5,7 @@ import pytest
 import riformer.tensor as T
 from riformer import (Tensor, build_model, forward, fuse_affine,
                       switch_to_deploy, verify_equivalence)
-from riformer.models import affine_mixer
+from riformer.models import CaptureSet, affine_mixer
 from helpers import tiny_spec
 
 
@@ -153,3 +153,57 @@ def test_scalar_case_exact_at_tol_zero():
     fused = fuse_affine(gamma, beta, s, t)
     expect = fused.gamma_prime * xhat + fused.beta_prime
     assert float(np.abs(branch - expect).max()) == 0.0
+
+
+def test_batched_verify_matches_per_probe_reference(monkeypatch):
+    # 17 probes: one full chunk of 16 and a partial chunk of 1
+    import importlib
+    reparam = importlib.import_module("riformer.reparam")
+    model = randomized_affine_model(4)
+    deploy = switch_to_deploy(model)
+    spec = model.spec
+    layers = range(spec.total_blocks)
+    seen = []  # (model, probes, logits, capture) of every verify forward
+
+    def recorded(m, x, **kw):
+        out = forward(m, x, **kw)
+        seen.append((m, x.data, out.data, kw.get("capture")))
+        return out
+
+    monkeypatch.setattr(reparam, "forward", recorded)
+    report = verify_equivalence(model, deploy, n_probes=17, tol=1e-5, seed=3)
+    # the probes are the seed's 17 single draws, each chunk run through
+    # both forms once
+    rng = np.random.default_rng(3)
+    probes = np.concatenate([
+        rng.normal(0.0, 1.0, (1, spec.in_channels, spec.input_resolution,
+                              spec.input_resolution)).astype(np.float32)
+        for _ in range(17)])
+    assert [(m is deploy, len(x)) for m, x, _, _ in seen] == [
+        (False, 16), (True, 16), (False, 1), (True, 1)]
+    assert all(np.array_equal(x, probes[sl]) for (_, x, _, _), sl in
+               zip(seen, [slice(0, 16)] * 2 + [slice(16, 17)] * 2))
+    # max and mean run over the logits and every block output of both forms
+    def abs_diffs(a, b):
+        (_, _, la, ca), (_, _, lb, cb) = a, b
+        return [np.abs(la - lb).ravel()] + [
+            np.abs(ca.block_out[i].data - cb.block_out[i].data).ravel()
+            for i in layers]
+
+    diffs = np.concatenate([d for a, b in zip(seen[::2], seen[1::2])
+                            for d in abs_diffs(a, b)])
+    assert report.samples == 17
+    assert report.max_abs_diff == float(diffs.max()) > 0.0
+    assert report.mean_abs_diff == pytest.approx(diffs.mean(dtype=np.float64),
+                                                 rel=1e-5)
+    # a probe-by-probe run agrees within 1e-6; not to the bit, since a
+    # single GEMM may sum in another order for another batch size
+    seen.clear()
+    for i in range(17):
+        for m in (model, deploy):
+            recorded(m, Tensor(probes[i:i + 1]),
+                     capture=CaptureSet.for_layers(layers))
+    single = np.concatenate([d for a, b in zip(seen[::2], seen[1::2])
+                             for d in abs_diffs(a, b)])
+    assert abs(report.max_abs_diff - single.max()) <= 1e-6
+    assert abs(report.mean_abs_diff - single.mean(dtype=np.float64)) <= 1e-6

@@ -1,12 +1,13 @@
 """Training loop: determinism, logging schema, recipes, evaluation."""
 import csv
+import importlib
 
 import numpy as np
 import pytest
 
-from riformer import (LOG_COLUMNS, SynthSpec, Tensor, TrainConfig, build_model,
-                      evaluate, save_checkpoint, synth_dataset, train,
-                      write_log)
+from riformer import (LOG_COLUMNS, ImitationConfig, SynthSpec, Tape, Tensor,
+                      TrainConfig, build_model, evaluate, save_checkpoint,
+                      synth_dataset, train, write_log)
 from riformer.data import Dataset
 from helpers import tiny_spec
 
@@ -174,3 +175,133 @@ def test_write_log_schema(tmp_path):
     rows = list(csv.DictReader(open(path)))
     assert list(rows[0].keys()) == list(LOG_COLUMNS)
     assert rows[0]["loss_soft"] == ""
+
+
+# ---------------------------------------------------------------------------
+# Teacher cache and gradient precision
+
+def _mi_config(feat_epochs, rel_epochs, total_epochs):
+    return ImitationConfig(feat_epochs=feat_epochs, rel_epochs=rel_epochs,
+                           total_epochs=total_epochs, lambda1_x_batch=0.01,
+                           lambda2_x_batch=0.1, lambda3_x_batch=1.0)
+
+
+@pytest.mark.parametrize("recipe", ["soft_kd_mi", "soft_kd", "hard_kd"])
+def test_teacher_cache_is_exact(recipe, monkeypatch):
+    # 20 samples at batch 8: the last batch of every epoch is partial, and
+    # the soft_kd_mi run has two feat epochs (block and mixer outputs kept),
+    # two rel epochs (block outputs only) and a soft epoch (logits only)
+    # (the package's `train` attribute is the function, hence importlib)
+    train_mod = importlib.import_module("riformer.train")
+    cache_cls = train_mod._TeacherCache
+    teacher = build_model(tiny_spec("pooling"), seed=3)
+    tr, va = small_data(per_class=5)
+    epochs = 5 if recipe == "soft_kd_mi" else 3
+    cfg = quick_cfg(recipe, epochs=epochs, seed=5,
+                    imitation=_mi_config(2, 2, epochs)
+                    if recipe == "soft_kd_mi" else None)
+    live_forward, store, gather = (train_mod.forward, cache_cls.store,
+                                   cache_cls.gather)
+    calls, stored, gathered = [], {}, []
+
+    def counted(model, x, **kw):
+        if model is teacher:
+            calls.append(len(x.data))
+        return live_forward(model, x, **kw)
+
+    def stored_rows(self, idx, logits, cap):
+        # copies of what the first epoch's live forwards gave, per sample
+        for i, k in enumerate(idx):
+            stored[k] = (logits.data[i].copy(), None if cap is None else
+                         {(f, m): t.data[i].copy() for f in self.fields
+                          for m, t in getattr(cap, f).items()})
+        store(self, idx, logits, cap)
+
+    def gathered_rows(self, idx, layers, fields):
+        logits, cap = gather(self, idx, layers, fields)
+        gathered.append(fields)
+        for i, k in enumerate(idx):
+            row_logits, row_acts = stored[k]
+            assert np.array_equal(logits.data[i], row_logits)
+            for f in fields:
+                assert getattr(cap, f).keys() == set(layers)
+                for m, t in getattr(cap, f).items():
+                    assert np.array_equal(t.data[i], row_acts[f, m])
+        return logits, cap
+
+    monkeypatch.setattr(train_mod, "forward", counted)
+    monkeypatch.setattr(cache_cls, "store", stored_rows)
+    monkeypatch.setattr(cache_cls, "gather", gathered_rows)
+
+    def run(budget):
+        monkeypatch.setattr(train_mod, "TEACHER_CACHE_BYTES", budget)
+        calls.clear()
+        gathered.clear()
+        student = build_model(tiny_spec("affine"), seed=4)
+        train(student, tr, va, cfg, teacher=teacher)
+        return dict(student.named_parameters()), sum(calls), list(gathered)
+
+    cached, cached_samples, cached_fields = run(train_mod.TEACHER_CACHE_BYTES)
+    again, _, _ = run(train_mod.TEACHER_CACHE_BYTES)
+    live, live_samples, live_fields = run(0)
+    # every gathered row holds the bytes the first epoch stored, each later
+    # step gathers exactly the MI fields its epoch reads, and the same
+    # config and seed give the same bytes twice
+    assert cached_samples == len(tr)
+    steps = -(-len(tr) // cfg.batch_size)
+    phases = ([{"block_out", "mixer_out"}, {"block_out"}, {"block_out"},
+               set()] if recipe == "soft_kd_mi" else [set()] * (epochs - 1))
+    assert cached_fields == [f for f in phases for _ in range(steps)]
+    assert all(np.array_equal(cached[k].data, again[k].data) for k in cached)
+    # at budget 0 the teacher runs live on every step; it then sees other
+    # batch mates, so it agrees with the cached run to float32 rounding
+    assert live_samples == epochs * len(tr) and live_fields == []
+    for k in cached:
+        np.testing.assert_allclose(cached[k].data, live[k].data,
+                                   rtol=1e-4, atol=1e-6, err_msg=k)
+
+
+def test_single_epoch_keeps_no_teacher_cache(monkeypatch):
+    # with one epoch no later step could read a cached row
+    train_mod = importlib.import_module("riformer.train")
+    built = []
+    cache_init = train_mod._TeacherCache.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        cache_init(self, *args)
+
+    monkeypatch.setattr(train_mod._TeacherCache, "__init__", counted)
+    teacher = build_model(tiny_spec("pooling"), seed=3)
+    tr, va = small_data()
+    student = build_model(tiny_spec("affine"), seed=4)
+    train(student, tr, va, quick_cfg("soft_kd", epochs=1), teacher=teacher)
+    assert built == []
+    train(student, tr, va, quick_cfg("soft_kd", epochs=2), teacher=teacher)
+    assert len(built) == 1
+
+
+def test_backward_is_float32(monkeypatch):
+    dtypes = []
+    record = Tape._record
+
+    def spy(self, out, inputs, backward_fn):
+        def checked(g):
+            grads = backward_fn(g)
+            dtypes.extend(gi.dtype for gi in grads if gi is not None)
+            return grads
+        record(self, out, inputs, checked)
+
+    monkeypatch.setattr(Tape, "_record", spy)
+    tr, va = small_data()
+    # one step per epoch: a ce step, then a feat and a rel soft_kd_mi step
+    student = build_model(tiny_spec("affine"), seed=4)
+    train(student, tr, va, quick_cfg("ce", epochs=1, batch_size=len(tr)))
+    teacher = build_model(tiny_spec("pooling"), seed=3)
+    train(student, tr, va, quick_cfg("soft_kd_mi", epochs=2,
+                                     imitation=_mi_config(1, 1, 2),
+                                     batch_size=len(tr)), teacher=teacher)
+    assert len(dtypes) > 100
+    assert set(dtypes) == {np.dtype(np.float32)}
+    assert all(p.grad is None or p.grad.dtype == np.float32
+               for _, p in student.named_parameters())
