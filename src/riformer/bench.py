@@ -3,8 +3,9 @@
 Protocol: warm up, then for each repeat average the wall time of `timed_runs`
 batch inferences; the median repeat is the statistic. Reports are pure
 functions of the collected raw timings, which can be re-reduced at any time.
-A static operation-count audit complements the wall clock: the deploy form
-must execute strictly fewer floating-point operations than its train form.
+Per-component latency and the operation audit (the deploy form must execute
+strictly fewer floating-point operations than its train form) both read
+profiled forwards, in which each kernel reports its own FLOPs and time.
 """
 from __future__ import annotations
 
@@ -15,15 +16,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .models import ModelSpec, ModelWeights, forward, forward_features
+from . import tensor as T
+from .models import COMPONENTS, ModelWeights, build_model, forward
+from .reparam import switch_to_deploy
 from .tensor import Tensor
-
-COMPONENT_SETS = (
-    ("embedding", ()),
-    ("norm", ("norm",)),
-    ("mixer", ("norm", "mixer")),
-    ("mlp", ("norm", "mixer", "mlp")),
-)
 
 
 @dataclass
@@ -62,10 +58,8 @@ class BenchReport:
 @dataclass
 class BreakdownRow:
     component: str
-    cumulative_ms: float
-    delta_ms: float
-    delta_std_ms: float
-    noise_flagged: bool
+    ms: float  # per forward, median over repeats
+    flops: int  # per forward
 
 
 def thread_count() -> int:
@@ -97,13 +91,23 @@ def _time_callable(fn, protocol: BenchProtocol) -> list[list[float]]:
     return raw
 
 
+def _probe(model: ModelWeights, protocol: BenchProtocol, seed: int) -> Tensor:
+    rng = np.random.default_rng(seed)
+    return Tensor(rng.normal(0, 1, (protocol.batch_size, model.spec.in_channels,
+                                    protocol.resolution, protocol.resolution)
+                             ).astype(np.float32))
+
+
+def _profiled_forward(model: ModelWeights, x: Tensor) -> T._Profile:
+    with T._Profile() as profile:
+        forward(model, x)
+    return profile
+
+
 def throughput(model: ModelWeights, protocol: BenchProtocol,
                model_id: str = "model", seed: int = 0) -> BenchReport:
     protocol.validate()
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(0, 1, (protocol.batch_size, model.spec.in_channels,
-                                 protocol.resolution, protocol.resolution)
-                          ).astype(np.float32))
+    x = _probe(model, protocol, seed)
     raw = _time_callable(lambda: forward(model, x), protocol)
     means_ms, median_ms, ips = reduce_timings(raw, protocol.batch_size)
     return BenchReport(model_id=model_id, images_per_second=ips,
@@ -116,79 +120,39 @@ def throughput(model: ModelWeights, protocol: BenchProtocol,
 
 def latency_breakdown(model: ModelWeights, protocol: BenchProtocol,
                       seed: int = 0) -> list[BreakdownRow]:
-    """Latency attributed to each block component as the delta between
-    consecutive cumulative models. Negative deltas are flagged, not clamped."""
+    """Each component's profiled forward ms (the mean over `timed_runs`
+    forwards, median over repeats) and FLOPs. Every kernel's time goes to
+    exactly one component, so no row is negative and the rows of one
+    forward sum to its wall time."""
     protocol.validate()
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(0, 1, (protocol.batch_size, model.spec.in_channels,
-                                 protocol.resolution, protocol.resolution)
-                          ).astype(np.float32))
-    rows: list[BreakdownRow] = []
-    prev_ms = 0.0
-    prev_std = 0.0
-    for name, components in COMPONENT_SETS:
-        raw = _time_callable(
-            lambda c=components: forward_features(model, x, components=c),
-            protocol)
-        means_ms, median_ms, _ = reduce_timings(raw, protocol.batch_size)
-        std = statistics.pstdev(means_ms) if len(means_ms) > 1 else 0.0
-        delta = median_ms - prev_ms
-        rows.append(BreakdownRow(
-            component=name, cumulative_ms=median_ms, delta_ms=delta,
-            delta_std_ms=(std ** 2 + prev_std ** 2) ** 0.5,
-            noise_flagged=delta < 0.0))
-        prev_ms = median_ms
-        prev_std = std
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Static floating-point operation audit (exact counting, no wall clock)
-
-def _gn_ops(numel: int) -> int:
-    return 8 * numel
+    x = _probe(model, protocol, seed)
+    for _ in range(protocol.warmup_runs):
+        forward(model, x)
+    per_repeat: dict[str, list[float]] = {c: [] for c in COMPONENTS}
+    for _ in range(protocol.repeats):
+        runs = [_profiled_forward(model, x) for _ in range(protocol.timed_runs)]
+        for c, ms in per_repeat.items():
+            ms.append(1e3 * sum(p.seconds.get(c, 0.0) for p in runs) / len(runs))
+    return [BreakdownRow(component=c, ms=statistics.median(ms),
+                         flops=runs[-1].flops.get(c, 0))
+            for c, ms in per_repeat.items()]
 
 
 def op_count(model_or_spec, batch_size: int = 1,
              deploy: bool | None = None) -> int:
-    """Count scalar floating-point operations of one forward pass."""
+    """Scalar floating-point operations of one forward pass at the spec's
+    input resolution, as the kernels count them. `deploy=True` counts the
+    fused form of an affine train model or spec; other mixers, and
+    `deploy=False` on a deploy model, raise ValueError."""
     if isinstance(model_or_spec, ModelWeights):
-        spec = model_or_spec.spec
-        deploy = model_or_spec.deploy if deploy is None else deploy
+        model = model_or_spec
     else:
-        spec = model_or_spec
-        deploy = bool(deploy)
-    n = batch_size
+        model = build_model(model_or_spec, seed=0)
+    if deploy and not model.deploy:
+        model = switch_to_deploy(model)
+    elif deploy is False and model.deploy:
+        raise ValueError("a deploy model has no train form to count")
+    spec = model.spec
     res = spec.input_resolution
-    total = 0
-    in_ch = spec.in_channels
-    for st in spec.stages:
-        res = res // st.stride
-        numel = n * st.dim * res * res
-        # patch embedding
-        total += numel * (2 * in_ch * st.patch_size ** 2 + 1)
-        in_ch = st.dim
-        hidden = int(st.dim * st.mlp_ratio)
-        numel_h = n * hidden * res * res
-        for _ in range(st.depth):
-            if deploy:
-                # fused norm (layer scale folded into its affine) + residual
-                total += _gn_ops(numel) + numel
-            else:
-                total += _gn_ops(numel)
-                if spec.mixer_kind == "affine":
-                    total += 3 * numel + 2 * numel
-                elif spec.mixer_kind == "pooling":
-                    total += 8 * numel + 2 * numel
-                # identity mixer: first sub-block is skipped after the norm
-            # second sub-block: norm2 + mlp + layer scale + residual
-            total += _gn_ops(numel)
-            total += numel_h * (2 * st.dim + 1)      # 1x1 conv up
-            total += 6 * numel_h                      # gelu
-            total += numel * (2 * hidden + 1)         # 1x1 conv down
-            total += 2 * numel
-    # head: final norm, global mean, linear
-    last_numel = n * spec.stages[-1].dim * res * res
-    total += _gn_ops(last_numel) + last_numel
-    total += n * spec.num_classes * (2 * spec.stages[-1].dim + 1)
-    return total
+    x = Tensor(np.zeros((batch_size, spec.in_channels, res, res), np.float32))
+    return sum(_profiled_forward(model, x).flops.values())

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .models import ModelSpec, ModelWeights, build_model
-from .tensor import Tensor
 
 MAGIC = b"RIFCKPT1"
 
@@ -46,52 +45,53 @@ def save_checkpoint(model: ModelWeights, path: str,
         f.write(bytes(payload))
 
 
-def _deploy_skeleton(spec: ModelSpec) -> ModelWeights:
-    model = build_model(spec, seed=0)
-    model.deploy = True
-    for stage_blocks in model.blocks:
-        for bw in stage_blocks:
-            bw.affine_s = None
-            bw.affine_t = None
-    return model
-
-
-def read_header(path: str) -> dict:
-    with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"corrupt header: {e}") from None
+def _read_header(f) -> dict:
+    """Read the header of an open checkpoint; `f` is left at the payload."""
+    magic = f.read(len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}")
+    size = f.read(4)
+    if len(size) < 4:
+        raise CheckpointError("truncated header length")
+    (hlen,) = struct.unpack("<I", size)
+    try:
+        # a cut header is never a whole JSON object, so it fails here too
+        header = json.loads(f.read(hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"corrupt header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
     for key in ("spec", "deploy", "meta", "manifest"):
         if key not in header:
             raise CheckpointError(f"header missing {key!r}")
     return header
 
 
+def read_header(path: str) -> dict:
+    with open(path, "rb") as f:
+        return _read_header(f)
+
+
 def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
     """Rebuild the model; returns (model, meta). Round-trips bit-exactly."""
-    header = read_header(path)
     with open(path, "rb") as f:
-        f.seek(len(MAGIC))
-        (hlen,) = struct.unpack("<I", f.read(4))
-        f.seek(len(MAGIC) + 4 + hlen)
+        header = _read_header(f)
         payload = f.read()
 
     spec = ModelSpec.from_dict(header["spec"])
-    deploy = bool(header["deploy"])
-    model = _deploy_skeleton(spec) if deploy else build_model(spec, seed=0)
+    model = build_model(spec, seed=0)
+    if header["deploy"]:  # the fused form has no affine coefficients
+        model.deploy = True
+        for bw in (bw for stage in model.blocks for bw in stage):
+            bw.affine_s = bw.affine_t = None
     params = dict(model.named_parameters())
 
     manifest = header["manifest"]
-    if {e["name"] for e in manifest} != set(params):
-        missing = set(params) - {e["name"] for e in manifest}
-        extra = {e["name"] for e in manifest} - set(params)
-        raise CheckpointError(f"manifest/spec mismatch: missing {sorted(missing)}, "
-                              f"unexpected {sorted(extra)}")
+    names = {e["name"] for e in manifest}
+    if names != set(params):
+        raise CheckpointError(f"manifest/spec mismatch: missing "
+                              f"{sorted(set(params) - names)}, "
+                              f"unexpected {sorted(names - set(params))}")
     spans = []
     for entry in manifest:
         shape = tuple(entry["shape"])
@@ -99,7 +99,7 @@ def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
         if shape != want:
             raise CheckpointError(f"{entry['name']}: manifest shape {shape} "
                                   f"does not match spec shape {want}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
+        nbytes = 4 * params[entry["name"]].size
         off = int(entry["offset"])
         if off < 0 or off + nbytes > len(payload):
             raise CheckpointError(f"{entry['name']}: offset out of bounds")
@@ -109,10 +109,7 @@ def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
         if s1 < e0:
             raise CheckpointError(f"overlapping payload spans for {n0} and {n1}")
 
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        off = int(entry["offset"])
-        arr = np.frombuffer(payload[off:off + nbytes], dtype="<f4").reshape(shape)
-        params[entry["name"]].data = arr.copy()
+    for start, end, name in spans:
+        arr = np.frombuffer(payload[start:end], dtype="<f4")
+        params[name].data = arr.reshape(params[name].shape).copy()
     return model, header["meta"]

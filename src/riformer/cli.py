@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import analysis, bench, reparam
 from .checkpoint import load_checkpoint, read_header, save_checkpoint
 from .data import Dataset, SynthSpec, load_cifar10_binary, synth_dataset
 from .models import ModelSpec, _from_dict, build_model
-from .train import TrainConfig, evaluate, train
+from .train import TrainConfig, train
 
 
 class ValidationFailure(Exception):
@@ -46,7 +47,18 @@ def _load_config(path: Optional[str]) -> dict:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValidationFailure("config root must be a JSON object")
+    for key in ("model", "data", "train", "imitation", "bench"):
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ValueError(f"config block {key!r} must be an object, "
+                             f"got {type(cfg[key]).__name__}")
     return cfg
+
+
+@contextmanager
+def _csv_writer(path: Optional[str]):
+    """A csv writer on the file at `path`, or on stdout without one."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as f:
+        yield csv.writer(f)
 
 
 def _override(block: dict, key: str, flag_value, flag_name: str):
@@ -199,18 +211,11 @@ def _cmd_breakdown(args) -> int:
     model = _bench_model(args, cfg)
     proto = _protocol(args, cfg)
     rows = bench.latency_breakdown(model, proto, seed=args.seed or 0)
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["component", "cumulative_ms", "delta_ms",
-                        "delta_std_ms", "noise_flagged", "thread_count"])
+    with _csv_writer(args.out) as writer:
+        writer.writerow(["component", "ms", "flops", "thread_count"])
         for r in rows:
-            writer.writerow([r.component, f"{r.cumulative_ms:.4f}",
-                             f"{r.delta_ms:.4f}", f"{r.delta_std_ms:.4f}",
-                             int(r.noise_flagged), bench.thread_count()])
-    finally:
-        if args.out:
-            out.close()
+            writer.writerow([r.component, f"{r.ms:.4f}", r.flops,
+                             bench.thread_count()])
     return 0
 
 
@@ -229,14 +234,9 @@ def _cmd_erf(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     images = _probe_images(args, cfg, model.spec)
     erf = analysis.erf_map(model, images)
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out)
+    with _csv_writer(args.out) as writer:
         for row in erf:
             writer.writerow([f"{v:.6g}" for v in row])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -246,30 +246,20 @@ def _cmd_featdist(args) -> int:
     images = _probe_images(args, cfg, model.spec)
     edges, counts = analysis.feature_histogram(model, images, args.stage,
                                                bins=args.bins)
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out)
+    with _csv_writer(args.out) as writer:
         writer.writerow(["bin_left", "bin_right", "count"])
         for left, right, c in zip(edges[:-1], edges[1:], counts):
             writer.writerow([f"{left:.6g}", f"{right:.6g}", int(c)])
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def _cmd_dump_affine(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     rows = analysis.dump_affine_coefficients(model)
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    try:
-        writer = csv.DictWriter(out, fieldnames=["stage", "block", "channel",
-                                                 "s", "t"])
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    columns = ["stage", "block", "channel", "s", "t"]
+    with _csv_writer(args.out) as writer:
+        writer.writerow(columns)
+        writer.writerows([r[k] for k in columns] for r in rows)
     return 0
 
 
@@ -306,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "benchmarking, analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, teacher=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="output file path")

@@ -66,10 +66,9 @@ class ImitationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImitationConfig":
-        d = dict(d)
-        if d.get("layers") is not None:
-            d["layers"] = tuple(d["layers"])
         cfg = _from_dict(cls, d)
+        if cfg.layers is not None:
+            cfg.layers = tuple(cfg.layers)
         cfg.validate()
         return cfg
 

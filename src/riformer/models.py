@@ -15,7 +15,9 @@ the "pooling mixer vanishes on constant input" property exact at borders.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields, asdict
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -24,17 +26,49 @@ from . import tensor as T
 from .tensor import Tensor
 
 MIXER_KINDS = ("pooling", "affine", "identity")
+# what a profiled forward charges its kernels to (see _mark), in forward order
+COMPONENTS = ("embedding", "norm", "mixer", "mlp", "head")
+
+
+def _fits(value, hint) -> bool:
+    """Whether a config value fits a type hint; an int fits a float, a bool
+    only a bool, and a list a list or tuple hint if all its items fit."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin in (list, tuple):
+        return (isinstance(value, (list, tuple))
+                and all(_fits(v, args[0]) for v in value))
+    if isinstance(value, bool) or hint is bool:
+        return isinstance(value, bool) and hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _from_dict(cls, d, build: Optional[Callable] = None):
     """`build(**d)` (by default `cls(**d)`) for the config dataclass `cls`,
-    after rejecting a `d` that is not a dict or has keys `cls` lacks."""
+    after rejecting a `d` that is not a dict, has unknown keys, lacks a field
+    without default (when `build` is `cls`), or has a value that does not fit
+    its field's type."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} config must be an object, "
                          f"got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if build is None and f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            want = (hint.__name__ if isinstance(hint, type)
+                    else str(hint).replace("typing.", ""))
+            raise ValueError(f"{cls.__name__}.{key} must be {want}, "
+                             f"got {value!r}")
     return (build or cls)(**d)
 
 
@@ -106,8 +140,8 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        d["stages"] = [_from_dict(StageSpec, s) for s in d["stages"]]
+        if isinstance(d, dict) and isinstance(d.get("stages"), list):
+            d = dict(d, stages=[_from_dict(StageSpec, s) for s in d["stages"]])
         spec = _from_dict(cls, d)
         spec.validate()
         return spec
@@ -277,6 +311,12 @@ def pooling_mixer(m: Tensor, k: int) -> Tensor:
     return T.sub(T.avg_pool_same(m, k), m)
 
 
+def _mark(component: str) -> None:
+    """Charge the kernels that follow to `component` while a profile runs."""
+    if T._PROFILE is not None:
+        T._PROFILE.component = component
+
+
 def _mlp(x: Tensor, bw: BlockWeights) -> Tensor:
     h = T.channel_linear(x, bw.mlp_w1, bw.mlp_b1)
     h = T.gelu(h)
@@ -304,6 +344,7 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
             return T.drop_path(branch, spec.drop_path_rate, rng)
         return branch
 
+    _mark("norm")
     if deploy:
         if bw.affine_s is not None:
             raise ValueError("deploy forward on an unfused block")
@@ -320,6 +361,7 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
         h1 = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
         if grab:
             capture.ln_out[index] = h1
+        _mark("mixer")  # identity runs no kernel here, so it gets nothing
         if spec.mixer_kind == "affine":
             mix = affine_mixer(h1, bw.affine_s, bw.affine_t)
         elif spec.mixer_kind == "pooling":
@@ -332,7 +374,9 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
         if mix is not None:
             x = T.add(x, maybe_drop(_scale(mix, bw.layer_scale_1)))
 
+    _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta, eps)
+    _mark("mlp")
     x = T.add(x, maybe_drop(_scale(_mlp(h2, bw), bw.layer_scale_2)))
     if grab:
         capture.block_out[index] = x
@@ -342,15 +386,8 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
 def forward_features(model: ModelWeights, x: Tensor, *,
                      training: bool = False,
                      rng: Optional[np.random.Generator] = None,
-                     capture: Optional[CaptureSet] = None,
-                     components: tuple[str, ...] = ("norm", "mixer", "mlp"),
-                     ) -> Tensor:
-    """Run the backbone up to (excluding) the classifier head.
-
-    `components` exists for the latency breakdown: blocks apply only the listed
-    cumulative component sets ("norm" -> first sub-block without mixer,
-    "mixer" -> full first sub-block, "mlp" -> second sub-block).
-    """
+                     capture: Optional[CaptureSet] = None) -> Tensor:
+    """Run the backbone up to (excluding) the classifier head."""
     spec = model.spec
     n, c, h, w = x.shape
     if c != spec.in_channels:
@@ -359,47 +396,18 @@ def forward_features(model: ModelWeights, x: Tensor, *,
         raise T.ShapeError(
             f"input resolution {h}x{w} incompatible with total stride "
             f"{spec.total_stride}")
-    full = set(components) >= {"norm", "mixer", "mlp"}
     gi = 0
     for si, st in enumerate(spec.stages):
         ew, eb = model.embeds[si]
+        _mark("embedding")
         x = T.conv2d(x, ew, eb, st.stride, st.padding)
         for bw in model.blocks[si]:
-            if full:
-                x = block_forward(x, bw, spec, deploy=model.deploy,
-                                  training=training, rng=rng,
-                                  capture=capture, index=gi)
-            else:
-                x = _partial_block(x, bw, spec, model.deploy, components)
+            x = block_forward(x, bw, spec, deploy=model.deploy,
+                              training=training, rng=rng,
+                              capture=capture, index=gi)
             gi += 1
         if capture is not None:
             capture.stage_out[si + 1] = x
-    return x
-
-
-def _partial_block(x: Tensor, bw: BlockWeights, spec: ModelSpec,
-                   deploy: bool, components: tuple[str, ...]) -> Tensor:
-    if "norm" in components:
-        if deploy:
-            ga = T.mul(bw.norm1_gamma, bw.layer_scale_1)
-            be = T.mul(bw.norm1_beta, bw.layer_scale_1)
-            x = T.add(x, T.group_norm_1(x, ga, be))
-        else:
-            h1 = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta)
-            if "mixer" in components:
-                if spec.mixer_kind == "affine":
-                    mix = affine_mixer(h1, bw.affine_s, bw.affine_t)
-                elif spec.mixer_kind == "pooling":
-                    mix = pooling_mixer(h1, spec.pool_size)
-                else:
-                    mix = None
-            else:
-                mix = None
-            if mix is not None:
-                x = T.add(x, _scale(mix, bw.layer_scale_1))
-    if "mlp" in components:
-        h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta)
-        x = T.add(x, _scale(_mlp(h2, bw), bw.layer_scale_2))
     return x
 
 
@@ -410,6 +418,7 @@ def forward(model: ModelWeights, x: Tensor, *,
     """Full forward pass to logits of shape (N, num_classes)."""
     feats = forward_features(model, x, training=training, rng=rng,
                              capture=capture)
+    _mark("head")
     feats = T.group_norm_1(feats, model.final_gamma, model.final_beta)
     pooled = T.global_spatial_mean(feats)
     return T.linear(pooled, model.head_w, model.head_b)

@@ -9,6 +9,7 @@ vectors, no higher-order gradients, no devices other than CPU.
 """
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -167,10 +168,42 @@ def _tape() -> Optional[Tape]:
     return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
 
 
+class _Profile:
+    """`_apply` charges each kernel's FLOPs, and the wall time since the last
+    kernel ended, to the `component` the model last set; so the seconds sum
+    to the time the profile was active."""
+
+    def __init__(self):
+        self.component = ""
+        self.flops: dict[str, int] = {}
+        self.seconds: dict[str, float] = {}
+
+    def __enter__(self) -> "_Profile":
+        global _PROFILE
+        _PROFILE, self._last = self, perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _PROFILE
+        self.charge(0)
+        _PROFILE = None
+
+    def charge(self, flops: int) -> None:
+        now, c = perf_counter(), self.component
+        self.flops[c] = self.flops.get(c, 0) + flops
+        self.seconds[c] = self.seconds.get(c, 0.0) + now - self._last
+        self._last = now
+
+
+_PROFILE: Optional[_Profile] = None
+
+
 def _apply(out_data: np.ndarray,
            inputs: Sequence,
-           backward_fn: Callable) -> Tensor:
-    """Wrap a kernel result, recording on the active tape when needed."""
+           backward_fn: Callable,
+           flops: Optional[int] = None) -> Tensor:
+    """Wrap a kernel result, recording on the active tape when needed;
+    `flops` (default: one per output element) goes to the active profile."""
     _check_finite(out_data)
     out = Tensor.__new__(Tensor)
     out.data = _f32(out_data)
@@ -185,6 +218,8 @@ def _apply(out_data: np.ndarray,
         tape._record(out, tensors, backward_fn)
     else:
         out.requires_grad = False
+    if _PROFILE is not None:
+        _PROFILE.charge(out.data.size if flops is None else flops)
     return out
 
 
@@ -289,14 +324,14 @@ def sqrt(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     da = _coerce(a)
     old = da.shape
-    return _apply(da.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return _apply(da.reshape(shape), (a,), lambda g: (g.reshape(old),), 0)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     da = _coerce(a)
     inv = np.argsort(axes)
     return _apply(np.transpose(da, axes), (a,),
-                  lambda g: (np.transpose(g, inv),))
+                  lambda g: (np.transpose(g, inv),), 0)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -304,7 +339,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [d.shape[axis] for d in datas]
     splits = np.cumsum(sizes)[:-1]
     return _apply(np.concatenate(datas, axis=axis), tuple(tensors),
-                  lambda g: tuple(np.split(g, splits, axis=axis)))
+                  lambda g: tuple(np.split(g, splits, axis=axis)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +355,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = np.expand_dims(gg, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
-    return _apply(da.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+    return _apply(da.sum(axis=axis, keepdims=keepdims), (a,), bwd, da.size)
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -328,7 +363,7 @@ def tmean(a: Tensor) -> Tensor:
     n = da.size
     shape = da.shape
     return _apply(da.mean(), (a,),
-                  lambda g: (np.broadcast_to(g / n, shape).copy(),))
+                  lambda g: (np.broadcast_to(g / n, shape).copy(),), n)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -346,7 +381,7 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         ga = diff * np.float32(2.0 * g / n)
         return (ga if need_a else None, -ga if need_b else None)
 
-    return _apply(out, (a, b), bwd)
+    return _apply(out, (a, b), bwd, 3 * n)  # subtract, square, accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +401,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
               if need_b else None)
         return (ga, gb)
 
-    return _apply(da @ db, (a, b), bwd)
+    out = da @ db
+    return _apply(out, (a, b), bwd, 2 * da.shape[-1] * out.size)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -381,7 +417,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 g.T @ dx if need_w else None,
                 g.sum(axis=0) if need_b else None)
 
-    return _apply(dx @ dw.T + dbias, (x, w, b), bwd)
+    out = dx @ dw.T + dbias
+    return _apply(out, (x, w, b), bwd, (2 * dx.shape[1] + 1) * out.size)
 
 
 def channel_linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -404,7 +441,8 @@ def channel_linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         gb = g.sum(axis=(0, 2, 3)) if need_b else None
         return (gx, gw, gb)
 
-    return _apply(out.reshape(n, d, h, wdt), (x, w, b), bwd)
+    return _apply(out.reshape(n, d, h, wdt), (x, w, b), bwd,
+                  (2 * c + (b is not None)) * out.size)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +484,7 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> T
         gb = g.sum(axis=(0, 2, 3))
         return (gx, gg, gb)
 
-    return _apply(out, (x, gamma, beta), bwd)
+    return _apply(out, (x, gamma, beta), bwd, 8 * dx.size)  # by convention
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +523,7 @@ def avg_pool_same(x: Tensor, k: int) -> Tensor:
     if dx.ndim != 4:
         raise ShapeError(f"avg_pool_same expects 4-D input, got {dx.shape}")
     if k == 1:
-        return _apply(dx.copy(), (x,), lambda g: (g,))
+        return _apply(dx.copy(), (x,), lambda g: (g,), 0)
     h, w = dx.shape[-2:]
     counts = _window_counts(h, w, k)
     out = _box_sum(dx, k) / counts
@@ -495,7 +533,8 @@ def avg_pool_same(x: Tensor, k: int) -> Tensor:
         # symmetric for centered windows, so the adjoint is a box sum of g/cnt.
         return (_box_sum(g / counts, k).astype(np.float32),)
 
-    return _apply(out, (x,), bwd)
+    # two prefix sums, three corner adds and one divide per element, any k
+    return _apply(out, (x,), bwd, 6 * dx.size)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +595,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
         return (np.ascontiguousarray(gx), gw, gb)
 
     return _apply(out.reshape(oh, ow, n, cout).transpose(2, 3, 0, 1),
-                  (x, w, b), bwd)
+                  (x, w, b), bwd, (2 * cols.shape[1] + 1) * out.size)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +616,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = np.exp(np.float32(-0.5) * dx * dx) * np.float32(_INV_SQRT_2PI)
         return (g * (phi + dx * pdf),)
 
-    return _apply(out, (x,), bwd)
+    return _apply(out, (x,), bwd, 6 * dx.size)  # by convention
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -591,7 +630,7 @@ def softmax(x: Tensor) -> Tensor:
         gx = out * (g - (g * out).sum(axis=-1, keepdims=True))
         return (gx.astype(np.float32),)
 
-    return _apply(out, (x,), bwd)
+    return _apply(out, (x,), bwd, 5 * dx.size)  # max, sub, exp, sum, divide
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -605,7 +644,7 @@ def log_softmax(x: Tensor) -> Tensor:
     def bwd(g):
         return ((g - sm * g.sum(axis=-1, keepdims=True)).astype(np.float32),)
 
-    return _apply(out, (x,), bwd)
+    return _apply(out, (x,), bwd, 5 * dx.size)  # max, sub, exp, sum, sub
 
 
 def global_spatial_mean(x: Tensor) -> Tensor:
@@ -616,7 +655,7 @@ def global_spatial_mean(x: Tensor) -> Tensor:
     n, c, h, w = dx.shape
     return _apply(dx.mean(axis=(2, 3)), (x,),
                   lambda g: (np.broadcast_to(g[:, :, None, None] / (h * w),
-                                             dx.shape).copy(),))
+                                             dx.shape).copy(),), dx.size)
 
 
 def kl_div(log_p: Tensor, log_q: Tensor) -> Tensor:
@@ -635,7 +674,7 @@ def kl_div(log_p: Tensor, log_q: Tensor) -> Tensor:
     def bwd(g):
         return (None, (-g * p / n).astype(np.float32))
 
-    return _apply(out, (log_p, log_q), bwd)
+    return _apply(out, (log_p, log_q), bwd, 4 * dlp.size)  # exp, sub, mul, sum
 
 
 def drop_path(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -84,9 +84,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if d.get("imitation"):
-            d["imitation"] = ImitationConfig.from_dict(d["imitation"])
+        if isinstance(d, dict) and d.get("imitation") is not None:
+            d = dict(d, imitation=ImitationConfig.from_dict(d["imitation"]))
         cfg = _from_dict(cls, d)
         cfg.validate()
         return cfg

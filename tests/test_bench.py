@@ -1,10 +1,15 @@
-"""Benchmark reduction arithmetic, protocol validation, op-count audit."""
+"""Benchmark reduction arithmetic, protocol validation, op-count audit,
+profiled per-component breakdown."""
+import time
+
 import numpy as np
 import pytest
 
-from riformer import (BenchProtocol, build_model, op_count, reduce_timings,
+import riformer.tensor as T
+from riformer import (BenchProtocol, Tensor, build_model, forward,
+                      latency_breakdown, op_count, reduce_timings,
                       switch_to_deploy, thread_count, throughput)
-from riformer.models import ModelSpec
+from riformer.models import COMPONENTS, ModelSpec
 from helpers import tiny_spec
 
 
@@ -80,3 +85,49 @@ def test_op_count_reads_deploy_flag_from_model():
     deploy = switch_to_deploy(model)
     assert op_count(deploy) == op_count(model.spec, deploy=True)
     assert op_count(model) == op_count(model.spec, deploy=False)
+
+
+def test_op_count_nano_pinned():
+    # the kernels' own counts reproduce the old hand formula for these forms
+    assert op_count(ModelSpec.nano("identity")) == 9_736_712
+    assert op_count(ModelSpec.nano("affine")) == 9_785_352
+
+
+def test_op_count_rejects_forms_it_cannot_count():
+    with pytest.raises(ValueError):
+        op_count(ModelSpec.nano("pooling"), deploy=True)
+    deploy = switch_to_deploy(build_model(tiny_spec("affine"), seed=0))
+    with pytest.raises(ValueError):
+        op_count(deploy, deploy=False)
+
+
+@pytest.mark.parametrize("form", ["identity", "affine", "pooling", "deploy"])
+def test_breakdown_rows_cover_the_forward(form):
+    model = build_model(tiny_spec("affine" if form == "deploy" else form),
+                        seed=0)
+    if form == "deploy":
+        model = switch_to_deploy(model)
+    protocol = BenchProtocol(batch_size=2, resolution=32, warmup_runs=1,
+                             timed_runs=2, repeats=3)
+    rows = latency_breakdown(model, protocol)
+    assert [r.component for r in rows] == list(COMPONENTS)
+    assert all(r.ms >= 0.0 for r in rows)
+    assert sum(r.flops for r in rows) == op_count(model, batch_size=2)
+    mixer = next(r for r in rows if r.component == "mixer")
+    has_mixer = form in ("affine", "pooling")
+    assert (mixer.flops > 0) == has_mixer
+    if not has_mixer:
+        assert mixer.ms == 0.0
+
+
+def test_profiled_components_sum_to_wall_time():
+    model = build_model(ModelSpec.nano("affine"), seed=0)
+    x = Tensor(np.zeros((4, 3, 64, 64), np.float32))
+    forward(model, x)
+    t0 = time.perf_counter()
+    with T._Profile() as profile:
+        forward(model, x)
+    wall = time.perf_counter() - t0
+    assert set(profile.seconds) == set(COMPONENTS)
+    assert min(profile.seconds.values()) > 0.0
+    assert sum(profile.seconds.values()) == pytest.approx(wall, rel=0.05)

@@ -122,3 +122,18 @@ def test_flipped_payload_byte_loads_but_differs(tmp_path):
     same = all(np.array_equal(p.data, orig[n].data)
                for n, p in loaded.named_parameters())
     assert not same
+
+
+def test_truncated_header_rejected(tmp_path):
+    model = build_model(tiny_spec("affine"), seed=0)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    cut = str(tmp_path / "cut.ckpt")
+    for n in range(len(MAGIC) + 4 + hlen):
+        open(cut, "wb").write(raw[:n])
+        with pytest.raises(CheckpointError):
+            read_header(cut)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)

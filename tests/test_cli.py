@@ -229,3 +229,81 @@ def test_config_teacher_ckpt_is_used(tiny_config, tmp_path, capsys):
     cfg["train"]["teacher_ckpt"] = str(tmp_path / "missing.ckpt")
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path)]) == 3
+
+
+def test_inspect_truncated_ckpt_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "cut.ckpt"
+    path.write_bytes(b"RIFCKPT1" + b"\x01")
+    assert main(["inspect-ckpt", "--ckpt", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: truncated ")
+    assert out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd,cfg", [
+    ("train", {"train": 3}),
+    ("breakdown", {"train": 3}),
+    ("train", {"data": 3}),
+    ("breakdown", {"bench": [1]}),
+    ("train", {"model": []}),
+    ("train", {"train": {"epochs": "x"}}),
+    ("train", {"train": {"epochs": True}}),
+    ("train", {"train": {"imitation": 3}}),
+    ("train", {"model": {"num_classes": "8"}}),
+    ("train", {"model": {"stages": [{"depth": 1}] * 4}}),
+    ("breakdown", {"bench": {"repeats": 1.5}}),
+], ids=["train_block", "train_block_breakdown", "data_block", "bench_block",
+        "model_block", "str_for_int", "bool_for_int", "imitation_block",
+        "str_for_model_int", "stage_missing_keys", "float_for_int"])
+def test_malformed_config_is_runtime_error(cmd, cfg, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert out.err.count("\n") == 1
+
+
+def test_config_scalars_accept_their_types(tiny_config, tmp_path, capsys):
+    # an int where a float is expected, and None for an Optional field
+    cfg = json.loads(open(tiny_config).read())
+    cfg["train"].update(lr=None, weight_decay=0, label_smoothing=0)
+    cfg["model"]["stages"][0]["mlp_ratio"] = 4
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 0
+
+
+def test_shipped_presets_load():
+    from riformer.cli import _datasets, _load_config, _model_spec
+    from riformer.train import TrainConfig
+    presets = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(os.listdir(presets))
+    assert names
+    for name in names:
+        cfg = _load_config(os.path.join(presets, name))
+        _model_spec(cfg)
+        block = dict(cfg["train"], imitation=cfg.get("imitation"))
+        block.pop("teacher_ckpt", None)
+        TrainConfig.from_dict(block)
+        _datasets(cfg, 0)
+
+
+def test_breakdown_csv(tiny_config, tmp_path, capsys):
+    from riformer import build_model, op_count
+    cfg = json.loads(open(tiny_config).read())
+    cfg["bench"] = {"batch_size": 2, "resolution": 32, "warmup_runs": 1,
+                    "timed_runs": 2, "repeats": 3}
+    path = tmp_path / "bench_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["breakdown", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "component,ms,flops,thread_count"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["embedding", "norm", "mixer", "mlp", "head"]
+    assert all(float(r[1]) >= 0.0 for r in rows)
+    model = build_model(tiny_spec("affine"), seed=0)
+    assert sum(int(r[2]) for r in rows) == op_count(model, batch_size=2)

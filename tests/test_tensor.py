@@ -445,3 +445,31 @@ def test_group_norm_zero_mean_unit_var(seed):
                          Tensor(np.zeros(2, np.float32))).data
     assert abs(out.mean()) < 1e-4
     assert abs(out.var() - 1.0) < 1e-2
+
+
+def _profiled_flops(fn) -> int:
+    with T._Profile() as profile:
+        fn()
+    return sum(profile.flops.values())
+
+
+def test_kernel_flop_counts():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 3, 9, 9)))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    b = Tensor(np.zeros(4))
+    # 9x9 -> 5x5 at k3/s2/p1: 2*4*25 outputs, each 27 multiply-adds + bias
+    assert _profiled_flops(lambda: T.conv2d(x, w, b, 2, 1)) \
+        == 2 * 4 * 25 * (2 * 27 + 1)
+    x = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    w = Tensor(rng.normal(size=(6, 3)))
+    b = Tensor(np.zeros(6))
+    # 2*6*20 outputs, each 3 multiply-adds, plus the bias add when given
+    assert _profiled_flops(lambda: T.channel_linear(x, w, b)) \
+        == 2 * 6 * 20 * (2 * 3 + 1)
+    assert _profiled_flops(lambda: T.channel_linear(x, w)) \
+        == 2 * 6 * 20 * (2 * 3)
+    # shape kernels count nothing, a profile outside a model charges ""
+    with T._Profile() as profile:
+        T.reshape(x, (2, 60))
+    assert profile.flops == {"": 0}
