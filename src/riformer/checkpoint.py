@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .models import ModelSpec, ModelWeights, build_model
+from .models import ModelSpec, ModelWeights, _from_dict, build_model
+from .reparam import switch_to_deploy
 
 MAGIC = b"RIFCKPT1"
 
@@ -23,21 +25,32 @@ class CheckpointError(ValueError):
     """Corrupt or inconsistent checkpoint file."""
 
 
+@dataclass
+class ManifestEntry:
+    name: str
+    shape: list[int]
+    offset: int
+
+
+@dataclass
+class CheckpointHeader:
+    spec: dict
+    deploy: bool
+    meta: dict
+    manifest: list[dict]
+
+
 def save_checkpoint(model: ModelWeights, path: str,
                     meta: Optional[dict] = None) -> None:
     manifest = []
     payload = bytearray()
     for name, p in model.named_parameters():
         arr = np.ascontiguousarray(p.data, dtype="<f4")
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "offset": len(payload)})
+        manifest.append(asdict(ManifestEntry(name, list(arr.shape),
+                                             len(payload))))
         payload += arr.tobytes()
-    header = json.dumps({
-        "spec": model.spec.to_dict(),
-        "deploy": model.deploy,
-        "meta": meta or {},
-        "manifest": manifest,
-    }).encode("utf-8")
+    header = json.dumps(asdict(CheckpointHeader(
+        model.spec.to_dict(), model.deploy, meta or {}, manifest))).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
@@ -45,8 +58,9 @@ def save_checkpoint(model: ModelWeights, path: str,
         f.write(bytes(payload))
 
 
-def _read_header(f) -> dict:
-    """Read the header of an open checkpoint; `f` is left at the payload."""
+def _read_header(f) -> tuple[dict, ModelSpec]:
+    """Read and check the header of an open checkpoint; `f` is left at the
+    payload. Returns the header and its parsed spec."""
     magic = f.read(len(MAGIC))
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
@@ -57,33 +71,35 @@ def _read_header(f) -> dict:
     try:
         # a cut header is never a whole JSON object, so it fails here too
         header = json.loads(f.read(hlen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        _from_dict(CheckpointHeader, header)
+        for entry in header["manifest"]:
+            _from_dict(ManifestEntry, entry)
+        spec = ModelSpec.from_dict(header["spec"])
+    except ValueError as e:  # JSON and UTF-8 errors are ValueErrors too
         raise CheckpointError(f"corrupt header: {e}") from None
-    if not isinstance(header, dict):
-        raise CheckpointError("header is not a JSON object")
-    for key in ("spec", "deploy", "meta", "manifest"):
-        if key not in header:
-            raise CheckpointError(f"header missing {key!r}")
-    return header
+    if header["deploy"] and spec.mixer_kind != "affine":
+        raise CheckpointError(f"deploy header on a {spec.mixer_kind!r} spec")
+    if header["deploy"] and any(e["name"].endswith(".layer_scale_1")
+                                for e in header["manifest"]):
+        raise CheckpointError("old deploy layout with layer_scale_1; re-fuse "
+                              "it from its train checkpoint")
+    return header, spec
 
 
 def read_header(path: str) -> dict:
     with open(path, "rb") as f:
-        return _read_header(f)
+        return _read_header(f)[0]
 
 
 def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
     """Rebuild the model; returns (model, meta). Round-trips bit-exactly."""
     with open(path, "rb") as f:
-        header = _read_header(f)
+        header, spec = _read_header(f)
         payload = f.read()
 
-    spec = ModelSpec.from_dict(header["spec"])
     model = build_model(spec, seed=0)
-    if header["deploy"]:  # the fused form has no affine coefficients
-        model.deploy = True
-        for bw in (bw for stage in model.blocks for bw in stage):
-            bw.affine_s = bw.affine_t = None
+    if header["deploy"]:  # the fused form's parameter set
+        model = switch_to_deploy(model)
     params = dict(model.named_parameters())
 
     manifest = header["manifest"]
@@ -100,7 +116,7 @@ def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
             raise CheckpointError(f"{entry['name']}: manifest shape {shape} "
                                   f"does not match spec shape {want}")
         nbytes = 4 * params[entry["name"]].size
-        off = int(entry["offset"])
+        off = entry["offset"]
         if off < 0 or off + nbytes > len(payload):
             raise CheckpointError(f"{entry['name']}: offset out of bounds")
         spans.append((off, off + nbytes, entry["name"]))

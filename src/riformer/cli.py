@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,11 +79,17 @@ def _model_spec(cfg: dict) -> ModelSpec:
     return _from_dict(ModelSpec, block, ModelSpec.nano)
 
 
+@dataclass
+class Cifar10Binary:
+    """The keys of a `cifar10_binary` data block besides `source`."""
+    path: str
+
+
 def _datasets(cfg: dict, seed: int) -> tuple[Dataset, Dataset]:
     block = dict(cfg.get("data", {}))
     source = block.pop("source", "synthetic")
     if source == "cifar10_binary":
-        path = block["path"]
+        path = _from_dict(Cifar10Binary, block).path
         return (load_cifar10_binary(path, "train"),
                 load_cifar10_binary(path, "test"))
     if source != "synthetic":
@@ -99,6 +106,8 @@ def _train_like(args, default_recipe: Optional[str] = None) -> int:
     cfg = _load_config(args.config)
     tblock = dict(cfg.get("train", {}))
     teacher_ckpt = tblock.pop("teacher_ckpt", None)
+    if not isinstance(teacher_ckpt, (str, type(None))):
+        raise ValueError(f"train.teacher_ckpt must be str, got {teacher_ckpt!r}")
     if args.teacher:
         teacher_ckpt = args.teacher
     _override(tblock, "seed", args.seed, "seed")
@@ -268,7 +277,7 @@ def _cmd_inspect_ckpt(args) -> int:
     summary = {
         "deploy": header["deploy"],
         "meta": header["meta"],
-        "mixer_kind": header["spec"]["mixer_kind"],
+        "mixer_kind": ModelSpec.from_dict(header["spec"]).mixer_kind,
         "num_tensors": len(header["manifest"]),
         "total_params": sum(int(np.prod(e["shape"] or [1]))
                             for e in header["manifest"]),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -61,9 +61,6 @@ class SynthSpec:
             raise ValueError("samples_per_class must be >= 1")
         if self.resolution < 8:
             raise ValueError("resolution too small")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _class_prototype(seed: int, cls: int, res: int):

@@ -33,8 +33,6 @@ class ImitationConfig:
     feat_epochs: int = 40
     rel_epochs: int = 10
     total_epochs: int = 60
-    use_hard: bool = False
-    use_gt_label: bool = False
 
     def validate(self) -> None:
         if self.tau <= 0:
@@ -221,13 +219,9 @@ def load_from_teacher(student: ModelWeights, teacher: ModelWeights) -> ModelWeig
         raise ValueError("teacher must use the pooling mixer")
     if s_spec.mixer_kind != "affine":
         raise ValueError("student must use the affine mixer")
-    if student.deploy or teacher.deploy:
-        raise ValueError("both models must be in train form")
-    iso = [(st.depth, st.dim, st.patch_size, st.stride, st.mlp_ratio)
-           for st in s_spec.stages]
-    iso_t = [(st.depth, st.dim, st.patch_size, st.stride, st.mlp_ratio)
-             for st in t_spec.stages]
-    if iso != iso_t or s_spec.num_classes != t_spec.num_classes:
+    if student.deploy:
+        raise ValueError("the student must be in train form")
+    if s_spec.stages != t_spec.stages or s_spec.num_classes != t_spec.num_classes:
         raise ValueError("student and teacher specs are not isomorphic")
     teacher_params = dict(teacher.named_parameters())
     for name, p in student.named_parameters():

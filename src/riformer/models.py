@@ -165,7 +165,7 @@ class ModelSpec:
 @dataclass
 class BlockWeights:
     """Parameter bundle for one block. In deploy form, norm1 holds the fused
-    gamma'/beta' and the affine coefficients are absent."""
+    gamma'*ls1/beta'*ls1, and the affine coefficients and ls1 are None."""
     norm1_gamma: Tensor
     norm1_beta: Tensor
     norm2_gamma: Tensor
@@ -174,7 +174,7 @@ class BlockWeights:
     mlp_b1: Tensor
     mlp_w2: Tensor
     mlp_b2: Tensor
-    layer_scale_1: Tensor
+    layer_scale_1: Optional[Tensor]
     layer_scale_2: Tensor
     affine_s: Optional[Tensor] = None
     affine_t: Optional[Tensor] = None
@@ -184,7 +184,6 @@ class BlockWeights:
 class CaptureSet:
     """Passive per-block activation records for distillation and analysis."""
     layers: frozenset[int] = frozenset()
-    block_in: dict[int, Tensor] = field(default_factory=dict)
     ln_out: dict[int, Tensor] = field(default_factory=dict)
     mixer_out: dict[int, Tensor] = field(default_factory=dict)
     block_out: dict[int, Tensor] = field(default_factory=dict)
@@ -195,30 +194,30 @@ class CaptureSet:
         return cls(layers=frozenset(layers))
 
 
+@dataclass(eq=False, repr=False)
 class ModelWeights:
     """Concrete weights for a ModelSpec, train or deploy form."""
+    spec: ModelSpec
+    embeds: list[tuple[Tensor, Tensor]]
+    blocks: list[list[BlockWeights]]
+    final_gamma: Tensor
+    final_beta: Tensor
+    head_w: Tensor
+    head_b: Tensor
 
-    def __init__(self, spec: ModelSpec, embeds: list[tuple[Tensor, Tensor]],
-                 blocks: list[list[BlockWeights]], final_gamma: Tensor,
-                 final_beta: Tensor, head_w: Tensor, head_b: Tensor,
-                 deploy: bool = False):
-        self.spec = spec
-        self.embeds = embeds
-        self.blocks = blocks
-        self.final_gamma = final_gamma
-        self.final_beta = final_beta
-        self.head_w = head_w
-        self.head_b = head_b
-        self.deploy = deploy
+    @property
+    def deploy(self) -> bool:
+        """Whether this is the fused form, whose blocks carry no layer_scale_1."""
+        return all(bw.layer_scale_1 is None for st in self.blocks for bw in st)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for si, (w, b) in enumerate(self.embeds):
             yield f"embed.{si}.weight", w
             yield f"embed.{si}.bias", b
-        norm1 = "norm_reparam" if self.deploy else "norm1"
         for si, stage_blocks in enumerate(self.blocks):
             for bi, bw in enumerate(stage_blocks):
                 p = f"stage.{si}.block.{bi}"
+                norm1 = "norm1" if bw.layer_scale_1 is not None else "norm_reparam"
                 yield f"{p}.{norm1}.gamma", bw.norm1_gamma
                 yield f"{p}.{norm1}.beta", bw.norm1_beta
                 if bw.affine_s is not None:
@@ -230,7 +229,8 @@ class ModelWeights:
                 yield f"{p}.mlp.b1", bw.mlp_b1
                 yield f"{p}.mlp.w2", bw.mlp_w2
                 yield f"{p}.mlp.b2", bw.mlp_b2
-                yield f"{p}.layer_scale_1", bw.layer_scale_1
+                if bw.layer_scale_1 is not None:
+                    yield f"{p}.layer_scale_1", bw.layer_scale_1
                 yield f"{p}.layer_scale_2", bw.layer_scale_2
         yield "final_norm.gamma", self.final_gamma
         yield "final_norm.beta", self.final_beta
@@ -239,10 +239,6 @@ class ModelWeights:
 
     def num_params(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
-
-    def set_requires_grad(self, flag: bool) -> None:
-        for _, p in self.named_parameters():
-            p.requires_grad = flag
 
     def clone(self) -> "ModelWeights":
         return copy.deepcopy(self)
@@ -328,14 +324,12 @@ def _scale(x: Tensor, ls: Tensor) -> Tensor:
 
 
 def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
-                  deploy: bool = False, training: bool = False,
+                  training: bool = False,
                   rng: Optional[np.random.Generator] = None,
                   capture: Optional[CaptureSet] = None,
                   index: int = -1,
                   eps: float = 1e-5) -> Tensor:
     grab = capture is not None and index in capture.layers
-    if grab:
-        capture.block_in[index] = x
 
     def maybe_drop(branch: Tensor) -> Tensor:
         if training and spec.drop_path_rate > 0.0:
@@ -345,34 +339,26 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
         return branch
 
     _mark("norm")
-    if deploy:
-        if bw.affine_s is not None:
-            raise ValueError("deploy forward on an unfused block")
-        # the layer scale folds into the norm's per-channel affine, so the
-        # whole first sub-block is one norm plus the residual add
-        ga = T.mul(bw.norm1_gamma, bw.layer_scale_1)
-        be = T.mul(bw.norm1_beta, bw.layer_scale_1)
-        if grab:
-            fused = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
-            capture.ln_out[index] = fused
-            capture.mixer_out[index] = fused
-        x = T.add(x, maybe_drop(T.group_norm_1(x, ga, be, eps)))
-    else:
-        h1 = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
-        if grab:
-            capture.ln_out[index] = h1
-        _mark("mixer")  # identity runs no kernel here, so it gets nothing
-        if spec.mixer_kind == "affine":
-            mix = affine_mixer(h1, bw.affine_s, bw.affine_t)
-        elif spec.mixer_kind == "pooling":
-            mix = pooling_mixer(h1, spec.pool_size)
-        else:  # identity: mixer output is exactly zero, sub-block is a no-op
-            mix = None
-        if grab:
-            capture.mixer_out[index] = (mix if mix is not None
-                                        else Tensor(np.zeros_like(h1.data)))
-        if mix is not None:
-            x = T.add(x, maybe_drop(_scale(mix, bw.layer_scale_1)))
+    h = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
+    if grab:
+        capture.ln_out[index] = h
+    if bw.affine_s is not None:
+        _mark("mixer")
+        branch = affine_mixer(h, bw.affine_s, bw.affine_t)
+    elif spec.mixer_kind == "pooling":
+        _mark("mixer")
+        branch = pooling_mixer(h, spec.pool_size)
+    elif spec.mixer_kind == "affine":  # fused: norm1 is the scaled branch
+        branch = h
+    else:  # identity: mixer output is exactly zero, sub-block is a no-op
+        branch = None
+    if grab:
+        capture.mixer_out[index] = (branch if branch is not None
+                                    else Tensor(np.zeros_like(h.data)))
+    if branch is not None:
+        if bw.layer_scale_1 is not None:
+            branch = _scale(branch, bw.layer_scale_1)
+        x = T.add(x, maybe_drop(branch))
 
     _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta, eps)
@@ -402,8 +388,7 @@ def forward_features(model: ModelWeights, x: Tensor, *,
         _mark("embedding")
         x = T.conv2d(x, ew, eb, st.stride, st.padding)
         for bw in model.blocks[si]:
-            x = block_forward(x, bw, spec, deploy=model.deploy,
-                              training=training, rng=rng,
+            x = block_forward(x, bw, spec, training=training, rng=rng,
                               capture=capture, index=gi)
             gi += 1
         if capture is not None:

@@ -10,7 +10,8 @@ normalization with modified parameters:
     gamma'_i = gamma_i * (s_i - 1)
     beta'_i  = beta_i  * (s_i - 1) + t_i
 
-`switch_to_deploy` applies this block-wise and drops the affine coefficients;
+`switch_to_deploy` applies this block-wise, folds the layer scale in as
+gamma'*ls1 and beta'*ls1, and drops the affine coefficients and layer_scale_1;
 `verify_equivalence` certifies the transformation numerically on random probes.
 """
 from __future__ import annotations
@@ -62,15 +63,14 @@ def switch_to_deploy(model: ModelWeights) -> ModelWeights:
     if model.deploy:
         raise ValueError("model is already in deploy form")
     out = model.clone()
-    out.deploy = True
     for stage_blocks in out.blocks:
         for bw in stage_blocks:
             fused = fuse_affine(bw.norm1_gamma.data, bw.norm1_beta.data,
                                 bw.affine_s.data, bw.affine_t.data)
-            bw.norm1_gamma = Tensor(fused.gamma_prime, requires_grad=True)
-            bw.norm1_beta = Tensor(fused.beta_prime, requires_grad=True)
-            bw.affine_s = None
-            bw.affine_t = None
+            ls1 = bw.layer_scale_1.data
+            bw.norm1_gamma = Tensor(fused.gamma_prime * ls1, requires_grad=True)
+            bw.norm1_beta = Tensor(fused.beta_prime * ls1, requires_grad=True)
+            bw.affine_s = bw.affine_t = bw.layer_scale_1 = None
     return out
 
 

@@ -9,7 +9,7 @@ Recipes:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from math import cos, pi
 from typing import Optional
 
@@ -75,12 +75,6 @@ class TrainConfig:
         span = max(self.epochs - self.warmup_epochs, 1)
         frac = (epoch - self.warmup_epochs) / span
         return base * (0.01 + 0.99 * 0.5 * (1.0 + cos(pi * frac)))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.imitation is not None:
-            d["imitation"] = self.imitation.to_dict()
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

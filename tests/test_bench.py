@@ -93,6 +93,16 @@ def test_op_count_nano_pinned():
     assert op_count(ModelSpec.nano("affine")) == 9_785_352
 
 
+def test_op_count_deploy_and_pooling_pinned():
+    # the deploy form folds layer_scale_1 into its norm at fuse time, so its
+    # count has no per-call term and is exactly linear in batch
+    deploy = op_count(ModelSpec.nano("affine"), deploy=True)
+    assert deploy == 9_746_440
+    assert op_count(ModelSpec.nano("affine"), batch_size=4,
+                    deploy=True) == 4 * deploy
+    assert op_count(ModelSpec.nano("pooling")) == 9_824_264
+
+
 def test_op_count_rejects_forms_it_cannot_count():
     with pytest.raises(ValueError):
         op_count(ModelSpec.nano("pooling"), deploy=True)

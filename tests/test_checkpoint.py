@@ -1,9 +1,12 @@
 """Checkpoint format: bit-exact round trips and corruption handling."""
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from riformer import (CheckpointError, build_model, load_checkpoint,
                       read_header, save_checkpoint, switch_to_deploy)
@@ -137,3 +140,118 @@ def test_truncated_header_rejected(tmp_path):
             read_header(cut)
         with pytest.raises(CheckpointError):
             load_checkpoint(cut)
+
+
+def _old_deploy_layout(model, path):
+    """Write `model` (train form, affine) as a deploy checkpoint of the
+    layout that kept layer_scale_1 next to the fused norm."""
+    save_checkpoint(model, path)
+
+    def mutate(h):
+        h["deploy"] = True
+        h["manifest"] = [dict(e, name=e["name"].replace(".norm1.",
+                                                        ".norm_reparam."))
+                         for e in h["manifest"] if ".mixer." not in e["name"]]
+    _rewrite_header(path, mutate)
+
+
+def test_old_deploy_layout_rejected(tmp_path, capsys):
+    from riformer.cli import main
+    path = str(tmp_path / "old.ckpt")
+    _old_deploy_layout(build_model(tiny_spec("affine"), seed=0), path)
+    for read in (read_header, load_checkpoint):
+        with pytest.raises(CheckpointError, match="layer_scale_1"):
+            read(path)
+    for argv in (["inspect-ckpt", "--ckpt", path],
+                 ["dump-affine", "--ckpt", path]):
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "re-fuse" in out.err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h.update(manifest=[1]),
+    lambda h: h.update(manifest="x"),
+    lambda h: h.update(spec=[]),
+    lambda h: h["manifest"][0].update(shape=5),
+    lambda h: h["manifest"][0].update(offset="0"),
+    lambda h: h["manifest"][0].update(name=None),
+    lambda h: h["manifest"][0].pop("offset"),
+    lambda h: h.update(deploy=1),
+    lambda h: h.update(meta=[]),
+    lambda h: h.update(extra=0),
+    lambda h: h["spec"].update(mixer_kind="pooling", deploy=True),
+    lambda h: h.update(deploy=True, spec=dict(h["spec"],
+                                              mixer_kind="pooling")),
+], ids=["manifest_list_of_int", "manifest_str", "spec_list", "shape_int",
+        "offset_str", "name_null", "offset_missing", "deploy_int",
+        "meta_list", "unknown_key", "spec_unknown_key", "deploy_pooling"])
+def test_ill_typed_header_rejected(tmp_path, capsys, mutate):
+    from riformer.cli import main
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(build_model(tiny_spec("affine"), seed=0), path)
+    _rewrite_header(path, mutate)
+    for read in (read_header, load_checkpoint):
+        with pytest.raises(CheckpointError):
+            read(path)
+    for argv in (["inspect-ckpt", "--ckpt", path, "--manifest"],
+                 ["dump-affine", "--ckpt", path]):
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 40, 2 ** 40)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_header_loads_or_fails_cleanly(tmp_path, data):
+    from riformer.cli import main
+    path = str(tmp_path / "fuzz.ckpt")
+    save_checkpoint(build_model(tiny_spec("affine"), seed=0), path,
+                    meta={"seed": 0})
+    n = len(read_header(path)["manifest"])
+    # replace or drop a header value, or a field of one manifest entry
+    where = data.draw(st.sampled_from(
+        ["spec", "deploy", "meta", "manifest", "entry", "name", "shape",
+         "offset"]))
+    drop = data.draw(st.booleans())
+    value = data.draw(_json)
+    index = data.draw(st.integers(0, n - 1))
+
+    def mutate(h):
+        if where == "entry":
+            h["manifest"][index] = value
+            return
+        target = h if where in h else h["manifest"][index]
+        if drop:
+            del target[where]
+        else:
+            target[where] = value
+    _rewrite_header(path, mutate)
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    if data.draw(st.booleans()):  # and cut it short inside the header
+        open(path, "wb").write(raw[:data.draw(st.integers(0, 12 + hlen))])
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+    for argv in (["inspect-ckpt", "--ckpt", path, "--manifest"],
+                 ["dump-affine", "--ckpt", path]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3), err.getvalue()
+        assert err.getvalue().count("\n") == (code == 3), err.getvalue()

@@ -307,3 +307,34 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys):
     assert all(float(r[1]) >= 0.0 for r in rows)
     model = build_model(tiny_spec("affine"), seed=0)
     assert sum(int(r[2]) for r in rows) == op_count(model, batch_size=2)
+
+
+@pytest.mark.parametrize("cmd,cfg,key", [
+    ("train", {"train": {"teacher_ckpt": 3, "recipe": "soft_kd",
+                         "epochs": 1}}, "teacher_ckpt"),
+    ("train", {"train": {"teacher_ckpt": ["t.ckpt"], "recipe": "soft_kd",
+                         "epochs": 1}}, "teacher_ckpt"),
+    ("gen-data", {"data": {"source": "cifar10_binary", "path": "cif",
+                           "bogus": 1}}, "bogus"),
+    ("gen-data", {"data": {"source": "cifar10_binary"}}, "path"),
+    ("gen-data", {"data": {"source": "cifar10_binary", "path": 3}}, "path"),
+], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
+        "cifar_missing_path", "cifar_int_path"])
+def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+    import riformer.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a file was read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    monkeypatch.setattr(cli, "load_cifar10_binary", never)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert key in out.err

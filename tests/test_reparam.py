@@ -1,4 +1,6 @@
 """Branch fusion: symbolic identity, end-to-end equivalence, error contracts."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -85,10 +87,63 @@ def test_fusion_is_parameter_local():
 
 
 def test_deploy_param_count_drops_by_two_dim_per_block():
+    # the affine s and t, and layer_scale_1 folded into the norm: 3 dim each
     model = build_model(tiny_spec("affine"), seed=0)
     deploy = switch_to_deploy(model)
-    expect = sum(st.depth * 2 * st.dim for st in model.spec.stages)
+    expect = sum(st.depth * 3 * st.dim for st in model.spec.stages)
     assert model.num_params() - deploy.num_params() == expect
+
+
+def test_deploy_norm_folds_layer_scale_bitwise():
+    model = randomized_affine_model(5)
+    deploy = switch_to_deploy(model)
+    assert deploy.deploy and not model.deploy
+    for train_stage, deploy_stage in zip(model.blocks, deploy.blocks):
+        for tb, db in zip(train_stage, deploy_stage):
+            fused = fuse_affine(tb.norm1_gamma.data, tb.norm1_beta.data,
+                                tb.affine_s.data, tb.affine_t.data)
+            ls1 = tb.layer_scale_1.data
+            assert (db.norm1_gamma.data.tobytes()
+                    == (fused.gamma_prime * ls1).tobytes())
+            assert (db.norm1_beta.data.tobytes()
+                    == (fused.beta_prime * ls1).tobytes())
+            assert db.layer_scale_1 is None and db.affine_s is None
+    assert not any("layer_scale_1" in name
+                   for name, _ in deploy.named_parameters())
+    with pytest.raises(AttributeError):
+        deploy.deploy = False
+
+
+def test_fused_first_subblock_is_one_norm_and_one_add(monkeypatch):
+    # per block, the deploy form runs exactly one kernel more than the
+    # identity form (whose first sub-block adds nothing), and capturing
+    # every layer adds no kernel
+    spec = tiny_spec("affine")
+    deploy = switch_to_deploy(build_model(spec, seed=0))
+    identity = build_model(tiny_spec("identity"), seed=0)
+    x = Tensor(np.ones((1, 3, 32, 32), np.float32))
+    names = []
+    apply = T._apply
+
+    def counted(*args, **kwargs):
+        # every kernel ends in _apply; record the kernel's function name
+        names.append(sys._getframe(1).f_code.co_name)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(T, "_apply", counted)
+
+    def kernels(model, capture=None):
+        names.clear()
+        forward(model, x, capture=capture)
+        return list(names)
+
+    plain = kernels(deploy)
+    everything = CaptureSet.for_layers(range(spec.total_blocks))
+    assert kernels(deploy, everything) == plain
+    extra = list(plain)
+    for name in kernels(identity):
+        extra.remove(name)
+    assert extra == ["add"] * spec.total_blocks
 
 
 def test_source_model_untouched_by_fusion():
