@@ -3,20 +3,25 @@
 Layout:  8-byte magic | u32 little-endian header length | JSON header |
 float32 little-endian payload.  The header carries the model spec echo,
 free-form metadata, the deploy flag, and a manifest of (name, shape, offset)
-entries; offsets are byte positions into the payload. There is deliberately
-no checksum: integrity is verified functionally by the equivalence tools.
+entries that lists the spec's parameters in `models.param_layout` order;
+offsets are byte positions into the payload. Loading checks the manifest
+against the spec before it allocates any tensor. There is deliberately no
+checksum: integrity is verified functionally by the equivalence tools.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
 
-from .models import ModelSpec, ModelWeights, _from_dict, build_model
-from .reparam import switch_to_deploy
+from . import models
+from .models import ModelSpec, ModelWeights, _from_dict
+from .tensor import NumericsError, Tensor
 
 MAGIC = b"RIFCKPT1"
 
@@ -92,40 +97,36 @@ def read_header(path: str) -> dict:
 
 
 def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
-    """Rebuild the model; returns (model, meta). Round-trips bit-exactly."""
+    """Rebuild the model; returns (model, meta). Round-trips bit-exactly. The
+    first manifest entry that is not the spec's layout entry fails the load."""
     with open(path, "rb") as f:
         header, spec = _read_header(f)
         payload = f.read()
 
-    model = build_model(spec, seed=0)
-    if header["deploy"]:  # the fused form's parameter set
-        model = switch_to_deploy(model)
-    params = dict(model.named_parameters())
-
     manifest = header["manifest"]
-    names = {e["name"] for e in manifest}
-    if names != set(params):
-        raise CheckpointError(f"manifest/spec mismatch: missing "
-                              f"{sorted(set(params) - names)}, "
-                              f"unexpected {sorted(names - set(params))}")
+    layout = models.param_layout(spec, header["deploy"])
     spans = []
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        want = params[entry["name"]].shape
-        if shape != want:
-            raise CheckpointError(f"{entry['name']}: manifest shape {shape} "
-                                  f"does not match spec shape {want}")
-        nbytes = 4 * params[entry["name"]].size
-        off = entry["offset"]
-        if off < 0 or off + nbytes > len(payload):
-            raise CheckpointError(f"{entry['name']}: offset out of bounds")
-        spans.append((off, off + nbytes, entry["name"]))
-    spans.sort()
-    for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
+    for entry, (name, shape, _) in zip(manifest, layout):
+        if (entry["name"], tuple(entry["shape"])) != (name, shape):
+            raise CheckpointError(f"manifest entry {len(spans)}, {entry['name']} "
+                                  f"{tuple(entry['shape'])}, is not the spec's "
+                                  f"{name} {shape}")
+        start, end = entry["offset"], entry["offset"] + 4 * math.prod(shape)
+        if start < 0 or end > len(payload):
+            raise CheckpointError(f"{name}: offset out of bounds")
+        spans.append((start, end, name, shape))
+    if len(spans) < len(manifest) or next(layout, None) is not None:
+        raise CheckpointError(f"manifest/spec mismatch: the spec's layout "
+                              f"does not have {len(manifest)} entries")
+    for (_, e0, n0, _), (s1, _, n1, _) in pairwise(sorted(spans)):
         if s1 < e0:
             raise CheckpointError(f"overlapping payload spans for {n0} and {n1}")
 
-    for start, end, name in spans:
-        arr = np.frombuffer(payload[start:end], dtype="<f4")
-        params[name].data = arr.reshape(params[name].shape).copy()
-    return model, header["meta"]
+    params = {}
+    for start, end, name, shape in spans:
+        arr = np.frombuffer(payload, "<f4", (end - start) // 4, start)
+        try:
+            params[name] = Tensor(arr.reshape(shape).copy(), requires_grad=True)
+        except NumericsError:
+            raise CheckpointError(f"{name}: non-finite payload") from None
+    return ModelWeights(spec, params, header["deploy"]), header["meta"]

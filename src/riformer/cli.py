@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -279,8 +280,7 @@ def _cmd_inspect_ckpt(args) -> int:
         "meta": header["meta"],
         "mixer_kind": ModelSpec.from_dict(header["spec"]).mixer_kind,
         "num_tensors": len(header["manifest"]),
-        "total_params": sum(int(np.prod(e["shape"] or [1]))
-                            for e in header["manifest"]),
+        "total_params": sum(math.prod(e["shape"]) for e in header["manifest"]),
     }
     print(json.dumps(summary, indent=2))
     if args.manifest:
@@ -405,7 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
-    except (ValueError, OSError, RuntimeError, KeyError) as e:
+    except (ValueError, OSError, RuntimeError, KeyError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -223,9 +223,6 @@ def load_from_teacher(student: ModelWeights, teacher: ModelWeights) -> ModelWeig
         raise ValueError("the student must be in train form")
     if s_spec.stages != t_spec.stages or s_spec.num_classes != t_spec.num_classes:
         raise ValueError("student and teacher specs are not isomorphic")
-    teacher_params = dict(teacher.named_parameters())
-    for name, p in student.named_parameters():
-        if ".mixer." in name:
-            continue
-        p.data = teacher_params[name].data.copy()
+    for name, p in teacher.named_parameters():  # all but the student's mixer
+        student.params[name].data = p.data.copy()
     return student

@@ -15,9 +15,10 @@ the "pooling mixer vanishes on constant input" property exact at borders.
 from __future__ import annotations
 
 import copy
+import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, make_dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -83,8 +84,9 @@ class StageSpec:
     def validate(self) -> None:
         if self.depth < 1 or self.dim < 1:
             raise ValueError(f"depth and dim must be >= 1, got {self.depth}, {self.dim}")
-        if self.mlp_ratio <= 0:
-            raise ValueError("mlp_ratio must be positive")
+        if not 0 < self.mlp_ratio < math.inf or int(self.dim * self.mlp_ratio) < 1:
+            raise ValueError(f"mlp_ratio must be finite and give an MLP width "
+                             f">= 1, got {self.mlp_ratio} at dim {self.dim}")
         if self.patch_size < 1 or self.stride < 1:
             raise ValueError("patch_size and stride must be >= 1")
 
@@ -111,12 +113,17 @@ class ModelSpec:
             s.validate()
         if self.mixer_kind not in MIXER_KINDS:
             raise ValueError(f"unknown mixer_kind {self.mixer_kind!r}")
-        if self.mixer_kind == "pooling" and self.pool_size % 2 == 0:
-            raise ValueError("pool_size must be odd")
+        if self.mixer_kind == "pooling" and not (self.pool_size > 0
+                                                 and self.pool_size % 2):
+            raise ValueError(f"pool_size must be odd and >= 1, got {self.pool_size}")
         if not (0.0 <= self.drop_path_rate < 1.0):
             raise ValueError("drop_path_rate must be in [0, 1)")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        if self.num_classes < 1 or self.in_channels < 1:
+            raise ValueError(f"num_classes and in_channels must be >= 1, got "
+                             f"{self.num_classes}, {self.in_channels}")
+        if self.input_resolution < 1 or self.input_resolution % self.total_stride:
+            raise ValueError(f"input_resolution must be a positive multiple of "
+                             f"{self.total_stride}, got {self.input_resolution}")
 
     @property
     def total_blocks(self) -> int:
@@ -124,7 +131,7 @@ class ModelSpec:
 
     @property
     def total_stride(self) -> int:
-        return int(np.prod([s.stride for s in self.stages]))
+        return math.prod(s.stride for s in self.stages)
 
     def block_stage(self, index: int) -> tuple[int, int]:
         """Map a global block index to (stage, block-within-stage)."""
@@ -162,22 +169,64 @@ class ModelSpec:
         return spec
 
 
-@dataclass
-class BlockWeights:
-    """Parameter bundle for one block. In deploy form, norm1 holds the fused
-    gamma'*ls1/beta'*ls1, and the affine coefficients and ls1 are None."""
-    norm1_gamma: Tensor
-    norm1_beta: Tensor
-    norm2_gamma: Tensor
-    norm2_beta: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
-    layer_scale_1: Optional[Tensor]
-    layer_scale_2: Tensor
-    affine_s: Optional[Tensor] = None
-    affine_t: Optional[Tensor] = None
+_ALL = (*MIXER_KINDS, "deploy")
+# A block's parameters in checkpoint order: BlockWeights field, name under
+# "stage.{si}.block.{bi}.", shape (hidden = int(dim * mlp_ratio)), init
+# ("normal" is N(0, 0.02), "ls" the spec's layer_scale_init) and the forms
+# that carry it: train mixer kinds, or "deploy", whose norm1 is fused.
+_BLOCK_PARAMS = (
+    ("norm1_gamma", "norm1.gamma", ("dim",), 1.0, MIXER_KINDS),
+    ("norm1_beta", "norm1.beta", ("dim",), 0.0, MIXER_KINDS),
+    ("norm1_gamma", "norm_reparam.gamma", ("dim",), 0.0, ("deploy",)),
+    ("norm1_beta", "norm_reparam.beta", ("dim",), 0.0, ("deploy",)),
+    ("affine_s", "mixer.s", ("dim",), 1.0, ("affine",)),
+    ("affine_t", "mixer.t", ("dim",), 0.0, ("affine",)),
+    ("norm2_gamma", "norm2.gamma", ("dim",), 1.0, _ALL),
+    ("norm2_beta", "norm2.beta", ("dim",), 0.0, _ALL),
+    ("mlp_w1", "mlp.w1", ("hidden", "dim"), "normal", _ALL),
+    ("mlp_b1", "mlp.b1", ("hidden",), 0.0, _ALL),
+    ("mlp_w2", "mlp.w2", ("dim", "hidden"), "normal", _ALL),
+    ("mlp_b2", "mlp.b2", ("dim",), 0.0, _ALL),
+    ("layer_scale_1", "layer_scale_1", ("dim",), "ls", MIXER_KINDS),
+    ("layer_scale_2", "layer_scale_2", ("dim",), "ls", _ALL),
+)
+BlockWeights = make_dataclass("BlockWeights", [  # a field its form lacks is None
+    (key, Optional[Tensor], None) for key in dict.fromkeys(
+        row[0] for row in _BLOCK_PARAMS)], namespace={"__module__": __name__})
+
+
+def _layout(spec: ModelSpec, deploy: bool):
+    """param_layout's entries, each with the view it fills: (si, bi, field)
+    of a block, (si, None, 0 or 1) of an embedding pair, or (len(stages),
+    None, attribute) of the model. Its stage orders build_model's draws."""
+    form = "deploy" if deploy else spec.mixer_kind
+    in_ch = spec.in_channels
+    for si, st in enumerate(spec.stages):
+        yield (f"embed.{si}.weight", (st.dim, in_ch, st.patch_size,
+                                      st.patch_size), "normal", (si, None, 0))
+        yield f"embed.{si}.bias", (st.dim,), 0.0, (si, None, 1)
+        in_ch = st.dim
+    for si, st in enumerate(spec.stages):
+        sizes = {"dim": st.dim, "hidden": int(st.dim * st.mlp_ratio)}
+        for bi in range(st.depth):
+            for key, name, shape, init, forms in _BLOCK_PARAMS:
+                if form in forms:
+                    yield (f"stage.{si}.block.{bi}.{name}",
+                           tuple(sizes[k] for k in shape),
+                           spec.layer_scale_init if init == "ls" else init,
+                           (si, bi, key))
+    tail, last, k = len(spec.stages), spec.stages[-1].dim, spec.num_classes
+    yield "final_norm.gamma", (last,), 1.0, (tail, None, "final_gamma")
+    yield "final_norm.beta", (last,), 0.0, (tail, None, "final_beta")
+    yield "head.weight", (k, last), "normal", (tail, None, "head_w")
+    yield "head.bias", (k,), 0.0, (tail, None, "head_b")
+
+
+def param_layout(spec: ModelSpec, deploy: bool = False) -> Iterator[tuple]:
+    """(name, shape, init) of each parameter of the spec's train or deploy
+    form, in checkpoint order: the one place names and shapes are spelled.
+    Lazy, so a caller can stop at its first mismatch whatever the sizes."""
+    return (entry[:3] for entry in _layout(spec, deploy))
 
 
 @dataclass
@@ -194,48 +243,32 @@ class CaptureSet:
         return cls(layers=frozenset(layers))
 
 
-@dataclass(eq=False, repr=False)
 class ModelWeights:
-    """Concrete weights for a ModelSpec, train or deploy form."""
-    spec: ModelSpec
-    embeds: list[tuple[Tensor, Tensor]]
-    blocks: list[list[BlockWeights]]
-    final_gamma: Tensor
-    final_beta: Tensor
-    head_w: Tensor
-    head_b: Tensor
+    """Concrete weights for a ModelSpec, train or deploy form: `params` maps
+    the names of `param_layout(spec, deploy)` to tensors, in that order, and
+    `embeds`, `blocks`, `final_*` and `head_*` are views of them."""
+
+    def __init__(self, spec: ModelSpec, params: dict[str, Tensor],
+                 deploy: bool = False):
+        self.spec, self.params, self._deploy = spec, params, deploy
+        self.embeds = [[None, None] for _ in spec.stages]
+        self.blocks = [[BlockWeights() for _ in range(st.depth)]
+                       for st in spec.stages]
+        for name, _, _, (si, bi, key) in _layout(spec, deploy):
+            if bi is not None:
+                setattr(self.blocks[si][bi], key, params[name])
+            elif si < len(spec.stages):
+                self.embeds[si][key] = params[name]
+            else:
+                setattr(self, key, params[name])
 
     @property
     def deploy(self) -> bool:
         """Whether this is the fused form, whose blocks carry no layer_scale_1."""
-        return all(bw.layer_scale_1 is None for st in self.blocks for bw in st)
+        return self._deploy
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for si, (w, b) in enumerate(self.embeds):
-            yield f"embed.{si}.weight", w
-            yield f"embed.{si}.bias", b
-        for si, stage_blocks in enumerate(self.blocks):
-            for bi, bw in enumerate(stage_blocks):
-                p = f"stage.{si}.block.{bi}"
-                norm1 = "norm1" if bw.layer_scale_1 is not None else "norm_reparam"
-                yield f"{p}.{norm1}.gamma", bw.norm1_gamma
-                yield f"{p}.{norm1}.beta", bw.norm1_beta
-                if bw.affine_s is not None:
-                    yield f"{p}.mixer.s", bw.affine_s
-                    yield f"{p}.mixer.t", bw.affine_t
-                yield f"{p}.norm2.gamma", bw.norm2_gamma
-                yield f"{p}.norm2.beta", bw.norm2_beta
-                yield f"{p}.mlp.w1", bw.mlp_w1
-                yield f"{p}.mlp.b1", bw.mlp_b1
-                yield f"{p}.mlp.w2", bw.mlp_w2
-                yield f"{p}.mlp.b2", bw.mlp_b2
-                if bw.layer_scale_1 is not None:
-                    yield f"{p}.layer_scale_1", bw.layer_scale_1
-                yield f"{p}.layer_scale_2", bw.layer_scale_2
-        yield "final_norm.gamma", self.final_gamma
-        yield "final_norm.beta", self.final_beta
-        yield "head.weight", self.head_w
-        yield "head.bias", self.head_b
+        yield from self.params.items()
 
     def num_params(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
@@ -246,50 +279,16 @@ class ModelWeights:
 
 def build_model(spec: ModelSpec, seed: int) -> ModelWeights:
     """Deterministic initialization; affine starts at s=1, t=0 so the model
-    is forward-identical to the identity-mixer model of the same seed."""
+    is forward-identical to the identity-mixer model of the same seed. The
+    draws go stage by stage (its embedding, then its blocks), head last."""
     spec.validate()
     rng = np.random.default_rng(seed)
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32),
-                      requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, np.float32), requires_grad=True)
-
-    def const(value, *shape):
-        return Tensor(np.full(shape, value, np.float32), requires_grad=True)
-
-    embeds: list[tuple[Tensor, Tensor]] = []
-    blocks: list[list[BlockWeights]] = []
-    in_ch = spec.in_channels
-    for st in spec.stages:
-        embeds.append((normal(st.dim, in_ch, st.patch_size, st.patch_size),
-                       zeros(st.dim)))
-        in_ch = st.dim
-        stage_blocks = []
-        hidden = int(st.dim * st.mlp_ratio)
-        for _ in range(st.depth):
-            bw = BlockWeights(
-                norm1_gamma=const(1.0, st.dim), norm1_beta=zeros(st.dim),
-                norm2_gamma=const(1.0, st.dim), norm2_beta=zeros(st.dim),
-                mlp_w1=normal(hidden, st.dim), mlp_b1=zeros(hidden),
-                mlp_w2=normal(st.dim, hidden), mlp_b2=zeros(st.dim),
-                layer_scale_1=const(spec.layer_scale_init, st.dim),
-                layer_scale_2=const(spec.layer_scale_init, st.dim),
-            )
-            if spec.mixer_kind == "affine":
-                bw.affine_s = const(1.0, st.dim)
-                bw.affine_t = zeros(st.dim)
-            stage_blocks.append(bw)
-        blocks.append(stage_blocks)
-
-    last = spec.stages[-1].dim
-    return ModelWeights(
-        spec=spec, embeds=embeds, blocks=blocks,
-        final_gamma=const(1.0, last), final_beta=zeros(last),
-        head_w=normal(spec.num_classes, last), head_b=zeros(spec.num_classes),
-    )
+    layout = list(_layout(spec, deploy=False))
+    drawn = {name: Tensor(rng.normal(0.0, 0.02, size=shape) if init == "normal"
+                          else np.full(shape, init, np.float32),
+                          requires_grad=True)
+             for name, shape, init, _ in sorted(layout, key=lambda e: e[3][0])}
+    return ModelWeights(spec, {name: drawn[name] for name, *_ in layout})
 
 
 def affine_mixer(m: Tensor, s: Tensor, t: Tensor) -> Tensor:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from itertools import chain
 
 import numpy as np
 
 from . import tensor as T
-from .models import CaptureSet, ModelWeights, forward
+from .models import CaptureSet, ModelWeights, forward, param_layout
 from .tensor import Tensor
 
 # probes per forward in verify_equivalence; larger chunks raise peak memory
@@ -62,15 +63,15 @@ def switch_to_deploy(model: ModelWeights) -> ModelWeights:
                          f"got {model.spec.mixer_kind!r}")
     if model.deploy:
         raise ValueError("model is already in deploy form")
-    out = model.clone()
-    for stage_blocks in out.blocks:
-        for bw in stage_blocks:
-            fused = fuse_affine(bw.norm1_gamma.data, bw.norm1_beta.data,
-                                bw.affine_s.data, bw.affine_t.data)
-            ls1 = bw.layer_scale_1.data
-            bw.norm1_gamma = Tensor(fused.gamma_prime * ls1, requires_grad=True)
-            bw.norm1_beta = Tensor(fused.beta_prime * ls1, requires_grad=True)
-            bw.affine_s = bw.affine_t = bw.layer_scale_1 = None
+    out = ModelWeights(model.spec, {
+        name: Tensor(model.params[name].data.copy() if name in model.params
+                     else np.zeros(shape, np.float32), requires_grad=True)
+        for name, shape, _ in param_layout(model.spec, deploy=True)}, True)
+    for tb, db in zip(chain(*model.blocks), chain(*out.blocks)):
+        fused = fuse_affine(tb.norm1_gamma.data, tb.norm1_beta.data,
+                            tb.affine_s.data, tb.affine_t.data)
+        db.norm1_gamma.data = fused.gamma_prime * tb.layer_scale_1.data
+        db.norm1_beta.data = fused.beta_prime * tb.layer_scale_1.data
     return out
 
 

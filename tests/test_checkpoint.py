@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,3 +256,64 @@ def test_fuzzed_header_loads_or_fails_cleanly(tmp_path, data):
             code = main(argv)
         assert code in (0, 3), err.getvalue()
         assert err.getvalue().count("\n") == (code == 3), err.getvalue()
+
+
+def test_oversized_num_classes_header_fails_without_allocating(tmp_path,
+                                                               capsys):
+    # the spec would need a 2**40-row head; the manifest says 4 rows
+    from riformer.cli import main
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(build_model(tiny_spec("affine"), seed=0), path)
+    _rewrite_header(path, lambda h: h["spec"].update(num_classes=2 ** 40))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="head.weight"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert main(["dump-affine", "--ckpt", path]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_huge_depth_header_fails_within_the_manifest(tmp_path, monkeypatch):
+    import riformer.models as models
+    draws = []
+    real = models.param_layout
+
+    def spy(spec, deploy=False):
+        for entry in real(spec, deploy):
+            draws.append(entry[0])
+            yield entry
+
+    monkeypatch.setattr(models, "param_layout", spy)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(build_model(tiny_spec("affine"), seed=0), path)
+    n = len(read_header(path)["manifest"])
+    _rewrite_header(path,
+                    lambda h: h["spec"]["stages"][0].update(depth=10 ** 9))
+    with pytest.raises(CheckpointError, match="stage.0.block.1"):
+        load_checkpoint(path)
+    assert 0 < len(draws) <= n + 1
+
+
+def test_reordered_manifest_rejected(tmp_path):
+    # every saved manifest is in layout order; a hand-made permutation is not
+    model = build_model(tiny_spec("affine"), seed=0)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    _rewrite_header(path, lambda h: h["manifest"].reverse())
+    with pytest.raises(CheckpointError, match="manifest entry 0"):
+        load_checkpoint(path)
+
+
+def test_non_finite_payload_rejected(tmp_path):
+    model = build_model(tiny_spec("affine"), seed=0)
+    model.head_b.data[0] = np.inf  # bypasses the Tensor constructor's check
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match="head.bias"):
+        load_checkpoint(path)

@@ -253,9 +253,11 @@ def test_inspect_truncated_ckpt_is_runtime_error(tmp_path, capsys):
     ("train", {"model": {"num_classes": "8"}}),
     ("train", {"model": {"stages": [{"depth": 1}] * 4}}),
     ("breakdown", {"bench": {"repeats": 1.5}}),
+    ("train", {"model": {"input_resolution": 48}}),
 ], ids=["train_block", "train_block_breakdown", "data_block", "bench_block",
         "model_block", "str_for_int", "bool_for_int", "imitation_block",
-        "str_for_model_int", "stage_missing_keys", "float_for_int"])
+        "str_for_model_int", "stage_missing_keys", "float_for_int",
+        "resolution_off_stride"])
 def test_malformed_config_is_runtime_error(cmd, cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -338,3 +340,33 @@ def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert key in out.err
+
+
+def test_oversized_config_is_runtime_error(tmp_path, capsys):
+    # a 2**40-class head is 1 PiB of float64 draws, which numpy refuses
+    # before allocating anything
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"model": {"mixer_kind": "affine",
+                                          "num_classes": 2 ** 40}}))
+    assert main(["bench", "--config", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_inspect_ckpt_total_params_exact(tiny_config, tmp_path, capsys):
+    ckpt = str(tmp_path / "m.ckpt")
+    assert main(["train", "--config", tiny_config, "--out", ckpt]) == 0
+    raw = open(ckpt, "rb").read()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + hlen])
+    entry = header["manifest"][0]
+    total = 2 ** 80 - int(np.prod(entry["shape"]))
+    total += sum(int(np.prod(e["shape"])) for e in header["manifest"])
+    entry["shape"] = [2 ** 40, 2 ** 40]
+    new = json.dumps(header).encode()
+    open(ckpt, "wb").write(raw[:8] + len(new).to_bytes(4, "little") + new
+                           + raw[12 + hlen:])
+    capsys.readouterr()
+    assert main(["inspect-ckpt", "--ckpt", ckpt]) == 0
+    assert json.loads(capsys.readouterr().out)["total_params"] == total

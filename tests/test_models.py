@@ -1,11 +1,15 @@
 """Backbone structure: mixers, block wiring, capture transparency, counts."""
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
 import riformer.tensor as T
-from riformer import CaptureSet, ModelSpec, ShapeError, Tensor, build_model, forward
+from riformer import (CaptureSet, ModelSpec, ShapeError, Tensor, build_model,
+                      forward, switch_to_deploy)
 from riformer.models import (StageSpec, affine_mixer, forward_features,
-                             pooling_mixer)
+                             param_layout, pooling_mixer)
 from helpers import tiny_spec
 
 
@@ -32,6 +36,20 @@ def test_spec_rejects_even_pool_and_bad_mixer():
     spec.mixer_kind = "attention"
     with pytest.raises(ValueError):
         spec.validate()
+    # sizes no parameter layout can use
+    for mixer, overrides in [("pooling", {"pool_size": -1}),
+                             ("affine", {"in_channels": 0}),
+                             ("affine", {"input_resolution": 0}),
+                             ("affine", {"input_resolution": -16}),
+                             ("affine", {"input_resolution": 48})]:
+        with pytest.raises(ValueError):
+            tiny_spec(mixer, **overrides)
+    for dim, ratio in [(1, 0.5), (4, float("inf")), (4, float("nan"))]:
+        spec = tiny_spec()
+        spec.stages[0] = StageSpec(depth=1, dim=dim, patch_size=7, stride=4,
+                                   mlp_ratio=ratio)
+        with pytest.raises(ValueError, match="MLP width"):
+            spec.validate()
 
 
 def test_spec_roundtrips_through_dict():
@@ -101,6 +119,37 @@ def test_build_same_seed_bit_identical():
     for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert na == nb
         assert np.array_equal(pa.data, pb.data)
+
+
+@pytest.mark.parametrize("mixer,digest", [
+    ("identity", "73e40d35b2b99113c17eb673384399e2e3157f27e1d166b330c720e7adbd0963"),
+    ("affine", "d2a346219eb44740ca0b9642e9b5875eb4ae1a80989c6693e61e5b3ba58ff2e2"),
+    ("pooling", "73e40d35b2b99113c17eb673384399e2e3157f27e1d166b330c720e7adbd0963"),
+])
+def test_build_model_bytes_pinned(mixer, digest):
+    # names and values in order; a changed RNG draw order changes the digest
+    h = hashlib.sha256()
+    for name, p in build_model(ModelSpec.nano(mixer), seed=0).named_parameters():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("mixer,deploy", [("identity", False), ("affine", False),
+                                          ("pooling", False), ("affine", True)])
+def test_param_layout_matches_named_parameters(mixer, deploy):
+    spec = tiny_spec(mixer)
+    model = build_model(spec, seed=0)
+    if deploy:
+        model = switch_to_deploy(model)
+    assert ([(name, shape) for name, shape, _ in param_layout(spec, deploy)]
+            == [(name, p.shape) for name, p in model.named_parameters()])
+
+
+def test_model_pickles_with_shared_views():
+    model = pickle.loads(pickle.dumps(build_model(tiny_spec("affine"), seed=0)))
+    model.blocks[0][0].affine_s.data[0] = 2.0
+    assert model.params["stage.0.block.0.mixer.s"].data[0] == 2.0
 
 
 def test_affine_at_init_equals_identity_model():
