@@ -392,6 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(e: Exception) -> str:
+    """The message of `e` with its line breaks shown as spaces."""
+    return " ".join(str(e).splitlines())
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -401,12 +406,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except ValidationFailure as e:
-        print(f"validation failure: {e}", file=sys.stderr)
+        print(f"validation failure: {_one_line(e)}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0
     except (ValueError, OSError, RuntimeError, KeyError, MemoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_one_line(e)}", file=sys.stderr)
         return 3
 
 

@@ -57,7 +57,8 @@ def _from_dict(cls, d, build: Optional[Callable] = None):
                          f"got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown {cls.__name__} key(s): "
+                         f"{', '.join(map(repr, unknown))}")
     missing = [f.name for f in fields(cls) if build is None and f.name not in d
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
@@ -118,6 +119,9 @@ class ModelSpec:
             raise ValueError(f"pool_size must be odd and >= 1, got {self.pool_size}")
         if not (0.0 <= self.drop_path_rate < 1.0):
             raise ValueError("drop_path_rate must be in [0, 1)")
+        if not math.isfinite(self.layer_scale_init):
+            raise ValueError(f"layer_scale_init must be finite, "
+                             f"got {self.layer_scale_init}")
         if self.num_classes < 1 or self.in_channels < 1:
             raise ValueError(f"num_classes and in_channels must be >= 1, got "
                              f"{self.num_classes}, {self.in_channels}")
@@ -329,35 +333,43 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
                   index: int = -1,
                   eps: float = 1e-5) -> Tensor:
     grab = capture is not None and index in capture.layers
+    dropping = training and spec.drop_path_rate > 0.0
 
     def maybe_drop(branch: Tensor) -> Tensor:
-        if training and spec.drop_path_rate > 0.0:
+        if dropping:
             if rng is None:
                 raise ValueError("training with drop_path requires an rng")
             return T.drop_path(branch, spec.drop_path_rate, rng)
         return branch
 
+    # Unless a capture records the norm or drop-path acts on the branch
+    # alone, the fused deploy block's first sub-block, x + norm1(x), runs as
+    # one kernel, and the identity block's, which adds exactly zero, as none
+    fused = spec.mixer_kind == "affine" and bw.affine_s is None
     _mark("norm")
-    h = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
-    if grab:
-        capture.ln_out[index] = h
-    if bw.affine_s is not None:
-        _mark("mixer")
-        branch = affine_mixer(h, bw.affine_s, bw.affine_t)
-    elif spec.mixer_kind == "pooling":
-        _mark("mixer")
-        branch = pooling_mixer(h, spec.pool_size)
-    elif spec.mixer_kind == "affine":  # fused: norm1 is the scaled branch
-        branch = h
-    else:  # identity: mixer output is exactly zero, sub-block is a no-op
-        branch = None
-    if grab:
-        capture.mixer_out[index] = (branch if branch is not None
-                                    else Tensor(np.zeros_like(h.data)))
-    if branch is not None:
-        if bw.layer_scale_1 is not None:
-            branch = _scale(branch, bw.layer_scale_1)
-        x = T.add(x, maybe_drop(branch))
+    if not grab and fused and not dropping:
+        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps, residual=True)
+    elif grab or spec.mixer_kind != "identity":
+        h = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
+        if grab:
+            capture.ln_out[index] = h
+        if bw.affine_s is not None:
+            _mark("mixer")
+            branch = affine_mixer(h, bw.affine_s, bw.affine_t)
+        elif spec.mixer_kind == "pooling":
+            _mark("mixer")
+            branch = pooling_mixer(h, spec.pool_size)
+        elif fused:  # norm1 is the scaled branch
+            branch = h
+        else:  # identity: mixer output is exactly zero, sub-block is a no-op
+            branch = None
+        if grab:
+            capture.mixer_out[index] = (branch if branch is not None
+                                        else Tensor(np.zeros_like(h.data)))
+        if branch is not None:
+            if bw.layer_scale_1 is not None:
+                branch = _scale(branch, bw.layer_scale_1)
+            x = T.add(x, maybe_drop(branch))
 
     _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta, eps)

@@ -202,7 +202,10 @@ def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
     {"imitation": {"bogus": 1}},
     {"data": {"bogus": 1}},
     {"bench": {"bogus": 1}},
-], ids=["train", "model", "stage", "imitation", "data", "bench"])
+    {"model": {"\n": 1}},
+    {"train": {"a\r\nb": 1}},
+], ids=["train", "model", "stage", "imitation", "data", "bench",
+        "model_newline", "train_crlf"])
 def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -213,7 +216,9 @@ def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith("error: unknown ")
     assert out.err.count("\n") == 1
-    assert "bogus" in out.err or "depths" in out.err or "dims" in out.err
+    # the key is named quoted, so a line break in it stays on the line
+    assert any(repr(key) in out.err
+               for key in ("bogus", "depths", "dims", "\n", "a\r\nb"))
 
 
 def test_config_teacher_ckpt_is_used(tiny_config, tmp_path, capsys):
@@ -320,8 +325,13 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys):
                            "bogus": 1}}, "bogus"),
     ("gen-data", {"data": {"source": "cifar10_binary"}}, "path"),
     ("gen-data", {"data": {"source": "cifar10_binary", "path": 3}}, "path"),
+    ("bench", {"model": {"mixer_kind": "affine",
+                         "layer_scale_init": float("nan")}}, "layer_scale_init"),
+    ("bench", {"model": {"mixer_kind": "affine",
+                         "layer_scale_init": float("inf")}}, "layer_scale_init"),
 ], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
-        "cifar_missing_path", "cifar_int_path"])
+        "cifar_missing_path", "cifar_int_path", "layer_scale_nan",
+        "layer_scale_inf"])
 def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
                                                         tmp_path, capsys,
                                                         monkeypatch):

@@ -41,7 +41,10 @@ def test_spec_rejects_even_pool_and_bad_mixer():
                              ("affine", {"in_channels": 0}),
                              ("affine", {"input_resolution": 0}),
                              ("affine", {"input_resolution": -16}),
-                             ("affine", {"input_resolution": 48})]:
+                             ("affine", {"input_resolution": 48}),
+                             ("affine", {"layer_scale_init": float("nan")}),
+                             ("affine", {"layer_scale_init": float("inf")}),
+                             ("affine", {"layer_scale_init": -float("inf")})]:
         with pytest.raises(ValueError):
             tiny_spec(mixer, **overrides)
     for dim, ratio in [(1, 0.5), (4, float("inf")), (4, float("nan"))]:

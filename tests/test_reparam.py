@@ -115,9 +115,9 @@ def test_deploy_norm_folds_layer_scale_bitwise():
 
 
 def test_fused_first_subblock_is_one_norm_and_one_add(monkeypatch):
-    # per block, the deploy form runs exactly one kernel more than the
-    # identity form (whose first sub-block adds nothing), and capturing
-    # every layer adds no kernel
+    # uncaptured, the deploy form runs exactly the identity form's kernels
+    # (whose first sub-block runs none) plus one residual norm per block;
+    # captured, each form records its norm and deploy adds one add per block
     spec = tiny_spec("affine")
     deploy = switch_to_deploy(build_model(spec, seed=0))
     identity = build_model(tiny_spec("identity"), seed=0)
@@ -137,13 +137,16 @@ def test_fused_first_subblock_is_one_norm_and_one_add(monkeypatch):
         forward(model, x, capture=capture)
         return list(names)
 
-    plain = kernels(deploy)
-    everything = CaptureSet.for_layers(range(spec.total_blocks))
-    assert kernels(deploy, everything) == plain
-    extra = list(plain)
-    for name in kernels(identity):
-        extra.remove(name)
-    assert extra == ["add"] * spec.total_blocks
+    def extra(model, base, capture=None):
+        names = kernels(model, capture)
+        for name in kernels(base, capture):
+            names.remove(name)
+        return names
+
+    n = spec.total_blocks
+    assert extra(deploy, identity) == ["group_norm_1"] * n
+    everything = CaptureSet.for_layers(range(n))
+    assert extra(deploy, identity, everything) == ["add"] * n
 
 
 def test_source_model_untouched_by_fusion():

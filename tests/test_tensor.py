@@ -113,6 +113,8 @@ def test_grad_group_norm(seed):
     b = param(rng, 3, scale=0.2)
     wseed = seed + 1
     check_gradients(lambda: T.group_norm_1(x, g, b), [x, g, b], rng, wseed=wseed)
+    check_gradients(lambda: T.group_norm_1(x, g, b, residual=True), [x, g, b],
+                    rng, wseed=wseed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -191,6 +193,36 @@ def test_group_norm_normalizes_per_sample():
     stds = out.data.std(axis=(1, 2, 3))
     np.testing.assert_allclose(means, 0.0, atol=1e-5)
     np.testing.assert_allclose(stds, 1.0, atol=1e-3)
+
+
+def test_gelu_matches_float64_reference():
+    # a dense float32 grid, many GELU blocks long, against x * Phi(x) in
+    # float64; the bound is the one gelu's docstring states
+    from scipy.special import ndtr
+    x = np.linspace(-10.0, 10.0, 2_000_001, dtype=np.float32)
+    out = T.gelu(Tensor(x)).data.astype(np.float64)
+    x64 = x.astype(np.float64)
+    err = np.abs(out - x64 * ndtr(x64)) / np.maximum(1.0, np.abs(x64))
+    assert err.max() <= 3e-7, f"max scaled error {err.max():.3g}"
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_group_norm_matches_four_pass_reference(residual):
+    # the one multiply-add output against gamma * (x - mu) * istd + beta,
+    # evaluated in float64 from the same float32 inputs
+    rng = np.random.default_rng(3)
+    for shape in [(2, 3, 4, 4), (4, 16, 16, 16), (3, 128, 2, 2)]:
+        x = rng.normal(0.5, 2.0, shape).astype(np.float32)
+        g = rng.normal(1.0, 0.3, shape[1]).astype(np.float32)
+        b = rng.normal(0.0, 0.3, shape[1]).astype(np.float32)
+        x64 = x.astype(np.float64)
+        mu = x64.mean(axis=(1, 2, 3), keepdims=True)
+        var = x64.var(axis=(1, 2, 3), keepdims=True)
+        ref = (g[None, :, None, None] * (x64 - mu) / np.sqrt(var + 1e-5)
+               + b[None, :, None, None] + (x64 if residual else 0.0))
+        out = T.group_norm_1(Tensor(x), Tensor(g), Tensor(b),
+                             residual=residual).data
+        np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-6)
 
 
 def test_avg_pool_valid_count_boundaries():
