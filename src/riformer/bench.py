@@ -9,10 +9,14 @@ profiled forwards, in which each kernel reports its own FLOPs and time.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import statistics
 import time
 from dataclasses import dataclass, field, asdict
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,11 +66,50 @@ class BreakdownRow:
     flops: int  # per forward
 
 
-def thread_count() -> int:
+@functools.cache
+def _openblas() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles, or None when it bundles none. Both act on the live library."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                          "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _env_threads() -> Optional[int]:
+    """RIFORMER_THREADS as a positive integer, or None when it is unset."""
     env = os.environ.get("RIFORMER_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    if not env:
+        return None
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"RIFORMER_THREADS must be a positive integer, "
+                         f"got {env!r}")
+    return threads
+
+
+def thread_count() -> int:
+    """The live thread count of numpy's bundled OpenBLAS; without one,
+    RIFORMER_THREADS, else 1."""
+    blas = _openblas()
+    if blas is not None:
+        return blas[0]()
+    return _env_threads() or 1
 
 
 def reduce_timings(raw: list[list[float]], batch_size: int

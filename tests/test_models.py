@@ -47,7 +47,8 @@ def test_spec_rejects_even_pool_and_bad_mixer():
                              ("affine", {"layer_scale_init": -float("inf")})]:
         with pytest.raises(ValueError):
             tiny_spec(mixer, **overrides)
-    for dim, ratio in [(1, 0.5), (4, float("inf")), (4, float("nan"))]:
+    for dim, ratio in [(1, 0.5), (4, float("inf")), (4, float("nan")),
+                       (4, 1e308)]:
         spec = tiny_spec()
         spec.stages[0] = StageSpec(depth=1, dim=dim, patch_size=7, stride=4,
                                    mlp_ratio=ratio)
@@ -97,9 +98,13 @@ def test_affine_mixer_s_zero_negates():
 
 
 def test_pooling_mixer_zero_on_constant_input():
-    m = Tensor(np.full((2, 3, 8, 8), 1.7, np.float32))
-    out = pooling_mixer(m, 3)
-    np.testing.assert_array_equal(out.data, np.zeros_like(m.data))
+    # per-channel constants pool to themselves bit for bit at any k and shape
+    values = np.array([1.7, -0.3, 123.456], np.float32)[None, :, None, None]
+    for h, w in [(2, 2), (4, 4), (8, 8), (16, 16), (5, 9), (9, 5), (1, 7)]:
+        m = Tensor(np.broadcast_to(values, (2, 3, h, w)))
+        for k in (3, 5, 7):
+            out = pooling_mixer(m, k)
+            np.testing.assert_array_equal(out.data, np.zeros_like(m.data))
 
 
 def test_pooling_mixer_hand_case():

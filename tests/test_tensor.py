@@ -120,9 +120,10 @@ def test_grad_group_norm(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_avg_pool(seed):
     rng = np.random.default_rng(seed)
-    x = param(rng, 2, 2, 5, 5)
     wseed = seed + 1
-    check_gradients(lambda: T.avg_pool_same(x, 3), [x], rng, wseed=wseed)
+    for shape, k in [((2, 2, 5, 5), 3), ((2, 2, 4, 7), 5)]:
+        x = param(rng, *shape)
+        check_gradients(lambda: T.avg_pool_same(x, k), [x], rng, wseed=wseed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -233,15 +234,21 @@ def test_avg_pool_valid_count_boundaries():
 
 
 def test_avg_pool_brute_force_oracle():
+    # the float64 mean of each clipped window, rounded once to float32
     rng = np.random.default_rng(3)
-    x = rng.normal(0, 1, (1, 1, 6, 7)).astype(np.float32)
-    out = T.avg_pool_same(Tensor(x), 3).data[0, 0]
-    expect = np.zeros((6, 7))
-    for i in range(6):
-        for j in range(7):
-            r = x[0, 0, max(i - 1, 0):min(i + 2, 6), max(j - 1, 0):min(j + 2, 7)]
-            expect[i, j] = r.mean()
-    np.testing.assert_allclose(out, expect, atol=1e-5)
+    for h, w in [(6, 7), (16, 16), (8, 8), (4, 4), (2, 2), (5, 9), (9, 5),
+                 (1, 7)]:
+        x = rng.normal(0, 1, (2, 3, h, w)).astype(np.float32)
+        for k in (1, 3, 5, 7, 21):
+            p = k // 2
+            out = T.avg_pool_same(Tensor(x), k).data
+            expect = np.zeros(x.shape)
+            for i in range(h):
+                for j in range(w):
+                    r = x[:, :, max(i - p, 0):i + p + 1, max(j - p, 0):j + p + 1]
+                    expect[:, :, i, j] = r.astype(np.float64).mean(axis=(2, 3))
+            np.testing.assert_array_max_ulp(out, expect.astype(np.float32),
+                                            maxulp=1)
 
 
 def test_avg_pool_k1_identity_and_even_k_rejected():
