@@ -22,6 +22,8 @@ def erf_map(model_or_fn, images: np.ndarray) -> np.ndarray:
         fn: Callable[[Tensor], Tensor] = lambda t: forward_features(model_or_fn, t)
     else:
         fn = model_or_fn
+    if len(images) == 0:
+        raise ValueError("empty probe set")
     x = Tensor(np.asarray(images, np.float32), requires_grad=True)
     with Tape() as tape:
         feats = fn(x)
@@ -60,6 +62,8 @@ def feature_histogram(model: ModelWeights, images: np.ndarray, stage: int,
                       edges: Optional[np.ndarray] = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of a stage's output activations over the probe batch."""
+    if edges is None and bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     acts = stage_activations(model, images, stage).ravel()
     if edges is None:
         lo, hi = float(acts.min()), float(acts.max())
@@ -82,6 +86,8 @@ def wasserstein_binned(counts_a: np.ndarray, counts_b: np.ndarray,
 def feature_distance(model_a: ModelWeights, model_b: ModelWeights,
                      images: np.ndarray, stage: int, bins: int = 101) -> float:
     """Binned 1-Wasserstein distance between two models' stage activations."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     acts_a = stage_activations(model_a, images, stage).ravel()
     acts_b = stage_activations(model_b, images, stage).ravel()
     lo = min(acts_a.min(), acts_b.min())

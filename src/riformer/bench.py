@@ -16,7 +16,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class BenchReport:
     ms_per_batch: list[float]  # mean per repeat
     median_ms: float
     thread_count: int
+    blas: Optional[str]  # numpy's OpenBLAS build string, None without one
     notes: str = ""
     raw_timings: list[list[float]] = field(default_factory=list)
 
@@ -66,10 +67,17 @@ class BreakdownRow:
     flops: int  # per forward
 
 
+class _OpenBLAS(NamedTuple):
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    config: Optional[str]  # build string: name, version, target
+
+
 @functools.cache
-def _openblas() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    bundles, or None when it bundles none. Both act on the live library."""
+def _openblas() -> Optional[_OpenBLAS]:
+    """The thread-count getter and setter of the OpenBLAS that numpy
+    bundles, which act on the live library, and its build string; None
+    when numpy bundles no OpenBLAS."""
     libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                           "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
@@ -84,7 +92,11 @@ def _openblas() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+                if config is not None:
+                    config.argtypes, config.restype = [], ctypes.c_char_p
+                    config = config().decode("utf-8", "replace").strip()
+                return _OpenBLAS(get, put, config)
     return None
 
 
@@ -108,7 +120,7 @@ def thread_count() -> int:
     RIFORMER_THREADS, else 1."""
     blas = _openblas()
     if blas is not None:
-        return blas[0]()
+        return blas.get_threads()
     return _env_threads() or 1
 
 
@@ -153,9 +165,11 @@ def throughput(model: ModelWeights, protocol: BenchProtocol,
     x = _probe(model, protocol, seed)
     raw = _time_callable(lambda: forward(model, x), protocol)
     means_ms, median_ms, ips = reduce_timings(raw, protocol.batch_size)
+    blas = _openblas()
     return BenchReport(model_id=model_id, images_per_second=ips,
                        ms_per_batch=means_ms, median_ms=median_ms,
                        thread_count=thread_count(),
+                       blas=None if blas is None else blas.config,
                        notes=f"mixer={model.spec.mixer_kind} "
                              f"deploy={model.deploy}",
                        raw_timings=raw)

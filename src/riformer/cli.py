@@ -23,6 +23,7 @@ from . import analysis, bench, reparam
 from .checkpoint import load_checkpoint, read_header, save_checkpoint
 from .data import Dataset, SynthSpec, load_cifar10_binary, synth_dataset
 from .models import ModelSpec, _from_dict, build_model
+from .tensor import NumericsError
 from .train import TrainConfig, train
 
 
@@ -172,7 +173,7 @@ def _limit_threads() -> None:
     exist; a malformed value is an error either way."""
     threads, blas = bench._env_threads(), bench._openblas()
     if threads is not None and blas is not None:
-        blas[1](threads)
+        blas.set_threads(threads)
 
 
 def _bench_model(args, cfg: dict):
@@ -225,6 +226,8 @@ def _cmd_breakdown(args) -> int:
 
 
 def _probe_images(args, cfg: dict, spec: ModelSpec) -> np.ndarray:
+    if args.probes < 1:
+        raise ValueError(f"--probes must be >= 1, got {args.probes}")
     if cfg.get("data"):
         _, val = _datasets(cfg, args.seed or 0)
         return val.images[:args.probes]
@@ -400,13 +403,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        # every kernel checks its output, so an overflow ends in one
+        # NumericsError line below rather than numpy's warning
+        with np.errstate(over="ignore"):
+            return args.fn(args)
     except ValidationFailure as e:
         print(f"validation failure: {_one_line(e)}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0
-    except (ValueError, OSError, RuntimeError, KeyError, MemoryError) as e:
+    except (ValueError, OSError, RuntimeError, KeyError, MemoryError,
+            NumericsError) as e:
         print(f"error: {_one_line(e)}", file=sys.stderr)
         return 3
 

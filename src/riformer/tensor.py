@@ -3,9 +3,10 @@
 Only the kernels the backbone and its losses actually need are provided:
 elementwise arithmetic, per-sample group normalization (one group), valid-count
 average pooling, strided convolution for patch embedding, channel-wise linear
-maps, GELU, softmax / log-softmax, reductions, and batched matmul for the
-relation matrices. No general broadcasting beyond scalars and per-channel
-vectors, no higher-order gradients, no devices other than CPU.
+maps, GELU, softmax / log-softmax, reductions, batched matmul, and the MSE of
+two batches of token relation (Gram) matrices. No general broadcasting beyond
+scalars and per-channel vectors, no higher-order gradients, no devices other
+than CPU.
 """
 from __future__ import annotations
 
@@ -380,6 +381,67 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return _apply(out, (a, b), bwd, 3 * n)  # subtract, square, accumulate
 
 
+def relation_mse(a: Tensor, b: Tensor) -> Tensor:
+    """Mean over (N, P, P) of (a_n^T a_n - b_n^T b_n)^2 for (N, C, P) inputs:
+    the MSE of two batches of P x P Gram matrices, without forming them when
+    C < P.
+
+    With A = a_n and B = b_n, ||A^T A - B^T B||^2 = ||A A^T||^2
+    - 2 ||A B^T||^2 + ||B B^T||^2, so the shape picks the smaller products:
+    D = A^T A - B^T B when P <= C, else the C x C Grams Ga = A A^T,
+    Gb = B B^T and M = A B^T. Everything is evaluated in float64 and the
+    loss is rounded once to float32. Each side's products run the same
+    matmul on operands of the same layout, so identical inputs give exactly
+    0.
+    With s = 1 / (N P^2) the gradients are 4s A D and -4s B D, that is
+    4s (Ga A - M B) and 4s (Gb B - M^T A). Counted as 2 FLOPs per
+    multiply-add of the products formed, plus 1 per subtract, square and
+    accumulate over their entries.
+    """
+    da, db = _coerce(a), _coerce(b)
+    if da.shape != db.shape or da.ndim != 3:
+        raise ShapeError(f"relation_mse expects two (N, C, P) inputs of one "
+                         f"shape, got {da.shape} and {db.shape}")
+    n, c, p = da.shape
+    s = 1.0 / (n * p * p)
+    a64, b64 = da.astype(np.float64), db.astype(np.float64)
+    need_a, need_b = _needs_grad(a, b)
+
+    if p <= c:
+        d = np.swapaxes(a64, 1, 2) @ a64
+        d -= np.swapaxes(b64, 1, 2) @ b64
+        out = s * np.vdot(d, d)
+
+        def bwd(g):
+            k = 4.0 * s * g.item()
+            return ((a64 @ d * k).astype(np.float32) if need_a else None,
+                    (b64 @ d * -k).astype(np.float32) if need_b else None)
+
+        return _apply(np.float32(out), (a, b), bwd, n * p * p * (4 * c + 3))
+
+    at = np.ascontiguousarray(np.swapaxes(a64, 1, 2))
+    bt = np.ascontiguousarray(np.swapaxes(b64, 1, 2))
+    ga, m, gb = a64 @ at, a64 @ bt, b64 @ bt
+    # a sum of squares, so rounding below zero is rounded back up
+    out = max(s * (np.vdot(ga, ga) - 2.0 * np.vdot(m, m) + np.vdot(gb, gb)),
+              0.0)
+
+    def bwd(g):
+        k = 4.0 * s * g.item()
+        grad_a = grad_b = None
+        if need_a:
+            grad_a = ga @ a64
+            grad_a -= m @ b64
+            grad_a = (grad_a * k).astype(np.float32)
+        if need_b:
+            grad_b = gb @ b64
+            grad_b -= np.swapaxes(m, 1, 2) @ a64
+            grad_b = (grad_b * k).astype(np.float32)
+        return (grad_a, grad_b)
+
+    return _apply(np.float32(out), (a, b), bwd, n * c * c * (6 * p + 6))
+
+
 # ---------------------------------------------------------------------------
 # Linear algebra
 
@@ -454,8 +516,10 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     output is one multiply-add per element, x * a[n, c] + b[n, c] with
     a = gamma * istd and b = beta - gamma * mu * istd. `residual=True` returns
     x + the norm instead, x * (1 + a) + b: a block's whole first sub-block
-    when its branch is the norm itself (the fused deploy form). Counted as 8
-    FLOPs per element, with or without the residual.
+    when its branch is the norm itself (the fused deploy form). A sample
+    whose float32 squares overflow (|x| beyond about 1.8e19) has no finite
+    statistics and raises NumericsError instead of returning beta. Counted
+    as 8 FLOPs per element, with or without the residual.
     """
     dx, dg, dbeta = _coerce(x), _coerce(gamma), _coerce(beta)
     if dx.ndim != 4:
@@ -472,6 +536,9 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     mu = x3.reshape(n, m).sum(axis=1, dtype=np.float64) / m
     var = out.reshape(n, m).sum(axis=1, dtype=np.float64) / m - mu * mu
     istd = (np.maximum(var, 0.0) + eps) ** -0.5
+    if not istd.all():  # var = inf: a float32 square overflowed
+        raise NumericsError("group_norm_1: non-finite statistics (the input's "
+                            "squares overflow float32)")
     a = istd[:, None] * dg
     b = (dbeta - mu[:, None] * a).astype(np.float32)[:, :, None]
     a = (a + 1.0 if residual else a).astype(np.float32)[:, :, None]

@@ -61,6 +61,12 @@ def test_erf_rejects_non_feature_output():
         erf_map(lambda t: T.tsum(t), probe_images())
 
 
+def test_erf_rejects_empty_probe_set():
+    model = build_model(tiny_spec("pooling"), seed=0)
+    with pytest.raises(ValueError, match="empty probe set"):
+        erf_map(model, probe_images(n=0))
+
+
 # ---------------------------------------------------------------------------
 # Feature distributions
 
@@ -80,6 +86,15 @@ def test_histogram_invalid_stage_rejected():
         feature_histogram(model, probe_images(), 0)
     with pytest.raises(ValueError):
         feature_histogram(model, probe_images(), 5)
+
+
+@pytest.mark.parametrize("bins", [0, -1])
+def test_histogram_needs_a_bin(bins):
+    model = build_model(tiny_spec("pooling"), seed=0)
+    with pytest.raises(ValueError, match="bins"):
+        feature_histogram(model, probe_images(), 2, bins=bins)
+    with pytest.raises(ValueError, match="bins"):
+        feature_distance(model, model, probe_images(), 2, bins=bins)
 
 
 def test_wasserstein_hand_case():

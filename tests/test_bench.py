@@ -44,6 +44,19 @@ def test_report_is_re_reducible_from_raw():
     assert all(len(r) == 2 for r in report.raw_timings)
 
 
+def test_report_names_the_blas(monkeypatch):
+    model = build_model(tiny_spec("identity"), seed=0)
+    protocol = BenchProtocol(batch_size=1, resolution=32, warmup_runs=0,
+                             timed_runs=1, repeats=1)
+    # numpy's wheels bundle OpenBLAS, whose build string starts with its
+    # name and version
+    blas = throughput(model, protocol).blas
+    assert blas == bench._openblas().config
+    assert blas.startswith("OpenBLAS ")
+    monkeypatch.setattr(bench, "_openblas", lambda: None)
+    assert throughput(model, protocol).blas is None
+
+
 def test_even_repeats_rejected():
     with pytest.raises(ValueError):
         BenchProtocol(repeats=2).validate()
@@ -70,7 +83,8 @@ def test_thread_count_env_override(monkeypatch):
 
 def test_limit_threads_sets_the_live_count(monkeypatch):
     from riformer.cli import _limit_threads
-    get, put = bench._openblas()  # numpy's wheels bundle OpenBLAS
+    blas = bench._openblas()  # numpy's wheels bundle OpenBLAS
+    get, put = blas.get_threads, blas.set_threads
     before = get()
     target = 2 if before == 1 else 1
     monkeypatch.setenv("RIFORMER_THREADS", str(target))

@@ -194,6 +194,26 @@ def test_erf_and_featdist_outputs(tiny_config, tmp_path, capsys):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("argv", [
+    ["erf", "--probes", "0"],
+    ["erf", "--probes", "-1"],
+    ["featdist", "--stage", "2", "--bins", "0"],
+    ["featdist", "--stage", "2", "--bins", "-3"],
+    ["featdist", "--stage", "2", "--probes", "0"],
+], ids=["erf_probes_0", "erf_probes_neg", "featdist_bins_0",
+        "featdist_bins_neg", "featdist_probes_0"])
+def test_empty_analysis_is_runtime_error(argv, tiny_config, tmp_path, capsys):
+    ckpt = str(tmp_path / "m.ckpt")
+    assert main(["train", "--config", tiny_config, "--out", ckpt]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.csv")
+    assert main(argv + ["--ckpt", ckpt, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--probes" if "--probes" in argv else "bins") in err
+    assert not os.path.exists(out)
+
+
 def test_gen_data_writes_npz(tiny_config, tmp_path, capsys):
     out = str(tmp_path / "data.npz")
     assert main(["gen-data", "--config", tiny_config, "--out", out]) == 0
@@ -212,6 +232,7 @@ def test_bench_json_report(tiny_config, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["images_per_second"] > 0
     assert "raw_timings" not in report
+    assert report["blas"].startswith("OpenBLAS ")  # numpy's bundled BLAS
 
 
 def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
@@ -394,6 +415,19 @@ def test_oversized_config_is_runtime_error(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_overflowing_activations_are_runtime_error(tmp_path, capsys):
+    # layer scale 1e20 makes the next norm's float32 squares overflow; the
+    # norm must raise instead of returning its beta
+    path = tmp_path / "huge_scale.json"
+    path.write_text(json.dumps({"model": {"mixer_kind": "affine",
+                                          "layer_scale_init": 1e20}}))
+    assert main(["bench", "--config", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "non-finite" in out.err
 
 
 def test_inspect_ckpt_total_params_exact(tiny_config, tmp_path, capsys):

@@ -19,14 +19,16 @@ def rand4(shape, seed=0):
 # Loss identities and oracles
 
 def test_all_losses_zero_on_identical_inputs():
-    a = rand4((2, 3, 4, 4))
-    b = Tensor(a.data.copy())
+    # C < HW and C > HW: loss_rel's two evaluation orders
+    for shape in [(2, 3, 4, 4), (2, 6, 2, 1)]:
+        a = rand4(shape)
+        b = Tensor(a.data.copy())
+        assert loss_in(a, b).item() == 0.0
+        assert loss_in_prime(a, b).item() == 0.0
+        assert loss_out(a, b).item() == 0.0
+        assert loss_rel(a, b).item() == 0.0
     logits = rand4((2, 5), seed=1)
     logits2 = Tensor(logits.data.copy())
-    assert loss_in(a, b).item() == 0.0
-    assert loss_in_prime(a, b).item() == 0.0
-    assert loss_out(a, b).item() == 0.0
-    assert loss_rel(a, b).item() == 0.0
     assert loss_soft(logits, logits2).item() == 0.0
 
 
@@ -87,11 +89,34 @@ def test_loss_rel_hand_case():
 
 def test_loss_rel_scale_invariance():
     rng = np.random.default_rng(3)
-    x = rng.normal(0, 1, (2, 4, 3, 3)).astype(np.float32)
-    y = rng.normal(0, 1, (2, 4, 3, 3)).astype(np.float32)
-    base = loss_rel(Tensor(x), Tensor(y)).item()
-    scaled = loss_rel(Tensor(37.0 * x), Tensor(y)).item()
-    assert abs(base - scaled) < 1e-6
+    for shape in [(2, 4, 3, 3), (2, 12, 2, 2)]:  # C < HW, C > HW
+        x = rng.normal(0, 1, shape).astype(np.float32)
+        y = rng.normal(0, 1, shape).astype(np.float32)
+        base = loss_rel(Tensor(x), Tensor(y)).item()
+        scaled = loss_rel(Tensor(37.0 * x), Tensor(y)).item()
+        assert abs(base - scaled) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4, 4), (3, 16, 2, 2), (2, 4, 2, 2),
+                                   (2, 5, 1, 1)],
+                         ids=["c_lt_hw", "c_gt_hw", "c_eq_hw", "hw_1"])
+def test_loss_rel_matches_relation_matrix_mse(shape):
+    # the Gram-side kernel against the P x P relation matrices it avoids
+    rng = np.random.default_rng(7)
+    x = rng.normal(0, 1, shape).astype(np.float32)
+    y = (x + rng.normal(0, 0.3, shape)).astype(np.float32)
+    losses, grads = [], []
+    for fn in (loss_rel,
+               lambda s, t: T.mse(relation_matrix(s), relation_matrix(t))):
+        s = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = fn(s, Tensor(y))
+            tape.backward(loss)
+        losses.append(loss.item())
+        grads.append(s.grad)
+    assert losses[0] == pytest.approx(losses[1], rel=1e-6, abs=1e-12)
+    err = np.linalg.norm(grads[0] - grads[1])
+    assert err <= 1e-5 * np.linalg.norm(grads[1]) + 1e-12
 
 
 def test_loss_soft_brute_force_oracle():

@@ -80,6 +80,18 @@ def test_grad_reductions(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", [(2, 3, 7), (2, 6, 3)],
+                         ids=["gram_side", "relation_side"])
+def test_grad_relation_mse(seed, shape):
+    # (N, C, P) with C < P runs through the C x C Grams, C > P through the
+    # P x P difference
+    rng = np.random.default_rng(seed)
+    a = param(rng, *shape, scale=0.5)
+    b = param(rng, *shape, scale=0.5)
+    check_gradients(lambda: T.relation_mse(a, b), [a, b], rng, wseed=seed + 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_grad_matmul_linear(seed):
     rng = np.random.default_rng(seed)
     a = param(rng, 3, 4)
@@ -285,6 +297,9 @@ MASKED_KERNELS = {
     "linear": (lambda a: T.linear(*a), [(3, 5), (2, 5), (2,)]),
     "matmul": (lambda a: T.matmul(*a), [(2, 3, 4), (2, 4, 3)]),
     "mse": (lambda a: T.mse(*a), [(3, 4), (3, 4)]),
+    "relation_mse": (lambda a: T.relation_mse(*a), [(2, 3, 5), (2, 3, 5)]),
+    "relation_mse_p_le_c": (lambda a: T.relation_mse(*a),
+                            [(2, 5, 3), (2, 5, 3)]),
 }
 
 
@@ -362,6 +377,45 @@ def test_mse_double_loop_oracle():
         for j in range(4):
             acc += (float(a[i, j]) - float(b[i, j])) ** 2
     assert abs(T.mse(Tensor(a), Tensor(b)).item() - acc / 12) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 10), (2, 7, 3), (3, 4, 4),
+                                   (2, 5, 1)],
+                         ids=["c_lt_p", "c_gt_p", "c_eq_p", "p_1"])
+def test_relation_mse_brute_force_oracle(shape):
+    # every P x P relation entry in float64, one at a time; b close to a,
+    # so the Gram-side terms nearly cancel
+    rng = np.random.default_rng(6)
+    a = rng.normal(0, 1, shape).astype(np.float32)
+    b = (a + rng.normal(0, 0.01, shape)).astype(np.float32)
+    n, c, p = shape
+    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    d = np.zeros((n, p, p))
+    for k, i, j in np.ndindex(n, p, p):
+        d[k, i, j] = a64[k, :, i] @ a64[k, :, j] - b64[k, :, i] @ b64[k, :, j]
+    expect = (d * d).mean()
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        loss = T.relation_mse(ta, tb)
+        tape.backward(loss)
+    # evaluated in float64 and rounded once: within one float32 rounding
+    assert loss.item() == pytest.approx(expect, rel=2 ** -23)
+    # the gradient of s * ||A^T A - B^T B||^2 is 4s A D, and -4s B D for B
+    s = 4.0 / (n * p * p)
+    np.testing.assert_allclose(ta.grad, s * a64 @ d, rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(tb.grad, -s * b64 @ d, rtol=1e-5, atol=1e-7)
+    assert T.relation_mse(Tensor(a), Tensor(a.copy())).item() == 0.0
+
+
+def test_group_norm_overflowing_statistics_raise():
+    # the squares of 1e20 overflow float32; the norm must not return beta
+    x = np.random.default_rng(0).normal(0, 1, (2, 3, 4, 4)).astype(np.float32)
+    x[1] *= np.float32(1e20)
+    g, b = Tensor(np.ones(3, np.float32)), Tensor(np.full(3, 0.5, np.float32))
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericsError, match="group_norm_1"):
+        T.group_norm_1(Tensor(x), g, b)
+    T.group_norm_1(Tensor(x[:1]), g, b)  # the finite sample alone is fine
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +562,15 @@ def test_kernel_flop_counts():
         == 2 * 6 * 20 * (2 * 3 + 1)
     assert _profiled_flops(lambda: T.channel_linear(x, w)) \
         == 2 * 6 * 20 * (2 * 3)
+    # C < P: three 3x3 Grams over 5 tokens, each entry squared and summed
+    a = Tensor(rng.normal(size=(2, 3, 5)))
+    assert _profiled_flops(lambda: T.relation_mse(a, a)) \
+        == 2 * 3 * 9 * (2 * 5 + 2)
+    # P <= C: two 3x3 relation products over 5 channels, then subtract,
+    # square and sum each entry
+    a = Tensor(rng.normal(size=(2, 5, 3)))
+    assert _profiled_flops(lambda: T.relation_mse(a, a)) \
+        == 2 * 9 * (2 * 2 * 5 + 3)
     # shape kernels count nothing, a profile outside a model charges ""
     with T._Profile() as profile:
         T.reshape(x, (2, 60))
