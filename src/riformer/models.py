@@ -91,6 +91,10 @@ class StageSpec:
                              f"got {self.mlp_ratio} at dim {self.dim}")
         if self.patch_size < 1 or self.stride < 1:
             raise ValueError("patch_size and stride must be >= 1")
+        if self.padding < 0:
+            raise ValueError(f"patch_size must be >= stride - 1 (the embedding "
+                             f"pads by (patch_size - stride + 1) // 2), got "
+                             f"patch_size {self.patch_size}, stride {self.stride}")
 
     @property
     def padding(self) -> int:

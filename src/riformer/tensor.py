@@ -14,7 +14,6 @@ from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class NumericsError(ArithmeticError):
@@ -638,14 +637,28 @@ def avg_pool_same(x: Tensor, k: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Convolution (patch embedding only: small k, stride >= 1, replicate padding)
 
+# the most multiply-adds of a float32 GEMM that OpenBLAS may run in its
+# small-matrix kernels; larger ones pack their operands first
+_SMALL_GEMM_MACS = 100 ** 3
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     """Strided dense convolution with edge-replicate padding.
 
-    im2col: the strided k x k windows of the edge-padded input are copied
-    into one column matrix with a row per (output position, sample), so the
-    forward and the weight gradient are each one GEMM against the
-    (D, C*k*k) weight matrix.
+    The forward and the backward share one edge-padded grid laid out
+    (C, H', W', N), so every copy and add in them runs over contiguous
+    samples. im2col: the input is copied into the grid once (interior, then
+    the replicated border rows and columns), and k*k strided slab copies
+    fill a (C, k, k, OH, OW, N) column buffer. Read as its transpose, with a
+    row per (output position, sample), that buffer is the column matrix, so
+    the forward and the weight gradient are each one GEMM against the
+    (D, C*k*k) weight matrix. col2im, the input gradient, is the adjoint:
+    k*k strided slab adds into the grid, then the border folded back onto
+    the edge rows and columns.
     """
+    if pad < 0 or stride < 1:
+        raise ShapeError(f"conv2d needs pad >= 0 and stride >= 1, "
+                         f"got pad {pad}, stride {stride}")
     dx, dw, dbias = _coerce(x), _coerce(w), _coerce(b)
     if dx.ndim != 4 or dw.ndim != 4:
         raise ShapeError(f"conv2d: x {dx.shape}, w {dw.shape}")
@@ -661,10 +674,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     # clips; replicate padding keeps constant maps constant
     ph = max((oh - 1) * stride + k - pad - h, 0)
     pw = max((ow - 1) * stride + k - pad - wdt, 0)
-    xp = np.pad(dx, ((0, 0), (0, 0), (pad, ph), (pad, pw)), mode="edge")
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
-    cols = win.transpose(2, 3, 0, 1, 4, 5).reshape(oh * ow * n, cin * k * k)
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"conv2d: a {k}x{k} window does not fit the "
+                         f"{h}x{wdt} input padded by {pad}")
+    bottom, right = pad + h, pad + wdt
+    xp = np.empty((cin, bottom + ph, right + pw, n), np.float32)
+    xp[:, pad:bottom, pad:right] = dx.transpose(1, 2, 3, 0)
+    if pad:
+        xp[:, :pad, pad:right] = xp[:, pad:pad + 1, pad:right]
+    if ph:
+        xp[:, bottom:, pad:right] = xp[:, bottom - 1:bottom, pad:right]
+    if pad:  # the columns run the full height, so they fill the corners
+        xp[:, :, :pad] = xp[:, :, pad:pad + 1]
+    if pw:
+        xp[:, :, right:] = xp[:, :, right - 1:right]
+    win = np.empty((cin, k, k, oh, ow, n), np.float32)
+    for i in range(k):
+        for j in range(k):
+            win[:, i, j] = xp[:, i:i + (oh - 1) * stride + 1:stride,
+                              j:j + (ow - 1) * stride + 1:stride]
+    cols = win.reshape(cin * k * k, oh * ow * n).T
+    if cout == 1 or cols.size * cout <= _SMALL_GEMM_MACS:
+        # OpenBLAS runs matrix-vector products and small GEMMs in kernels
+        # whose summation order follows the operands' layout, so there the
+        # columns go row-major, as a plain im2col lays them out; a larger
+        # GEMM packs both operands first and rounds alike either way
+        cols = np.ascontiguousarray(cols)
     w2 = dw.reshape(cout, cin * k * k)
     out = cols @ w2.T
     out += dbias
@@ -676,20 +711,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
         gb = g.sum(axis=(0, 2, 3)) if need_b else None
         if not need_x:
             return (None, gw, gb)
-        # col2im: k*k strided slice-adds into the padded grid, laid out
-        # (C, H, W, N) so each add runs over contiguous samples; then the
-        # replicated border is folded back onto the edge rows and columns
+        # col2im: the forward's slab copies, reversed into adds, and the
+        # replicated border folded back onto the edge rows and columns
         gcols = (w2.T @ g2).reshape(cin, k, k, oh, ow, n)
-        gxp = np.zeros((cin, pad + h + ph, pad + wdt + pw, n), np.float32)
+        gxp = np.zeros((cin, bottom + ph, right + pw, n), np.float32)
         for i in range(k):
             for j in range(k):
                 gxp[:, i:i + (oh - 1) * stride + 1:stride,
                     j:j + (ow - 1) * stride + 1:stride] += gcols[:, i, j]
         gxp[:, pad] += gxp[:, :pad].sum(axis=1)
-        gxp[:, pad + h - 1] += gxp[:, pad + h:].sum(axis=1)
+        gxp[:, bottom - 1] += gxp[:, bottom:].sum(axis=1)
         gxp[:, :, pad] += gxp[:, :, :pad].sum(axis=2)
-        gxp[:, :, pad + wdt - 1] += gxp[:, :, pad + wdt:].sum(axis=2)
-        gx = gxp[:, pad:pad + h, pad:pad + wdt].transpose(3, 0, 1, 2)
+        gxp[:, :, right - 1] += gxp[:, :, right:].sum(axis=2)
+        gx = gxp[:, pad:bottom, pad:right].transpose(3, 0, 1, 2)
         return (np.ascontiguousarray(gx), gw, gb)
 
     return _apply(out.reshape(oh, ow, n, cout).transpose(2, 3, 0, 1),

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, help coverage, end-to-end flows."""
+import csv
 import json
 import os
 
@@ -345,8 +346,8 @@ def test_shipped_presets_load():
         _datasets(cfg, 0)
 
 
-def test_breakdown_csv(tiny_config, tmp_path, capsys):
-    from riformer import build_model, op_count
+def test_breakdown_csv(tiny_config, tmp_path, capsys, monkeypatch):
+    from riformer import bench, build_model, op_count
     cfg = json.loads(open(tiny_config).read())
     cfg["bench"] = {"batch_size": 2, "resolution": 32, "warmup_runs": 1,
                     "timed_runs": 2, "repeats": 3}
@@ -354,17 +355,31 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["breakdown", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "component,ms,flops,thread_count"
-    rows = [line.split(",") for line in lines[1:]]
+    assert lines[0] == "component,ms,flops,thread_count,blas"
+    rows = list(csv.reader(lines[1:]))
     assert [r[0] for r in rows] == ["embedding", "norm", "mixer", "mlp", "head"]
     assert all(float(r[1]) >= 0.0 for r in rows)
     model = build_model(tiny_spec("affine"), seed=0)
     assert sum(int(r[2]) for r in rows) == op_count(model, batch_size=2)
+    # numpy's wheels bundle OpenBLAS; without one the column is empty
+    assert {r[4] for r in rows} == {bench._openblas().config}
+    assert rows[0][4].startswith("OpenBLAS ")
+    monkeypatch.setattr(bench, "_openblas", lambda: None)
+    assert main(["breakdown", "--config", str(path)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()[1:]))
+    assert [r[4] for r in rows] == [""] * 5
 
 
 def _huge_mlp_ratio_model() -> dict:
     model = tiny_spec().to_dict()
     model["stages"][0]["mlp_ratio"] = 1e308  # an MLP width past float range
+    return model
+
+
+def _patch_below_stride_model() -> dict:
+    model = tiny_spec().to_dict()
+    # (patch_size - stride + 1) // 2 = -1: the embedding would pad by -1
+    model["stages"][0].update(patch_size=1, stride=4)
     return model
 
 
@@ -382,9 +397,10 @@ def _huge_mlp_ratio_model() -> dict:
     ("bench", {"model": {"mixer_kind": "affine",
                          "layer_scale_init": float("inf")}}, "layer_scale_init"),
     ("bench", {"model": _huge_mlp_ratio_model()}, "mlp_ratio"),
+    ("bench", {"model": _patch_below_stride_model()}, "patch_size 1, stride 4"),
 ], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
         "cifar_missing_path", "cifar_int_path", "layer_scale_nan",
-        "layer_scale_inf", "mlp_ratio_huge"])
+        "layer_scale_inf", "mlp_ratio_huge", "patch_below_stride"])
 def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
                                                         tmp_path, capsys,
                                                         monkeypatch):

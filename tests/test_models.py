@@ -4,12 +4,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riformer.tensor as T
 from riformer import (CaptureSet, ModelSpec, ShapeError, Tensor, build_model,
                       forward, switch_to_deploy)
-from riformer.models import (StageSpec, affine_mixer, forward_features,
-                             param_layout, pooling_mixer)
+from riformer.models import (MIXER_KINDS, StageSpec, affine_mixer,
+                             forward_features, param_layout, pooling_mixer)
 from helpers import tiny_spec
 
 
@@ -54,6 +56,44 @@ def test_spec_rejects_even_pool_and_bad_mixer():
                                    mlp_ratio=ratio)
         with pytest.raises(ValueError, match="MLP width"):
             spec.validate()
+
+
+def test_spec_rejects_patch_below_stride():
+    # (patch_size - stride + 1) // 2 < 0 would pad the embedding negatively
+    for patch, stride in [(1, 3), (1, 4), (2, 4), (3, 5)]:
+        model = tiny_spec().to_dict()
+        model["stages"][1].update(patch_size=patch, stride=stride)
+        with pytest.raises(ValueError, match=f"patch_size {patch}, "
+                                             f"stride {stride}"):
+            ModelSpec.from_dict(model)
+    for patch, stride in [(2, 3), (1, 2), (3, 4), (1, 1)]:
+        assert StageSpec(1, 4, patch, stride).padding == 0
+
+
+_STAGES = st.lists(st.fixed_dictionaries({
+    "depth": st.integers(1, 2), "dim": st.integers(1, 8),
+    "patch_size": st.integers(1, 9), "stride": st.integers(1, 4),
+    "mlp_ratio": st.sampled_from([0.25, 0.5, 1.0, 4.0])}),
+    min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stages=_STAGES, mixer=st.sampled_from(MIXER_KINDS))
+def test_random_stages_are_rejected_or_run(stages, mixer):
+    # at the smallest valid resolution, the total stride
+    resolution = int(np.prod([s["stride"] for s in stages]))
+    d = {"stages": stages, "mixer_kind": mixer, "num_classes": 3,
+         "input_resolution": resolution}
+    invalid = any(s["patch_size"] < s["stride"] - 1
+                  or int(s["dim"] * s["mlp_ratio"]) < 1 for s in stages)
+    if invalid:
+        with pytest.raises(ValueError):
+            ModelSpec.from_dict(d)
+        return
+    spec = ModelSpec.from_dict(d)
+    logits = forward(build_model(spec, seed=0), rand_input(spec, n=1))
+    assert logits.shape == (1, 3)
+    assert np.all(np.isfinite(logits.data))
 
 
 def test_spec_roundtrips_through_dict():

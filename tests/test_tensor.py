@@ -2,6 +2,7 @@
 tape semantics, and determinism."""
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,10 @@ SEEDS = list(range(10))
 
 # (name, input shape, output channels, kernel, stride, pad): the backbone's
 # embeds (7x7/4 at 64^2 and at the 128^2 used by the ERF, 3x3/2), a
-# non-square input, no padding, and an input whose last window ends in the
-# far-side padding
+# non-square input, no padding, an input whose last window ends in the
+# far-side padding, batch 1, a 1x1 map, a 1x1 kernel that reaches no
+# far-side padding, batch 3, and the nano's first embed at batch 4, whose
+# GEMM (over 100^3 multiply-adds) takes the column buffer as it is
 CONV_GEOMETRIES = [
     ("k3s2p1-8x8", (2, 2, 8, 8), 3, 3, 2, 1),
     ("k7s4p2-64x64", (1, 3, 64, 64), 2, 7, 4, 2),
@@ -22,6 +25,11 @@ CONV_GEOMETRIES = [
     ("k3s2p1-9x6", (2, 2, 9, 6), 3, 3, 2, 1),
     ("k3s2p0-8x8", (2, 2, 8, 8), 3, 3, 2, 0),
     ("k3s2p1-7x7", (2, 2, 7, 7), 3, 3, 2, 1),
+    ("k3s2p1-8x8-b1", (1, 2, 8, 8), 3, 3, 2, 1),
+    ("k3s2p1-1x1", (2, 2, 1, 1), 3, 3, 2, 1),
+    ("k1s2p0-8x8", (2, 2, 8, 8), 3, 1, 2, 0),
+    ("k7s4p2-16x16-b3", (3, 3, 16, 16), 4, 7, 4, 2),
+    ("k7s4p2-64x64-b4", (4, 3, 64, 64), 16, 7, 4, 2),
 ]
 
 
@@ -287,6 +295,59 @@ def test_conv2d_matches_brute_force():
                 patch = xp[:, :, s * i:s * i + k, s * j:s * j + k]
                 expect[:, :, i, j] = np.einsum("ncij,dcij->nd", patch, w) + b
         np.testing.assert_allclose(out, expect, atol=1e-4, err_msg=name)
+
+
+def _plain_im2col_conv2d(x, w, b, s, p):
+    """conv2d as a plain im2col: np.pad, then a sliding-window gather into
+    row-major columns, a row per (output position, sample). Returns the
+    output and the columns."""
+    n, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    oh = (h + 2 * p - k) // s + 1
+    ow = (wd + 2 * p - k) // s + 1
+    ph = max((oh - 1) * s + k - p - h, 0)
+    pw = max((ow - 1) * s + k - p - wd, 0)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, ph), (p, pw)), mode="edge")
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, :(oh - 1) * s + 1:s, :(ow - 1) * s + 1:s]
+    cols = win.transpose(2, 3, 0, 1, 4, 5).reshape(oh * ow * n, cin * k * k)
+    out = cols @ w.reshape(cout, -1).T
+    out += b
+    return out.reshape(oh, ow, n, cout).transpose(2, 3, 0, 1), cols
+
+
+def test_conv2d_is_bit_identical_to_plain_im2col():
+    # the edge-padded grid and the slab-copied column buffer move values
+    # only, so the output and the weight gradient, the two GEMMs that read
+    # the columns, keep the plain im2col's bytes
+    rng = np.random.default_rng(2)
+    for name, shape, cout, k, s, p in CONV_GEOMETRIES:
+        x = rng.normal(0, 1, shape).astype(np.float32)
+        w = Tensor(rng.normal(0, 1, (cout, shape[1], k, k)), requires_grad=True)
+        b = rng.normal(0, 1, cout).astype(np.float32)
+        with Tape() as tape:
+            out = T.conv2d(Tensor(x), w, Tensor(b), s, p)
+            g = rng.normal(0, 1, out.shape).astype(np.float32)
+            tape.backward(T.tsum(T.mul(out, Tensor(g))))
+        expect, cols = _plain_im2col_conv2d(x, w.data, b, s, p)
+        gw = (g.transpose(1, 2, 3, 0).reshape(cout, -1) @ cols).reshape(w.shape)
+        assert np.array_equal(out.data, expect), name
+        assert np.array_equal(w.grad, gw), name
+
+
+@pytest.mark.parametrize("stride,pad", [(2, -1), (0, 1), (-1, 0)])
+def test_conv2d_rejects_negative_pad_and_stride_below_one(stride, pad):
+    x = Tensor(np.zeros((1, 2, 8, 8), np.float32))
+    w = Tensor(np.zeros((3, 2, 3, 3), np.float32))
+    with pytest.raises(ShapeError, match="pad >= 0 and stride >= 1"):
+        T.conv2d(x, w, Tensor(np.zeros(3, np.float32)), stride, pad)
+
+
+def test_conv2d_rejects_a_window_larger_than_the_padded_input():
+    x = Tensor(np.zeros((1, 2, 2, 2), np.float32))
+    w = Tensor(np.zeros((3, 2, 5, 5), np.float32))
+    with pytest.raises(ShapeError, match="does not fit"):
+        T.conv2d(x, w, Tensor(np.zeros(3, np.float32)), 1, 1)
 
 
 # (kernel, input shapes); each input is trained alone and together with the
