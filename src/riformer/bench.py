@@ -100,6 +100,13 @@ def _openblas() -> Optional[_OpenBLAS]:
     return None
 
 
+def blas_config() -> Optional[str]:
+    """The build string of numpy's bundled OpenBLAS (name, version,
+    target); None without one."""
+    blas = _openblas()
+    return None if blas is None else blas.config
+
+
 def _env_threads() -> Optional[int]:
     """RIFORMER_THREADS as a positive integer, or None when it is unset."""
     env = os.environ.get("RIFORMER_THREADS")
@@ -165,11 +172,9 @@ def throughput(model: ModelWeights, protocol: BenchProtocol,
     x = _probe(model, protocol, seed)
     raw = _time_callable(lambda: forward(model, x), protocol)
     means_ms, median_ms, ips = reduce_timings(raw, protocol.batch_size)
-    blas = _openblas()
     return BenchReport(model_id=model_id, images_per_second=ips,
                        ms_per_batch=means_ms, median_ms=median_ms,
-                       thread_count=thread_count(),
-                       blas=None if blas is None else blas.config,
+                       thread_count=thread_count(), blas=blas_config(),
                        notes=f"mixer={model.spec.mixer_kind} "
                              f"deploy={model.deploy}",
                        raw_timings=raw)

@@ -217,13 +217,12 @@ def _cmd_breakdown(args) -> int:
     model = _bench_model(args, cfg)
     proto = _protocol(args, cfg)
     rows = bench.latency_breakdown(model, proto, seed=args.seed or 0)
-    blas = bench._openblas()
-    config = "" if blas is None or blas.config is None else blas.config
+    blas = bench.blas_config() or ""
     with _csv_writer(args.out) as writer:
         writer.writerow(["component", "ms", "flops", "thread_count", "blas"])
         for r in rows:
             writer.writerow([r.component, f"{r.ms:.4f}", r.flops,
-                             bench.thread_count(), config])
+                             bench.thread_count(), blas])
     return 0
 
 

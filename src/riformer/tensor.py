@@ -637,11 +637,6 @@ def avg_pool_same(x: Tensor, k: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Convolution (patch embedding only: small k, stride >= 1, replicate padding)
 
-# the most multiply-adds of a float32 GEMM that OpenBLAS may run in its
-# small-matrix kernels; larger ones pack their operands first
-_SMALL_GEMM_MACS = 100 ** 3
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     """Strided dense convolution with edge-replicate padding.
 
@@ -694,12 +689,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
             win[:, i, j] = xp[:, i:i + (oh - 1) * stride + 1:stride,
                               j:j + (ow - 1) * stride + 1:stride]
     cols = win.reshape(cin * k * k, oh * ow * n).T
-    if cout == 1 or cols.size * cout <= _SMALL_GEMM_MACS:
-        # OpenBLAS runs matrix-vector products and small GEMMs in kernels
-        # whose summation order follows the operands' layout, so there the
-        # columns go row-major, as a plain im2col lays them out; a larger
-        # GEMM packs both operands first and rounds alike either way
-        cols = np.ascontiguousarray(cols)
     w2 = dw.reshape(cout, cin * k * k)
     out = cols @ w2.T
     out += dbias

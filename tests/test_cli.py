@@ -361,9 +361,8 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys, monkeypatch):
     assert all(float(r[1]) >= 0.0 for r in rows)
     model = build_model(tiny_spec("affine"), seed=0)
     assert sum(int(r[2]) for r in rows) == op_count(model, batch_size=2)
-    # numpy's wheels bundle OpenBLAS; without one the column is empty
-    assert {r[4] for r in rows} == {bench._openblas().config}
-    assert rows[0][4].startswith("OpenBLAS ")
+    # the OpenBLAS build string, empty without one
+    assert {r[4] for r in rows} == {bench.blas_config() or ""}
     monkeypatch.setattr(bench, "_openblas", lambda: None)
     assert main(["breakdown", "--config", str(path)]) == 0
     rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()[1:]))
