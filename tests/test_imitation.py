@@ -179,13 +179,27 @@ def test_total_loss_reduces_to_soft_when_lambdas_zero():
 
 
 def test_total_loss_applies_per_batch_lambda():
-    cfg = ImitationConfig(lambda1_x_batch=0.8, lambda2_x_batch=0.0,
-                          lambda3_x_batch=0.0, layers=(0,))
+    # every term over two layers, each term weighted by its own lambda / batch
+    cfg = ImitationConfig(lambda1_x_batch=0.8, lambda2_x_batch=0.4,
+                          lambda3_x_batch=2.0, layers=(0, 1), feat_epochs=1,
+                          rel_epochs=1, total_epochs=3)
     soft = Tensor(np.array([1.0], np.float32))
-    per_layer = {0: {"in_prime": Tensor(np.array([2.0], np.float32))}}
-    total, report = total_loss(soft, per_layer, 0, cfg, batch_size=4)
-    assert abs(total.item() - (1.0 + 0.8 / 4 * 2.0)) < 1e-6
-    assert abs(report.in_prime - 2.0) < 1e-6
+    values = {0: {"in_prime": 2.0, "out": 0.5, "rel": 0.25},
+              1: {"in_prime": 3.0, "out": 1.5, "rel": 0.75}}
+    per_layer = {m: {k: Tensor(np.array([v], np.float32))
+                     for k, v in terms.items()}
+                 for m, terms in values.items()}
+    sums = {k: values[0][k] + values[1][k] for k in values[0]}
+    feat, rel = (0, {"in_prime": 0.8, "out": 0.4}), (1, {"rel": 2.0})
+    for epoch, lambdas in (feat, rel):
+        total, report = total_loss(soft, per_layer, epoch, cfg, batch_size=4)
+        expect = 1.0 + sum(lam / 4 * sums[k] for k, lam in lambdas.items())
+        assert abs(total.item() - expect) < 1e-6
+        assert report.total == total.item()
+        assert report.soft == 1.0
+        for k in ("in_prime", "out", "rel"):
+            assert abs(getattr(report, k) - (sums[k] if k in lambdas
+                                             else 0.0)) < 1e-6, (epoch, k)
 
 
 # ---------------------------------------------------------------------------
