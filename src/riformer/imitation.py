@@ -9,15 +9,23 @@ run first, the relation term second, and only the soft loss afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from functools import reduce
 from math import ceil
 
 from . import tensor as T
 from .models import ModelSpec, ModelWeights, _from_dict
 from .tensor import Tensor
 
-FEATURE_TERMS = ("in_prime", "out")
-REL_TERM = "rel"
+# The module-imitation terms, in the order a step records them: name (the
+# term is `loss_{name}` of the student's and the teacher's capture, reported
+# as `LossReport.{name}`), the CaptureSet field it compares, the
+# ImitationConfig field that weights it, and the phase whose epochs run it.
+MI_TERMS = (
+    ("in_prime", "block_out", "lambda1_x_batch", "feat"),
+    ("out", "mixer_out", "lambda2_x_batch", "feat"),
+    ("rel", "block_out", "lambda3_x_batch", "rel"),
+)
 
 
 @dataclass
@@ -41,8 +49,7 @@ class ImitationConfig:
             raise ValueError("phase epoch counts must be non-negative")
         if self.feat_epochs + self.rel_epochs > self.total_epochs:
             raise ValueError("feat_epochs + rel_epochs must not exceed total_epochs")
-        any_lambda = (self.lambda1_x_batch or self.lambda2_x_batch
-                      or self.lambda3_x_batch)
+        any_lambda = any(getattr(self, weight) for _, _, weight, _ in MI_TERMS)
         if any_lambda and self.layer_count < 1 and not self.layers:
             raise ValueError("an intermediate layer set is required when any "
                              "loss weight is nonzero")
@@ -50,11 +57,10 @@ class ImitationConfig:
     def active_terms(self, epoch: int) -> frozenset[str]:
         if not (0 <= epoch < self.total_epochs):
             raise ValueError(f"epoch {epoch} outside [0, {self.total_epochs})")
-        if epoch < self.feat_epochs:
-            return frozenset(("soft",) + FEATURE_TERMS)
-        if epoch < self.feat_epochs + self.rel_epochs:
-            return frozenset(("soft", REL_TERM))
-        return frozenset(("soft",))
+        phase = ("feat" if epoch < self.feat_epochs else
+                 "rel" if epoch < self.feat_epochs + self.rel_epochs else None)
+        return frozenset(["soft"] + [name for name, _, _, p in MI_TERMS
+                                     if p == phase])
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -78,7 +84,6 @@ class LossReport:
     out: float = 0.0
     rel: float = 0.0
     total: float = 0.0
-    active: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _check_4d_pair(a: Tensor, b: Tensor) -> None:
@@ -159,40 +164,20 @@ def total_loss(soft: Tensor, per_layer: dict[int, dict[str, Tensor]],
                batch_size: int) -> tuple[Tensor, LossReport]:
     """Combine the per-layer imitation terms with the soft loss for one step.
 
-    `per_layer` maps block index -> {"in_prime": .., "out": .., "rel": ..}
-    scalar tensors; terms outside the epoch's active phase are ignored.
+    `per_layer` maps block index -> {term name: scalar tensor} over the
+    names of MI_TERMS; terms outside the epoch's active phase are ignored.
     """
     active = cfg.active_terms(epoch)
-    lam1 = cfg.lambda1_x_batch / batch_size
-    lam2 = cfg.lambda2_x_batch / batch_size
-    lam3 = cfg.lambda3_x_batch / batch_size
     total = soft
-    report = LossReport(soft=soft.item(), active=tuple(sorted(active)))
-
-    def accumulate(term: str, lam: float) -> Tensor | None:
-        terms = [layer[term] for layer in per_layer.values() if term in layer]
-        if not terms or lam == 0.0:
-            return None
-        acc = terms[0]
-        for extra in terms[1:]:
-            acc = T.add(acc, extra)
-        return T.mul(acc, lam)
-
-    if "in_prime" in active:
-        contrib = accumulate("in_prime", lam1)
-        if contrib is not None:
-            report.in_prime = contrib.item() / lam1
-            total = T.add(total, contrib)
-    if "out" in active:
-        contrib = accumulate("out", lam2)
-        if contrib is not None:
-            report.out = contrib.item() / lam2
-            total = T.add(total, contrib)
-    if REL_TERM in active:
-        contrib = accumulate(REL_TERM, lam3)
-        if contrib is not None:
-            report.rel = contrib.item() / lam3
-            total = T.add(total, contrib)
+    report = LossReport(soft=soft.item())
+    for name, _, weight, _ in MI_TERMS:
+        lam = getattr(cfg, weight) / batch_size
+        terms = [layer[name] for layer in per_layer.values() if name in layer]
+        if name not in active or not terms or lam == 0.0:
+            continue
+        contrib = T.mul(reduce(T.add, terms), lam)
+        setattr(report, name, contrib.item() / lam)
+        total = T.add(total, contrib)
     report.total = total.item()
     return total, report
 

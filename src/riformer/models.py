@@ -242,7 +242,6 @@ def param_layout(spec: ModelSpec, deploy: bool = False) -> Iterator[tuple]:
 class CaptureSet:
     """Passive per-block activation records for distillation and analysis."""
     layers: frozenset[int] = frozenset()
-    ln_out: dict[int, Tensor] = field(default_factory=dict)
     mixer_out: dict[int, Tensor] = field(default_factory=dict)
     block_out: dict[int, Tensor] = field(default_factory=dict)
     stage_out: dict[int, Tensor] = field(default_factory=dict)
@@ -347,34 +346,30 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
             return T.drop_path(branch, spec.drop_path_rate, rng)
         return branch
 
-    # Unless a capture records the norm or drop-path acts on the branch
-    # alone, the fused deploy block's first sub-block, x + norm1(x), runs as
-    # one kernel, and the identity block's, which adds exactly zero, as none
+    # The identity block's first sub-block adds exactly zero, so it runs no
+    # kernel. Unless a capture records the branch or drop-path acts on it
+    # alone, the fused deploy block's, x + norm1(x), runs as one kernel.
     fused = spec.mixer_kind == "affine" and bw.affine_s is None
     _mark("norm")
-    if not grab and fused and not dropping:
-        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps, residual=True)
-    elif grab or spec.mixer_kind != "identity":
-        h = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
+    if spec.mixer_kind == "identity":
         if grab:
-            capture.ln_out[index] = h
+            capture.mixer_out[index] = Tensor(np.zeros_like(x.data))
+    elif fused and not grab and not dropping:
+        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps, residual=True)
+    else:
+        branch = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
         if bw.affine_s is not None:
             _mark("mixer")
-            branch = affine_mixer(h, bw.affine_s, bw.affine_t)
+            branch = affine_mixer(branch, bw.affine_s, bw.affine_t)
         elif spec.mixer_kind == "pooling":
             _mark("mixer")
-            branch = pooling_mixer(h, spec.pool_size)
-        elif fused:  # norm1 is the scaled branch
-            branch = h
-        else:  # identity: mixer output is exactly zero, sub-block is a no-op
-            branch = None
+            branch = pooling_mixer(branch, spec.pool_size)
+        # else fused: norm1 is the scaled branch
         if grab:
-            capture.mixer_out[index] = (branch if branch is not None
-                                        else Tensor(np.zeros_like(h.data)))
-        if branch is not None:
-            if bw.layer_scale_1 is not None:
-                branch = _scale(branch, bw.layer_scale_1)
-            x = T.add(x, maybe_drop(branch))
+            capture.mixer_out[index] = branch
+        if bw.layer_scale_1 is not None:
+            branch = _scale(branch, bw.layer_scale_1)
+        x = T.add(x, maybe_drop(branch))
 
     _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta, eps)

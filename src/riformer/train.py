@@ -15,18 +15,19 @@ from typing import Optional
 
 import numpy as np
 
+from . import imitation
 from . import tensor as T
 from .data import Dataset
-from .imitation import (ImitationConfig, LossReport, load_from_teacher,
-                        loss_in_prime, loss_out, loss_rel, loss_soft,
-                        select_layers, total_loss)
+from .imitation import (MI_TERMS, ImitationConfig, LossReport,
+                        load_from_teacher, loss_soft, select_layers,
+                        total_loss)
 from .models import CaptureSet, ModelWeights, _from_dict, forward
 from .optim import AdamW
 from .tensor import NumericsError, Tape, Tensor
 
 RECIPES = ("ce", "hard_kd", "soft_kd", "soft_kd_mi")
-LOG_COLUMNS = ("epoch", "lr", "loss_total", "loss_soft", "loss_in_prime",
-               "loss_out", "loss_rel", "val_top1")
+LOG_COLUMNS = ("epoch", "lr", "loss_total", "loss_soft",
+               *(f"loss_{name}" for name, *_ in MI_TERMS), "val_top1")
 # Bytes of teacher outputs one train() call may keep by sample index. When
 # the logits and later-read MI activations of the whole train set exceed it,
 # nothing is kept and the teacher runs live on every step.
@@ -61,6 +62,11 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.imitation is not None:
             self.imitation.validate()
+        if (self.recipe == "soft_kd_mi"
+                and self.epochs > self.imitation.total_epochs):
+            raise ValueError(f"epochs {self.epochs} exceeds "
+                             f"imitation.total_epochs "
+                             f"{self.imitation.total_epochs}")
 
     @property
     def base_lr(self) -> float:
@@ -140,33 +146,29 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
     if cfg.recipe == "soft_kd_mi":
         mi_layers = mi_cfg.layers or select_layers(model.spec, mi_cfg.layer_count)
 
+    # the LossReport fields this recipe logs, each as loss_{name}
+    logged = ["total"]
+    if cfg.recipe != "ce":
+        logged.append("soft")
+    if cfg.recipe == "soft_kd_mi":
+        logged += [name for name, *_ in MI_TERMS]
     log_rows: list[dict] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
         if cache is not None:
             # drop the activations no epoch from here on reads
             cache.retain(_mi_fields(cfg, range(epoch, cfg.epochs)))
-        sums = {"total": 0.0, "soft": 0.0, "in_prime": 0.0, "out": 0.0,
-                "rel": 0.0}
+        sums = dict.fromkeys(logged, 0.0)
         steps = 0
         for xb, yb, idx in train_data.batches(cfg.batch_size, shuffle_rng):
             report = _step(model, teacher, cache, xb, yb, idx, cfg, mi_layers,
                            epoch, opt, lr, droppath_rng)
-            sums["total"] += report.total
-            sums["soft"] += report.soft
-            sums["in_prime"] += report.in_prime
-            sums["out"] += report.out
-            sums["rel"] += report.rel
+            for key in sums:
+                sums[key] += getattr(report, key)
             steps += 1
-        val_top1 = evaluate(model, val_data)
-        row = {"epoch": epoch, "lr": lr, "loss_total": sums["total"] / steps,
-               "val_top1": val_top1}
-        if cfg.recipe != "ce":
-            row["loss_soft"] = sums["soft"] / steps
-        if cfg.recipe == "soft_kd_mi":
-            row["loss_in_prime"] = sums["in_prime"] / steps
-            row["loss_out"] = sums["out"] / steps
-            row["loss_rel"] = sums["rel"] / steps
+        row = {"epoch": epoch, "lr": lr}
+        row.update((f"loss_{key}", s / steps) for key, s in sums.items())
+        row["val_top1"] = evaluate(model, val_data)
         log_rows.append(row)
 
     if log_path:
@@ -238,17 +240,12 @@ class _TeacherCache:
         return logits, cap
 
 
-# the teacher capture field each MI loss term reads
-_TERM_FIELDS = {"in_prime": "block_out", "out": "mixer_out", "rel": "block_out"}
-
-
 def _mi_fields(cfg: TrainConfig, epochs) -> set[str]:
     """The teacher capture fields the MI terms read in any of `epochs`."""
     if cfg.recipe != "soft_kd_mi":
         return set()
-    return {_TERM_FIELDS[term] for epoch in epochs
-            for term in cfg.imitation.active_terms(epoch)
-            if term in _TERM_FIELDS}
+    active = set().union(*map(cfg.imitation.active_terms, epochs))
+    return {cap_field for name, cap_field, *_ in MI_TERMS if name in active}
 
 
 def _teacher_outputs(teacher: ModelWeights, cache: Optional[_TeacherCache],
@@ -274,7 +271,6 @@ def _step(model, teacher, cache: Optional[_TeacherCache], xb, yb, idx,
           opt: AdamW, lr: float,
           droppath_rng: np.random.Generator) -> LossReport:
     fields = _mi_fields(cfg, (epoch,))
-    mi_active = bool(fields)
     teacher_logits = teacher_cap = None
     if cfg.recipe != "ce":
         teacher_logits, teacher_cap = _teacher_outputs(
@@ -282,44 +278,33 @@ def _step(model, teacher, cache: Optional[_TeacherCache], xb, yb, idx,
 
     try:
         with Tape() as tape:
-            student_cap = (CaptureSet.for_layers(mi_layers) if mi_active
-                           else None)
+            student_cap = CaptureSet.for_layers(mi_layers) if fields else None
             logits = forward(model, Tensor(xb), training=True,
                              rng=droppath_rng, capture=student_cap)
             if cfg.recipe == "ce":
                 targets = _smoothed_targets(yb, model.spec.num_classes,
                                             cfg.label_smoothing)
                 loss = _cross_entropy(logits, targets)
-                report = LossReport(total=loss.item(), active=("ce",))
+                report = LossReport(total=loss.item())
             elif cfg.recipe == "hard_kd":
                 hard = np.argmax(teacher_logits.data, axis=1)
                 targets = _smoothed_targets(hard, model.spec.num_classes, 0.0)
                 loss = _cross_entropy(logits, targets)
-                report = LossReport(total=loss.item(), active=("hard",))
+                report = LossReport(total=loss.item())
             elif cfg.recipe == "soft_kd":
                 loss = loss_soft(logits, teacher_logits, cfg.tau)
-                report = LossReport(soft=loss.item(), total=loss.item(),
-                                    active=("soft",))
+                report = LossReport(soft=loss.item(), total=loss.item())
             else:  # soft_kd_mi
                 soft = loss_soft(logits, teacher_logits, cfg.imitation.tau)
-                per_layer: dict[int, dict[str, Tensor]] = {}
-                if mi_active:
-                    active = cfg.imitation.active_terms(epoch)
-                    for m in mi_layers:
-                        terms: dict[str, Tensor] = {}
-                        if "in_prime" in active:
-                            terms["in_prime"] = loss_in_prime(
-                                student_cap.block_out[m],
-                                teacher_cap.block_out[m])
-                        if "out" in active:
-                            terms["out"] = loss_out(
-                                student_cap.mixer_out[m],
-                                teacher_cap.mixer_out[m])
-                        if "rel" in active:
-                            terms["rel"] = loss_rel(
-                                student_cap.block_out[m],
-                                teacher_cap.block_out[m])
-                        per_layer[m] = terms
+                active = cfg.imitation.active_terms(epoch)
+                # layer-major, terms in table order: the tape's order; each
+                # loss is looked up when called, so a patched one is used
+                per_layer = {m: {name: getattr(imitation, f"loss_{name}")(
+                                     getattr(student_cap, cap_field)[m],
+                                     getattr(teacher_cap, cap_field)[m])
+                                 for name, cap_field, *_ in MI_TERMS
+                                 if name in active}
+                             for m in mi_layers}
                 loss, report = total_loss(soft, per_layer, epoch,
                                           cfg.imitation, len(yb))
             tape.backward(loss)
