@@ -47,7 +47,8 @@ def _load_config(path: Optional[str]) -> dict:
     with open(path) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
-        raise ValidationFailure("config root must be a JSON object")
+        raise ValueError(f"config root must be a JSON object, "
+                         f"got {type(cfg).__name__}")
     for key in ("model", "data", "train", "imitation", "bench"):
         if key in cfg and not isinstance(cfg[key], dict):
             raise ValueError(f"config block {key!r} must be an object, "
@@ -75,7 +76,9 @@ def _model_spec(cfg: dict) -> ModelSpec:
     block = dict(cfg.get("model", {}))
     if "stages" in block:
         return ModelSpec.from_dict(block)
-    block.pop("preset", None)
+    preset = block.pop("preset", "nano")
+    if preset != "nano":
+        raise ValueError(f"model.preset must be 'nano', got {preset!r}")
     return _from_dict(ModelSpec, block, ModelSpec.nano)
 
 
@@ -93,7 +96,11 @@ def _datasets(cfg: dict, seed: int) -> tuple[Dataset, Dataset]:
         return (load_cifar10_binary(path, "train"),
                 load_cifar10_binary(path, "test"))
     if source != "synthetic":
-        raise ValidationFailure(f"unknown data source {source!r}")
+        raise ValueError(f"data.source must be 'synthetic' or "
+                         f"'cifar10_binary', got {source!r}")
+    if "stream" in block:
+        raise ValueError("unknown data key 'stream': the train and val "
+                         "streams are fixed")
     val_per_class = block.pop("val_per_class", 25)
     block.setdefault("seed", seed)
     train_spec = _from_dict(SynthSpec, dict(block, stream="train"))

@@ -12,8 +12,9 @@ from .tensor import ShapeError, Tensor
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter list.
 
-    Parameters whose name matches `no_decay` (norm scales/shifts, biases,
-    layer scales, affine mixer coefficients) are excluded from decay.
+    Parameters for which `no_decay` holds, those with fewer than two
+    dimensions (norm scales/shifts, biases, layer scales, affine mixer
+    coefficients), are excluded from decay; the name is not consulted.
     """
 
     params: list[tuple[str, Tensor]]

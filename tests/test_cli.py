@@ -397,9 +397,17 @@ def _patch_below_stride_model() -> dict:
                          "layer_scale_init": float("inf")}}, "layer_scale_init"),
     ("bench", {"model": _huge_mlp_ratio_model()}, "mlp_ratio"),
     ("bench", {"model": _patch_below_stride_model()}, "patch_size 1, stride 4"),
+    ("bench", {"model": {"preset": "s12", "mixer_kind": "affine"}}, "preset"),
+    ("bench", {"model": {"preset": 7}}, "preset"),
+    ("gen-data", {"data": {"stream": "val"}}, "stream"),
+    ("gen-data", {"data": {"source": "imagenet"}}, "data.source"),
+    ("gen-data", {"data": {"source": 3}}, "data.source"),
+    ("bench", [{"model": {}}], "config root"),
 ], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
         "cifar_missing_path", "cifar_int_path", "layer_scale_nan",
-        "layer_scale_inf", "mlp_ratio_huge", "patch_below_stride"])
+        "layer_scale_inf", "mlp_ratio_huge", "patch_below_stride",
+        "preset_unknown", "preset_int", "data_stream", "source_unknown",
+        "source_int", "root_not_object"])
 def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
                                                         tmp_path, capsys,
                                                         monkeypatch):

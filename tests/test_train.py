@@ -34,6 +34,12 @@ def test_config_validation():
         TrainConfig(recipe="soft_kd_mi").validate()
     with pytest.raises(ValueError):
         TrainConfig(epochs=0).validate()
+    # train() would fail at its first epoch past the phase schedule
+    mi = ImitationConfig(feat_epochs=1, rel_epochs=1, total_epochs=2)
+    TrainConfig(recipe="soft_kd_mi", epochs=2, imitation=mi).validate()
+    with pytest.raises(ValueError, match=r"^epochs 3 exceeds "
+                                         r"imitation\.total_epochs 2$"):
+        TrainConfig(recipe="soft_kd_mi", epochs=3, imitation=mi).validate()
 
 
 def test_lr_rule_default():
@@ -305,3 +311,27 @@ def test_backward_is_float32(monkeypatch):
     assert set(dtypes) == {np.dtype(np.float32)}
     assert all(p.grad is None or p.grad.dtype == np.float32
                for _, p in student.named_parameters())
+
+
+def test_imitation_losses_are_looked_up_when_called(monkeypatch):
+    # a benchmark tracer replaces the loss functions on riformer.imitation
+    # after train.py is imported; train() must call the replacements, layer
+    # by layer and in table order within a layer
+    imitation_mod = importlib.import_module("riformer.imitation")
+    calls = []
+    for name in ("in_prime", "out", "rel"):
+        original = getattr(imitation_mod, f"loss_{name}")
+
+        def replaced(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(imitation_mod, f"loss_{name}", replaced)
+    teacher = build_model(tiny_spec("pooling"), seed=3)
+    student = build_model(tiny_spec("affine"), seed=4)
+    tr, va = small_data()
+    cfg = quick_cfg("soft_kd_mi", epochs=2, imitation=_mi_config(1, 1, 2))
+    train(student, tr, va, cfg, teacher=teacher)
+    steps_x_layers = -(-len(tr) // cfg.batch_size) * 4  # 4 MI layers
+    assert calls == (["in_prime", "out"] * steps_x_layers
+                     + ["rel"] * steps_x_layers)
