@@ -1,10 +1,10 @@
 """Single executable exposing the full workflow.
 
 Subcommands map 1:1 onto the library: train, distill, fuse, verify, bench,
-breakdown, erf, featdist, dump-affine, inspect-ckpt, gen-data. Every command
-accepts --config <json> plus targeted flag overrides; flags win over config
-values with a notice on stderr. Exit codes: 0 success, 1 usage error,
-2 validation failure, 3 runtime error.
+breakdown, erf, featdist, dump-affine, inspect-ckpt, gen-data. A command that
+takes --config <json> checks the whole file with `parse_config` before it
+opens any other file; flags win over config values with a notice on stderr.
+Exit codes: 0 success, 1 usage error, 2 validation failure, 3 runtime error.
 """
 from __future__ import annotations
 
@@ -37,25 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _notice(msg: str) -> None:
-    print(f"notice: {msg}", file=sys.stderr)
-
-
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    with open(path) as f:
-        cfg = json.load(f)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config root must be a JSON object, "
-                         f"got {type(cfg).__name__}")
-    for key in ("model", "data", "train", "imitation", "bench"):
-        if key in cfg and not isinstance(cfg[key], dict):
-            raise ValueError(f"config block {key!r} must be an object, "
-                             f"got {type(cfg[key]).__name__}")
-    return cfg
-
-
 @contextmanager
 def _csv_writer(path: Optional[str]):
     """A csv writer on the file at `path`, or on stdout without one."""
@@ -67,19 +48,9 @@ def _override(block: dict, key: str, flag_value, flag_name: str):
     if flag_value is None:
         return
     if key in block and block[key] != flag_value:
-        _notice(f"--{flag_name}={flag_value} overrides config "
-                f"{key}={block[key]}")
+        print(f"notice: --{flag_name}={flag_value} overrides config "
+              f"{key}={block[key]}", file=sys.stderr)
     block[key] = flag_value
-
-
-def _model_spec(cfg: dict) -> ModelSpec:
-    block = dict(cfg.get("model", {}))
-    if "stages" in block:
-        return ModelSpec.from_dict(block)
-    preset = block.pop("preset", "nano")
-    if preset != "nano":
-        raise ValueError(f"model.preset must be 'nano', got {preset!r}")
-    return _from_dict(ModelSpec, block, ModelSpec.nano)
 
 
 @dataclass
@@ -88,50 +59,123 @@ class Cifar10Binary:
     path: str
 
 
-def _datasets(cfg: dict, seed: int) -> tuple[Dataset, Dataset]:
-    block = dict(cfg.get("data", {}))
-    source = block.pop("source", "synthetic")
-    if source == "cifar10_binary":
-        path = _from_dict(Cifar10Binary, block).path
-        return (load_cifar10_binary(path, "train"),
-                load_cifar10_binary(path, "test"))
-    if source != "synthetic":
-        raise ValueError(f"data.source must be 'synthetic' or "
-                         f"'cifar10_binary', got {source!r}")
-    if "stream" in block:
-        raise ValueError("unknown data key 'stream': the train and val "
-                         "streams are fixed")
-    val_per_class = block.pop("val_per_class", 25)
-    block.setdefault("seed", seed)
-    train_spec = _from_dict(SynthSpec, dict(block, stream="train"))
-    val_spec = _from_dict(SynthSpec, dict(block, stream="val",
-                                          samples_per_class=val_per_class))
-    return synth_dataset(train_spec), synth_dataset(val_spec)
+@dataclass
+class Config:
+    """A whole config file, checked: everything any command reads of it."""
+    model: ModelSpec
+    data: tuple[SynthSpec, SynthSpec] | Cifar10Binary
+    data_given: bool  # whether the file has a non-empty data block
+    train: TrainConfig
+    teacher_ckpt: Optional[str]
+    bench: bench.BenchProtocol
+
+    def datasets(self) -> tuple[Dataset, Dataset]:
+        """The train and val sets: built, or read from the CIFAR files."""
+        if isinstance(self.data, Cifar10Binary):
+            return (load_cifar10_binary(self.data.path, "train"),
+                    load_cifar10_binary(self.data.path, "test"))
+        return synth_dataset(self.data[0]), synth_dataset(self.data[1])
 
 
-def _train_like(args, default_recipe: Optional[str] = None) -> int:
-    cfg = _load_config(args.config)
-    tblock = dict(cfg.get("train", {}))
+def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
+                 bench_batch=None) -> Config:
+    """Check the root and all five blocks of a loaded config file, whatever a
+    command reads of it, and open no file. `recipe` is the default for
+    `train.recipe`; `seed`, `epochs` and `batch` override `train.seed`,
+    `train.epochs` and `train.batch_size`, and `bench_batch` overrides
+    `bench.batch_size`, with a notice when they change a value. The resolved
+    `train.seed` is the default `data.seed`."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config root must be a JSON object, "
+                         f"got {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - {"model", "data", "train", "imitation",
+                                 "bench"})
+    if unknown:
+        raise ValueError(f"unknown config block(s): "
+                         f"{', '.join(map(repr, unknown))}")
+    for key, block in cfg.items():
+        if not isinstance(block, dict):
+            raise ValueError(f"config block {key!r} must be an object, "
+                             f"got {type(block).__name__}")
+    mblock, dblock, tblock, bblock = (dict(cfg.get(key, {})) for key in
+                                      ("model", "data", "train", "bench"))
+
+    if "stages" in mblock:
+        spec = ModelSpec.from_dict(mblock)
+    else:
+        preset = mblock.pop("preset", "nano")
+        if preset != "nano":
+            raise ValueError(f"model.preset must be 'nano', got {preset!r}")
+        spec = _from_dict(ModelSpec, mblock, ModelSpec.nano)
+
+    if "imitation" in cfg:
+        if "imitation" in tblock:
+            raise ValueError("config sets both 'imitation' and "
+                             "'train.imitation'")
+        tblock["imitation"] = cfg["imitation"]
     teacher_ckpt = tblock.pop("teacher_ckpt", None)
     if not isinstance(teacher_ckpt, (str, type(None))):
         raise ValueError(f"train.teacher_ckpt must be str, got {teacher_ckpt!r}")
-    if args.teacher:
-        teacher_ckpt = args.teacher
-    _override(tblock, "seed", args.seed, "seed")
-    _override(tblock, "epochs", args.epochs, "epochs")
-    _override(tblock, "batch_size", args.batch, "batch")
-    if default_recipe and "recipe" not in tblock:
-        tblock["recipe"] = default_recipe
-    if cfg.get("imitation") and "imitation" not in tblock:
-        tblock["imitation"] = cfg["imitation"]
+    _override(tblock, "seed", seed, "seed")
+    _override(tblock, "epochs", epochs, "epochs")
+    _override(tblock, "batch_size", batch, "batch")
+    if recipe:
+        tblock.setdefault("recipe", recipe)
     tc = TrainConfig.from_dict(tblock)
+    mi, total = tc.imitation, spec.total_blocks
+    if mi is not None and not all(0 <= i < total for i in mi.layers or ()):
+        raise ValueError(f"imitation.layers must lie in [0, {total - 1}], "
+                         f"got {list(mi.layers)}")
+    if (tc.recipe == "soft_kd_mi" and not mi.layers
+            and not 1 <= mi.layer_count <= total):
+        raise ValueError(f"imitation.layer_count must be in [1, {total}], "
+                         f"got {mi.layer_count}")
 
-    spec = _model_spec(cfg)
-    model = build_model(spec, seed=tc.seed)
-    teacher = None
-    if teacher_ckpt:
-        teacher, _ = load_checkpoint(teacher_ckpt)
-    train_ds, val_ds = _datasets(cfg, tc.seed)
+    source = dblock.pop("source", "synthetic")
+    if source == "cifar10_binary":
+        data = _from_dict(Cifar10Binary, dblock)
+    elif source != "synthetic":
+        raise ValueError(f"data.source must be 'synthetic' or "
+                         f"'cifar10_binary', got {source!r}")
+    elif "stream" in dblock:
+        raise ValueError("unknown data key 'stream': the train and val "
+                         "streams are fixed")
+    else:
+        val_per_class = dblock.pop("val_per_class", 25)
+        dblock.setdefault("seed", tc.seed)
+        data = (_from_dict(SynthSpec, dict(dblock, stream="train")),
+                _from_dict(SynthSpec, dict(dblock, stream="val",
+                                           samples_per_class=val_per_class)))
+        for synth in data:
+            synth.validate()
+
+    _override(bblock, "batch_size", bench_batch, "batch")
+    proto = _from_dict(bench.BenchProtocol, bblock)
+    proto.validate()
+    return Config(spec, data, bool(cfg.get("data")), tc, teacher_ckpt, proto)
+
+
+def _config(args) -> Config:
+    """The command's `--config` file, checked whole, with its flags applied."""
+    cfg = {}
+    if args.config:
+        with open(args.config) as f:
+            cfg = json.load(f)
+    return parse_config(cfg, **{key: getattr(args, key, None) for key in
+                                ("recipe", "seed", "epochs", "batch",
+                                 "bench_batch")})
+
+
+def _cmd_train(args) -> int:
+    conf = _config(args)
+    tc = conf.train
+    teacher_ckpt = args.teacher or conf.teacher_ckpt
+    if tc.needs_teacher and not teacher_ckpt:
+        raise ValueError(f"recipe {tc.recipe!r} requires a teacher: set "
+                         f"train.teacher_ckpt or --teacher")
+    model = build_model(conf.model, seed=tc.seed)
+    teacher = load_checkpoint(teacher_ckpt)[0] if teacher_ckpt else None
+    train_ds, val_ds = conf.datasets()
     result = train(model, train_ds, val_ds, tc, teacher=teacher,
                    log_path=args.log)
     if args.out:
@@ -140,14 +184,6 @@ def _train_like(args, default_recipe: Optional[str] = None) -> int:
                               "epoch": tc.epochs})
     print(f"final val top-1: {result.final_val_top1:.4f}")
     return 0
-
-
-def _cmd_train(args) -> int:
-    return _train_like(args)
-
-
-def _cmd_distill(args) -> int:
-    return _train_like(args, default_recipe="soft_kd_mi")
 
 
 def _cmd_fuse(args) -> int:
@@ -183,30 +219,19 @@ def _limit_threads() -> None:
         blas.set_threads(threads)
 
 
-def _bench_model(args, cfg: dict):
+def _bench_model(args, conf: Config):
     if args.ckpt:
-        model, _ = load_checkpoint(args.ckpt)
-    else:
-        model = build_model(_model_spec(cfg), seed=args.seed or 0)
-    return model
-
-
-def _protocol(args, cfg: dict) -> bench.BenchProtocol:
-    block = dict(cfg.get("bench", {}))
-    _override(block, "batch_size", args.batch, "batch")
-    proto = _from_dict(bench.BenchProtocol, block)
-    proto.validate()
-    return proto
+        return load_checkpoint(args.ckpt)[0]
+    return build_model(conf.model, seed=conf.train.seed)
 
 
 def _cmd_bench(args) -> int:
     _limit_threads()
-    cfg = _load_config(args.config)
-    model = _bench_model(args, cfg)
-    proto = _protocol(args, cfg)
-    report = bench.throughput(model, proto,
+    conf = _config(args)
+    model = _bench_model(args, conf)
+    report = bench.throughput(model, conf.bench,
                               model_id=args.ckpt or "from-config",
-                              seed=args.seed or 0)
+                              seed=conf.train.seed)
     d = report.to_dict()
     if not args.raw:
         d.pop("raw_timings")
@@ -220,10 +245,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_breakdown(args) -> int:
     _limit_threads()
-    cfg = _load_config(args.config)
-    model = _bench_model(args, cfg)
-    proto = _protocol(args, cfg)
-    rows = bench.latency_breakdown(model, proto, seed=args.seed or 0)
+    conf = _config(args)
+    rows = bench.latency_breakdown(_bench_model(args, conf), conf.bench,
+                                   seed=conf.train.seed)
     blas = bench.blas_config() or ""
     with _csv_writer(args.out) as writer:
         writer.writerow(["component", "ms", "flops", "thread_count", "blas"])
@@ -233,22 +257,21 @@ def _cmd_breakdown(args) -> int:
     return 0
 
 
-def _probe_images(args, cfg: dict, spec: ModelSpec) -> np.ndarray:
+def _probe_images(args, conf: Config, spec: ModelSpec) -> np.ndarray:
     if args.probes < 1:
         raise ValueError(f"--probes must be >= 1, got {args.probes}")
-    if cfg.get("data"):
-        _, val = _datasets(cfg, args.seed or 0)
-        return val.images[:args.probes]
-    rng = np.random.default_rng(args.seed or 0)
+    if conf.data_given:
+        return conf.datasets()[1].images[:args.probes]
+    rng = np.random.default_rng(conf.train.seed)
     return rng.normal(0, 1, (args.probes, spec.in_channels,
                              spec.input_resolution, spec.input_resolution)
                       ).astype(np.float32)
 
 
 def _cmd_erf(args) -> int:
-    cfg = _load_config(args.config)
+    conf = _config(args)
     model, _ = load_checkpoint(args.ckpt)
-    images = _probe_images(args, cfg, model.spec)
+    images = _probe_images(args, conf, model.spec)
     erf = analysis.erf_map(model, images)
     with _csv_writer(args.out) as writer:
         for row in erf:
@@ -257,9 +280,9 @@ def _cmd_erf(args) -> int:
 
 
 def _cmd_featdist(args) -> int:
-    cfg = _load_config(args.config)
+    conf = _config(args)
     model, _ = load_checkpoint(args.ckpt)
-    images = _probe_images(args, cfg, model.spec)
+    images = _probe_images(args, conf, model.spec)
     edges, counts = analysis.feature_histogram(model, images, args.stage,
                                                bins=args.bins)
     with _csv_writer(args.out) as writer:
@@ -296,8 +319,7 @@ def _cmd_inspect_ckpt(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
-    train_ds, val_ds = _datasets(cfg, args.seed or 0)
+    train_ds, val_ds = _config(args).datasets()
     np.savez(args.out, train_images=train_ds.images, train_labels=train_ds.labels,
              val_images=val_ds.images, val_labels=val_ds.labels)
     print(f"wrote {len(train_ds)} train / {len(val_ds)} val samples to {args.out}")
@@ -316,21 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="output file path")
 
-    p = sub.add_parser("train", help="train a model with any recipe")
-    common(p)
-    p.add_argument("--epochs", type=int, help="override config epochs")
-    p.add_argument("--batch", type=int, help="override config batch size")
-    p.add_argument("--teacher", help="teacher checkpoint for KD recipes")
-    p.add_argument("--log", help="CSV training log path")
-    p.set_defaults(fn=_cmd_train)
-
-    p = sub.add_parser("distill", help="train with the module-imitation recipe")
-    common(p)
-    p.add_argument("--epochs", type=int, help="override config epochs")
-    p.add_argument("--batch", type=int, help="override config batch size")
-    p.add_argument("--teacher", help="teacher checkpoint (required recipes)")
-    p.add_argument("--log", help="CSV training log path")
-    p.set_defaults(fn=_cmd_distill)
+    # distill is train with soft_kd_mi as the default recipe
+    for name, text, recipe in (
+            ("train", "train a model with any recipe", None),
+            ("distill", "train with the module-imitation recipe", "soft_kd_mi")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--epochs", type=int, help="override config epochs")
+        p.add_argument("--batch", type=int, help="override config batch size")
+        p.add_argument("--teacher", help="teacher checkpoint for KD recipes")
+        p.add_argument("--log", help="CSV training log path")
+        p.set_defaults(fn=_cmd_train, recipe=recipe)
 
     p = sub.add_parser("fuse", help="fuse affine branches into the norm layer")
     p.add_argument("--in", dest="infile", required=True,
@@ -352,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure inference throughput")
     common(p)
     p.add_argument("--ckpt", help="model checkpoint (else built from config)")
-    p.add_argument("--batch", type=int, help="override protocol batch size")
+    p.add_argument("--batch", type=int, dest="bench_batch",
+                   help="override protocol batch size")
     p.add_argument("--raw", action="store_true",
                    help="include raw timings in the JSON report")
     p.set_defaults(fn=_cmd_bench)
@@ -360,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("breakdown", help="per-component latency attribution")
     common(p)
     p.add_argument("--ckpt", help="model checkpoint (else built from config)")
-    p.add_argument("--batch", type=int, help="override protocol batch size")
+    p.add_argument("--batch", type=int, dest="bench_batch",
+                   help="override protocol batch size")
     p.set_defaults(fn=_cmd_breakdown)
 
     p = sub.add_parser("erf", help="effective receptive field map as CSV grid")

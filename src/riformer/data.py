@@ -55,6 +55,8 @@ class SynthSpec:
     stream: str = "train"
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.samples_per_class < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, make_dataclass
@@ -33,7 +34,8 @@ COMPONENTS = ("embedding", "norm", "mixer", "mlp", "head")
 
 def _fits(value, hint) -> bool:
     """Whether a config value fits a type hint; an int fits a float, a bool
-    only a bool, and a list a list or tuple hint if all its items fit."""
+    only a bool, and a list a list or tuple hint if all its items fit. No
+    int past the float64 range fits, so the checks can mix ints and floats."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
@@ -42,6 +44,8 @@ def _fits(value, hint) -> bool:
                 and all(_fits(v, args[0]) for v in value))
     if isinstance(value, bool) or hint is bool:
         return isinstance(value, bool) and hint is bool
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return False
     if hint is float:
         return isinstance(value, (int, float))
     return isinstance(value, hint)

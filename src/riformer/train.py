@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from math import cos, pi
+from math import cos, inf, pi
 from typing import Optional
 
 import numpy as np
@@ -60,6 +60,22 @@ class TrainConfig:
             raise ValueError("recipe soft_kd_mi requires an imitation config")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        # written so that a NaN fails each range
+        if self.lr is not None and not 0 < self.lr < inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, "
+                             f"got {self.weight_decay}")
+        if not 0 <= self.label_smoothing < 1:
+            raise ValueError(f"label_smoothing must be in [0, 1), "
+                             f"got {self.label_smoothing}")
+        if not 0 < self.tau < inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs must be >= 0, "
+                             f"got {self.warmup_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.imitation is not None:
             self.imitation.validate()
         if (self.recipe == "soft_kd_mi"
@@ -67,6 +83,10 @@ class TrainConfig:
             raise ValueError(f"epochs {self.epochs} exceeds "
                              f"imitation.total_epochs "
                              f"{self.imitation.total_epochs}")
+
+    @property
+    def needs_teacher(self) -> bool:
+        return self.recipe != "ce" or self.init_from_teacher
 
     @property
     def base_lr(self) -> float:
@@ -126,8 +146,7 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
           cfg: TrainConfig, teacher: Optional[ModelWeights] = None,
           log_path: Optional[str] = None) -> TrainResult:
     cfg.validate()
-    needs_teacher = cfg.recipe != "ce" or cfg.init_from_teacher
-    if needs_teacher and teacher is None:
+    if cfg.needs_teacher and teacher is None:
         raise ValueError(f"recipe {cfg.recipe!r} requires a teacher model")
     if cfg.init_from_teacher:
         load_from_teacher(model, teacher)

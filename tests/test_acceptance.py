@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 import riformer.tensor as T
-from riformer import (ImitationConfig, ModelSpec, SynthSpec, Tensor,
-                      TrainConfig, build_model, erf_active_area, erf_map,
-                      feature_distance, forward, fuse_affine,
+from riformer import (ModelSpec, Tensor, build_model, erf_active_area,
+                      erf_map, feature_distance, forward, fuse_affine,
                       load_cifar10_binary, load_checkpoint, load_from_teacher,
                       loss_in, loss_in_prime, loss_out, loss_rel, loss_soft,
                       op_count, relation_matrix, save_checkpoint,
-                      switch_to_deploy, synth_dataset, train,
-                      verify_equivalence)
+                      switch_to_deploy, train, verify_equivalence)
+from riformer.cli import parse_config
 from helpers import check_gradients
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -34,22 +33,15 @@ def load_config(name):
 
 
 def config_datasets(cfg):
-    block = dict(cfg["data"])
-    val_per_class = block.pop("val_per_class")
-    train_spec = SynthSpec(**block, stream="train")
-    val_spec = SynthSpec(**dict(block, samples_per_class=val_per_class),
-                         stream="val")
-    return synth_dataset(train_spec), synth_dataset(val_spec)
+    return parse_config(cfg).datasets()
 
 
 def config_train(cfg, seed, teacher=None):
-    block = dict(cfg["train"], seed=seed)
-    if cfg.get("imitation"):
-        block["imitation"] = cfg["imitation"]
-    tc = TrainConfig.from_dict(block)
-    model = build_model(ModelSpec.nano(cfg["model"]["mixer_kind"]), seed=seed)
-    tr, va = config_datasets(cfg)
-    return train(model, tr, va, tc, teacher=teacher)
+    # the commands' parser, with seed as --seed would give it
+    conf = parse_config(cfg, seed=seed)
+    model = build_model(conf.model, seed=seed)
+    tr, va = conf.datasets()
+    return train(model, tr, va, conf.train, teacher=teacher)
 
 
 class _Runs:

@@ -5,8 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riformer.cli import build_parser, main
+from riformer.cli import build_parser, main, parse_config
 from helpers import tiny_spec
 
 EXPECTED_FLAGS = {
@@ -306,10 +308,11 @@ def test_inspect_truncated_ckpt_is_runtime_error(tmp_path, capsys):
     ("train", {"model": {"stages": [{"depth": 1}] * 4}}),
     ("breakdown", {"bench": {"repeats": 1.5}}),
     ("train", {"model": {"input_resolution": 48}}),
+    ("bench", {"model": {"layer_scale_init": 10 ** 400}}),
 ], ids=["train_block", "train_block_breakdown", "data_block", "bench_block",
         "model_block", "str_for_int", "bool_for_int", "imitation_block",
         "str_for_model_int", "stage_missing_keys", "float_for_int",
-        "resolution_off_stride"])
+        "resolution_off_stride", "int_past_float_range"])
 def test_malformed_config_is_runtime_error(cmd, cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -332,18 +335,12 @@ def test_config_scalars_accept_their_types(tiny_config, tmp_path, capsys):
 
 
 def test_shipped_presets_load():
-    from riformer.cli import _datasets, _load_config, _model_spec
-    from riformer.train import TrainConfig
     presets = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     names = sorted(os.listdir(presets))
     assert names
     for name in names:
-        cfg = _load_config(os.path.join(presets, name))
-        _model_spec(cfg)
-        block = dict(cfg["train"], imitation=cfg.get("imitation"))
-        block.pop("teacher_ckpt", None)
-        TrainConfig.from_dict(block)
-        _datasets(cfg, 0)
+        with open(os.path.join(presets, name)) as f:
+            parse_config(json.load(f)).datasets()
 
 
 def test_breakdown_csv(tiny_config, tmp_path, capsys, monkeypatch):
@@ -403,14 +400,35 @@ def _patch_below_stride_model() -> dict:
     ("gen-data", {"data": {"source": "imagenet"}}, "data.source"),
     ("gen-data", {"data": {"source": 3}}, "data.source"),
     ("bench", [{"model": {}}], "config root"),
+    ("train", {"train": {"recipe": "soft_kd", "epochs": 1,
+                         "teacher_ckpt": "nope.ckpt"},
+               "data": {"source": "imagenet"}}, "data.source"),
+    ("bench", {"data": {"stream": "val"}}, "stream"),
+    ("erf --ckpt m.ckpt", {"model": {"preset": "s12"}}, "preset"),
+    ("gen-data", {"train": {"recipe": "bogus"}}, "recipe"),
+    ("bench", {"modle": {"mixer_kind": "affine"}}, "'modle'"),
+    ("train", {"train": {"imitation": {}}, "imitation": {"bogus": 1}},
+     "train.imitation"),
+    ("distill", {"train": {"teacher_ckpt": "t.ckpt"},
+                 "imitation": {"layers": [99]}}, "imitation.layers"),
+    ("train", {"train": {"teacher_ckpt": "t.ckpt", "recipe": "soft_kd"},
+               "data": {"seed": -1}}, "seed must be >= 0"),
+    ("train", {"train": {"recipe": "soft_kd"},
+               "data": {"source": "cifar10_binary", "path": "cif"}},
+     "requires a teacher"),
 ], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
         "cifar_missing_path", "cifar_int_path", "layer_scale_nan",
         "layer_scale_inf", "mlp_ratio_huge", "patch_below_stride",
         "preset_unknown", "preset_int", "data_stream", "source_unknown",
-        "source_int", "root_not_object"])
+        "source_int", "root_not_object", "train_source_before_teacher",
+        "bench_data_stream", "erf_preset", "gen_data_recipe", "root_typo",
+        "two_imitation_blocks", "layers_out_of_range", "data_seed_negative",
+        "teacher_missing"])
 def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
                                                         tmp_path, capsys,
                                                         monkeypatch):
+    # every command that takes --config checks the whole file, whichever
+    # blocks it reads, before it opens a checkpoint or a CIFAR file
     import riformer.cli as cli
 
     def never(*args, **kwargs):
@@ -420,12 +438,141 @@ def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
     monkeypatch.setattr(cli, "load_cifar10_binary", never)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    assert main([cmd, "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 3
+    assert main(cmd.split() + ["--config", str(path),
+                               "--out", str(tmp_path / "out")]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert key in out.err
+
+
+def test_gen_data_writes_the_data_train_reads(tmp_path, capsys, monkeypatch):
+    # the resolved train.seed is the default data.seed of every command
+    import riformer.cli as cli
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": tiny_spec("affine").to_dict(),
+        "data": {"num_classes": 4, "samples_per_class": 2, "val_per_class": 2,
+                 "resolution": 32},
+        "train": {"epochs": 1, "batch_size": 8, "warmup_epochs": 1,
+                  "seed": 5}}))
+    seen = {}
+
+    def record(model, train_ds, val_ds, cfg, **kwargs):
+        seen.update(train=train_ds, val=val_ds, seed=cfg.seed)
+        raise RuntimeError("stop after the data is built")
+
+    monkeypatch.setattr(cli, "train", record)
+    assert main(["train", "--config", str(path)]) == 3
+    npz = str(tmp_path / "data.npz")
+    assert main(["gen-data", "--config", str(path), "--out", npz]) == 0
+    blob = np.load(npz)
+    assert seen["seed"] == 5
+    for split in ("train", "val"):
+        np.testing.assert_array_equal(blob[f"{split}_images"],
+                                      seen[split].images)
+        np.testing.assert_array_equal(blob[f"{split}_labels"],
+                                      seen[split].labels)
+    # and --seed overrides train.seed for both
+    assert main(["gen-data", "--config", str(path), "--seed", "0",
+                 "--out", npz]) == 0
+    assert not np.array_equal(np.load(npz)["train_images"],
+                              seen["train"].images)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(2 ** 62, 10 ** 400), st.sampled_from(["", "x", "s12"]),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.dictionaries(st.sampled_from(["depth", "bogus"]), st.integers(-1, 4),
+                    max_size=2))
+_STAGE = st.fixed_dictionaries({
+    "depth": st.integers(0, 2), "dim": st.integers(0, 8),
+    "patch_size": st.integers(1, 7), "stride": st.integers(1, 4)},
+    optional={"mlp_ratio": st.floats(0.0, 4.0)})
+# each block's keys, a few undefined ones among them, with values that
+# mostly have the right type and lie near the edges of their ranges
+_KEYS = {
+    "model": {
+        "preset": st.just("nano"), "mixer_kind": st.sampled_from(
+            ["pooling", "affine", "identity", "mlp"]),
+        "pool_size": st.integers(-1, 5), "num_classes": st.integers(0, 9),
+        "layer_scale_init": st.floats(-1.0, 1.0),
+        "drop_path_rate": st.floats(-0.5, 1.5),
+        "input_resolution": st.sampled_from([0, 32, 48, 64]),
+        "in_channels": st.integers(0, 3),
+        "stages": st.lists(_STAGE, min_size=3, max_size=5), "depths": _JUNK},
+    "data": {
+        "source": st.sampled_from(["synthetic", "cifar10_binary", "x"]),
+        "path": st.text(max_size=3), "seed": st.integers(0, 5),
+        "num_classes": st.integers(0, 9),
+        "samples_per_class": st.integers(0, 9),
+        "val_per_class": st.integers(0, 9), "resolution": st.integers(0, 64),
+        "noise_std": st.floats(0.0, 2.0), "max_shift": st.integers(0, 8),
+        "stream": st.just("val")},
+    "train": {
+        "epochs": st.integers(0, 80), "batch_size": st.integers(0, 64),
+        "lr": st.one_of(st.none(), st.floats(-0.01, 0.01)),
+        "weight_decay": st.floats(-0.1, 0.1), "seed": st.integers(0, 5),
+        "label_smoothing": st.floats(-0.5, 1.5), "tau": st.floats(-1.0, 5.0),
+        "recipe": st.sampled_from(["ce", "hard_kd", "soft_kd", "soft_kd_mi",
+                                   "mse"]),
+        "init_from_teacher": st.booleans(),
+        "warmup_epochs": st.integers(-2, 3), "cosine": st.booleans(),
+        "teacher_ckpt": st.text(max_size=3)},
+    "imitation": {
+        **dict.fromkeys(["lambda1_x_batch", "lambda2_x_batch",
+                         "lambda3_x_batch"], st.floats(0.0, 300.0)),
+        "tau": st.floats(-1.0, 5.0), "layer_count": st.integers(0, 8),
+        "layers": st.one_of(st.none(), st.lists(st.integers(-1, 8),
+                                                max_size=4)),
+        **dict.fromkeys(["feat_epochs", "rel_epochs", "total_epochs"],
+                        st.integers(-1, 80))},
+    "bench": {
+        "batch_size": st.integers(0, 64), "resolution": st.integers(0, 64),
+        "warmup_runs": st.integers(0, 9), "timed_runs": st.integers(0, 9),
+        "repeats": st.integers(0, 5), "bogus": _JUNK},
+}
+
+
+@st.composite
+def _block(draw, block):
+    keys = draw(st.lists(st.sampled_from(sorted(_KEYS[block])), unique=True,
+                         max_size=5))
+    # one value in ten is of any type
+    return {key: draw(_JUNK if draw(st.integers(0, 9)) == 5
+                      else _KEYS[block][key]) for key in keys}
+
+
+@st.composite
+def _configs(draw):
+    """Whole config dicts: any blocks, rarely a misspelt one or a root that
+    is not an object, and sometimes `imitation` inside `train` as well."""
+    if draw(st.integers(0, 29)) == 13:
+        return draw(_JUNK)
+    cfg = {block: draw(_block(block)) for block in
+           draw(st.lists(st.sampled_from(sorted(_KEYS)), unique=True))}
+    if draw(st.integers(0, 4)) == 2:
+        cfg.setdefault("train", {})["imitation"] = draw(_block("imitation"))
+    if draw(st.integers(0, 29)) == 13:
+        cfg["modle"] = {}
+    return cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(cfg=_configs())
+def test_random_configs_parse_or_are_rejected_in_one_line(cfg):
+    # the parser only checks; no case builds a model or a dataset
+    try:
+        conf = parse_config(cfg)
+    except ValueError as e:
+        assert str(e) and "\n" not in str(e) and "\r" not in str(e)
+        return
+    conf.model.validate()
+    conf.train.validate()
+    conf.bench.validate()
+    assert conf.data_given == bool(cfg.get("data"))
 
 
 def test_oversized_config_is_runtime_error(tmp_path, capsys):

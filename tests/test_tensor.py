@@ -1,5 +1,7 @@
 """Autodiff core: finite-difference gradient checks, hand-derived values,
 tape semantics, and determinism."""
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -218,12 +220,13 @@ def test_group_norm_normalizes_per_sample():
 
 def test_gelu_matches_float64_reference():
     # a dense float32 grid, many GELU blocks long, against x * Phi(x) in
-    # float64; the bound is the one gelu's docstring states
-    from scipy.special import ndtr
+    # float64, Phi(x) = erfc(-x / sqrt 2) / 2 from the math module; the
+    # bound is the one gelu's docstring states
     x = np.linspace(-10.0, 10.0, 2_000_001, dtype=np.float32)
     out = T.gelu(Tensor(x)).data.astype(np.float64)
     x64 = x.astype(np.float64)
-    err = np.abs(out - x64 * ndtr(x64)) / np.maximum(1.0, np.abs(x64))
+    phi = 0.5 * np.array([math.erfc(v) for v in (-x64 / math.sqrt(2)).tolist()])
+    err = np.abs(out - x64 * phi) / np.maximum(1.0, np.abs(x64))
     assert err.max() <= 3e-7, f"max scaled error {err.max():.3g}"
 
 

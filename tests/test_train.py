@@ -42,6 +42,39 @@ def test_config_validation():
         TrainConfig(recipe="soft_kd_mi", epochs=3, imitation=mi).validate()
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"lr": 0.0}, "lr must be positive"),
+    ({"lr": -1.0}, "lr must be positive"),
+    ({"lr": float("inf")}, "lr must be positive"),
+    ({"lr": float("nan")}, "lr must be positive"),
+    ({"weight_decay": -0.01}, "weight_decay must be >= 0"),
+    ({"weight_decay": float("nan")}, "weight_decay must be >= 0"),
+    ({"label_smoothing": -0.1}, r"label_smoothing must be in \[0, 1\)"),
+    ({"label_smoothing": 1.0}, r"label_smoothing must be in \[0, 1\)"),
+    ({"label_smoothing": 2.0}, r"label_smoothing must be in \[0, 1\)"),
+    ({"tau": 0.0}, "tau must be positive"),
+    ({"tau": -2.0}, "tau must be positive"),
+    ({"tau": float("nan")}, "tau must be positive"),
+    ({"warmup_epochs": -3}, "warmup_epochs must be >= 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+], ids=["lr_zero", "lr_negative", "lr_inf", "lr_nan", "weight_decay_negative",
+        "weight_decay_nan", "smoothing_negative", "smoothing_one",
+        "smoothing_two", "tau_zero", "tau_negative", "tau_nan",
+        "warmup_negative", "seed_negative"])
+def test_config_rejects_values_out_of_range(kw, message):
+    # each would otherwise train (to NaN, or with negative targets), or fail
+    # only once training starts
+    with pytest.raises(ValueError, match=f"^{message}"):
+        TrainConfig(**kw).validate()
+
+
+def test_config_accepts_range_edges():
+    for kw in ({"lr": None}, {"lr": 1e-9}, {"weight_decay": 0.0},
+               {"label_smoothing": 0.0}, {"label_smoothing": 0.999},
+               {"tau": 1e-3}, {"warmup_epochs": 0}):
+        TrainConfig(**kw).validate()
+
+
 def test_lr_rule_default():
     assert TrainConfig(batch_size=1024).base_lr == pytest.approx(1e-3)
     assert TrainConfig(batch_size=512).base_lr == pytest.approx(5e-4)
