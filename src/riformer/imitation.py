@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from functools import reduce
-from math import ceil
+from math import ceil, inf
 
 from . import tensor as T
 from .models import ModelSpec, ModelWeights, _from_dict
@@ -35,7 +35,6 @@ class ImitationConfig:
     lambda1_x_batch: float = 0.0001
     lambda2_x_batch: float = 0.001
     lambda3_x_batch: float = 1.0
-    tau: float = 1.0
     layer_count: int = 4
     layers: tuple[int, ...] | None = None
     feat_epochs: int = 40
@@ -43,8 +42,11 @@ class ImitationConfig:
     total_epochs: int = 60
 
     def validate(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        for _, _, weight, _ in MI_TERMS:
+            # written so that a NaN fails the range
+            if not 0 <= getattr(self, weight) < inf:
+                raise ValueError(f"{weight} must be >= 0 and finite, "
+                                 f"got {getattr(self, weight)}")
         if self.feat_epochs < 0 or self.rel_epochs < 0:
             raise ValueError("phase epoch counts must be non-negative")
         if self.feat_epochs + self.rel_epochs > self.total_epochs:

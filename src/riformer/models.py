@@ -350,30 +350,27 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
             return T.drop_path(branch, spec.drop_path_rate, rng)
         return branch
 
-    # The identity block's first sub-block adds exactly zero, so it runs no
-    # kernel. Unless a capture records the branch or drop-path acts on it
-    # alone, the fused deploy block's, x + norm1(x), runs as one kernel.
-    fused = spec.mixer_kind == "affine" and bw.affine_s is None
+    # The first sub-block: a deploy block (layer_scale_1 folded into its
+    # norm) runs x + norm1(x) as one kernel, captured or not; an identity
+    # block adds exactly zero and runs none.
     _mark("norm")
-    if spec.mixer_kind == "identity":
+    if bw.layer_scale_1 is None:
+        if dropping:
+            raise ValueError("drop_path needs the train form; a deploy "
+                             "block has no first-sub-block branch to drop")
+        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps, residual=True)
+    elif spec.mixer_kind == "identity":
         if grab:
             capture.mixer_out[index] = Tensor(np.zeros_like(x.data))
-    elif fused and not grab and not dropping:
-        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps, residual=True)
     else:
         branch = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
-        if bw.affine_s is not None:
-            _mark("mixer")
-            branch = affine_mixer(branch, bw.affine_s, bw.affine_t)
-        elif spec.mixer_kind == "pooling":
-            _mark("mixer")
-            branch = pooling_mixer(branch, spec.pool_size)
-        # else fused: norm1 is the scaled branch
+        _mark("mixer")
+        branch = (affine_mixer(branch, bw.affine_s, bw.affine_t)
+                  if spec.mixer_kind == "affine"
+                  else pooling_mixer(branch, spec.pool_size))
         if grab:
             capture.mixer_out[index] = branch
-        if bw.layer_scale_1 is not None:
-            branch = _scale(branch, bw.layer_scale_1)
-        x = T.add(x, maybe_drop(branch))
+        x = T.add(x, maybe_drop(_scale(branch, bw.layer_scale_1)))
 
     _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta, eps)

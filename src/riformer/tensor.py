@@ -219,14 +219,6 @@ def _apply(out_data: np.ndarray,
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Run the reverse pass of the innermost active tape."""
-    tape = _tape()
-    if tape is None:
-        raise TapeError("no active tape")
-    tape.backward(loss)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):

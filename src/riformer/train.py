@@ -146,6 +146,8 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
           cfg: TrainConfig, teacher: Optional[ModelWeights] = None,
           log_path: Optional[str] = None) -> TrainResult:
     cfg.validate()
+    if model.deploy:
+        raise ValueError("train needs the train form; fuse after training")
     if cfg.needs_teacher and teacher is None:
         raise ValueError(f"recipe {cfg.recipe!r} requires a teacher model")
     if cfg.init_from_teacher:
@@ -314,7 +316,7 @@ def _step(model, teacher, cache: Optional[_TeacherCache], xb, yb, idx,
                 loss = loss_soft(logits, teacher_logits, cfg.tau)
                 report = LossReport(soft=loss.item(), total=loss.item())
             else:  # soft_kd_mi
-                soft = loss_soft(logits, teacher_logits, cfg.imitation.tau)
+                soft = loss_soft(logits, teacher_logits, cfg.tau)
                 active = cfg.imitation.active_terms(epoch)
                 # layer-major, terms in table order: the tape's order; each
                 # loss is looked up when called, so a patched one is used

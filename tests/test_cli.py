@@ -249,12 +249,13 @@ def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
     {"model": {"depths": 2}},
     {"model": {"stages": [{"depth": 1, "dims": 4}] * 4}},
     {"imitation": {"bogus": 1}},
+    {"imitation": {"tau": 4.0}},
     {"data": {"bogus": 1}},
     {"bench": {"bogus": 1}},
     {"model": {"\n": 1}},
     {"train": {"a\r\nb": 1}},
-], ids=["train", "model", "stage", "imitation", "data", "bench",
-        "model_newline", "train_crlf"])
+], ids=["train", "model", "stage", "imitation", "imitation_tau", "data",
+        "bench", "model_newline", "train_crlf"])
 def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -267,7 +268,7 @@ def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     assert out.err.count("\n") == 1
     # the key is named quoted, so a line break in it stays on the line
     assert any(repr(key) in out.err
-               for key in ("bogus", "depths", "dims", "\n", "a\r\nb"))
+               for key in ("bogus", "depths", "dims", "tau", "\n", "a\r\nb"))
 
 
 def test_config_teacher_ckpt_is_used(tiny_config, tmp_path, capsys):
@@ -523,7 +524,9 @@ _KEYS = {
         "teacher_ckpt": st.text(max_size=3)},
     "imitation": {
         **dict.fromkeys(["lambda1_x_batch", "lambda2_x_batch",
-                         "lambda3_x_batch"], st.floats(0.0, 300.0)),
+                         "lambda3_x_batch"], st.one_of(
+            st.floats(-1.0, 300.0),
+            st.sampled_from([float("nan"), float("inf"), -float("inf")]))),
         "tau": st.floats(-1.0, 5.0), "layer_count": st.integers(0, 8),
         "layers": st.one_of(st.none(), st.lists(st.integers(-1, 8),
                                                 max_size=4)),

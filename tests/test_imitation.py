@@ -154,13 +154,17 @@ def test_phase_gating_matches_published_pattern():
 def test_config_validation():
     with pytest.raises(ValueError):
         ImitationConfig(feat_epochs=50, rel_epochs=20, total_epochs=60).validate()
-    with pytest.raises(ValueError):
-        ImitationConfig(tau=0.0).validate()
+    # a weight must be finite and non-negative; NaN fails too
+    for weight in ("lambda1_x_batch", "lambda2_x_batch", "lambda3_x_batch"):
+        for bad in (-1e-3, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{weight} must be >= 0"):
+                ImitationConfig(**{weight: bad}).validate()
+        ImitationConfig(**{weight: 0.0}).validate()
     ImitationConfig().validate()
 
 
 def test_config_dict_roundtrip():
-    cfg = ImitationConfig(layers=(0, 3), tau=2.0)
+    cfg = ImitationConfig(layers=(0, 3), lambda1_x_batch=2.0)
     again = ImitationConfig.from_dict(cfg.to_dict())
     assert again == cfg
 

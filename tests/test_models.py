@@ -234,16 +234,29 @@ def test_wrong_resolution_rejected():
         forward(model, bad)
 
 
-def test_capture_is_observationally_transparent():
-    spec = tiny_spec("pooling")
+@pytest.mark.parametrize("form", [*MIXER_KINDS, "deploy"])
+def test_capture_is_observationally_transparent(form):
+    spec = tiny_spec("affine" if form == "deploy" else form)
     model = build_model(spec, seed=1)
-    x = rand_input(spec)
-    cap = CaptureSet.for_layers(range(spec.total_blocks))
+    rng = np.random.default_rng(1)
+    for bw in (bw for stage in model.blocks for bw in stage):
+        # layer scales and affine coefficients away from their init, so
+        # every first sub-block adds a branch the logits can tell
+        for key in ("layer_scale_1", "affine_s", "affine_t"):
+            p = getattr(bw, key)
+            if p is not None:
+                p.data = rng.normal(0.5, 0.3, p.shape).astype(np.float32)
+    if form == "deploy":
+        model = switch_to_deploy(model)
+    x = rand_input(spec, n=3)
+    blocks = set(range(spec.total_blocks))
+    cap = CaptureSet.for_layers(blocks)
     with_cap = forward(model, x, capture=cap)
     without = forward(model, x)
-    assert np.array_equal(with_cap.data, without.data)
-    assert set(cap.block_out) == set(range(spec.total_blocks))
-    assert set(cap.mixer_out) == set(range(spec.total_blocks))
+    assert with_cap.data.tobytes() == without.data.tobytes()
+    assert set(cap.block_out) == blocks
+    # a deploy block has no branch before a layer scale to record
+    assert set(cap.mixer_out) == (set() if form == "deploy" else blocks)
     assert set(cap.stage_out) == {1, 2, 3, 4}
 
 
@@ -287,6 +300,17 @@ def test_drop_path_training_requires_rng():
     model = build_model(spec, seed=0)
     with pytest.raises(ValueError):
         forward(model, rand_input(spec), training=True)
+
+
+def test_deploy_block_rejects_drop_path_in_training():
+    # drop-path acts on the train form's branch; the deploy form folds it
+    # into one kernel, so it only runs inference
+    spec = tiny_spec("affine", drop_path_rate=0.2)
+    deploy = switch_to_deploy(build_model(spec, seed=0))
+    x = rand_input(spec)
+    with pytest.raises(ValueError, match="deploy"):
+        forward(deploy, x, training=True, rng=np.random.default_rng(0))
+    assert np.isfinite(forward(deploy, x).data).all()
 
 
 def test_forward_deterministic_without_drop_path():

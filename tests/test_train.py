@@ -7,7 +7,7 @@ import pytest
 
 from riformer import (LOG_COLUMNS, ImitationConfig, SynthSpec, Tape, Tensor,
                       TrainConfig, build_model, evaluate, save_checkpoint,
-                      synth_dataset, train, write_log)
+                      switch_to_deploy, synth_dataset, train, write_log)
 from riformer.data import Dataset
 from helpers import tiny_spec
 
@@ -97,6 +97,14 @@ def test_missing_teacher_rejected():
         train(model, tr, va, quick_cfg("soft_kd"))
 
 
+def test_deploy_model_rejected():
+    # the deploy form has no mixer branch to imitate or drop
+    deploy = switch_to_deploy(build_model(tiny_spec("affine"), seed=0))
+    tr, va = small_data()
+    with pytest.raises(ValueError, match="train form"):
+        train(deploy, tr, va, quick_cfg("ce"))
+
+
 def test_ce_log_has_only_ce_columns(tmp_path):
     model = build_model(tiny_spec("identity"), seed=0)
     tr, va = small_data()
@@ -157,6 +165,26 @@ def test_soft_kd_mi_populates_all_loss_columns():
     assert feat_row["loss_out"] > 0.0
     assert feat_row["loss_rel"] == 0.0
     assert rel_row["loss_rel"] > 0.0
+
+
+@pytest.mark.parametrize("recipe", ["soft_kd", "soft_kd_mi"])
+def test_soft_recipes_use_train_tau(recipe, monkeypatch):
+    train_mod = importlib.import_module("riformer.train")
+    taus = []
+
+    def recorded(student_logits, teacher_logits, tau=1.0):
+        taus.append(tau)
+        return loss_soft(student_logits, teacher_logits, tau)
+
+    loss_soft = train_mod.loss_soft
+    monkeypatch.setattr(train_mod, "loss_soft", recorded)
+    tr, va = small_data()
+    mi = ImitationConfig(feat_epochs=1, rel_epochs=0, total_epochs=1,
+                         layers=(0,))
+    train(build_model(tiny_spec("affine"), seed=4), tr, va,
+          quick_cfg(recipe, epochs=1, tau=3.0, imitation=mi),
+          teacher=build_model(tiny_spec("pooling"), seed=3))
+    assert taus and set(taus) == {3.0}
 
 
 def test_init_from_teacher_starts_at_teacher_function():
