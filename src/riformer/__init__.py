@@ -8,9 +8,9 @@ from .models import (ModelSpec, StageSpec, ModelWeights, CaptureSet,
 from .optim import AdamW
 from .reparam import (FusedNorm, EquivalenceReport, fuse_affine,
                       switch_to_deploy, verify_equivalence)
-from .imitation import (ImitationConfig, LossReport, loss_in, loss_in_prime,
-                        loss_out, loss_rel, loss_soft, relation_matrix,
-                        select_layers, load_from_teacher, total_loss)
+from .imitation import (ImitationConfig, LossReport, loss_in_prime, loss_out,
+                        loss_rel, loss_soft, relation_matrix, select_layers,
+                        load_from_teacher, total_loss)
 from .data import (Dataset, SynthSpec, synth_dataset, load_cifar10_binary)
 from .checkpoint import (CheckpointError, save_checkpoint, load_checkpoint,
                          read_header)
@@ -29,7 +29,7 @@ __all__ = [
     "ModelSpec", "StageSpec", "ModelWeights", "CaptureSet", "build_model",
     "forward", "forward_features", "AdamW", "FusedNorm", "EquivalenceReport",
     "fuse_affine", "switch_to_deploy", "verify_equivalence",
-    "ImitationConfig", "LossReport", "loss_in", "loss_in_prime", "loss_out",
+    "ImitationConfig", "LossReport", "loss_in_prime", "loss_out",
     "loss_rel", "loss_soft", "relation_matrix", "select_layers",
     "load_from_teacher", "total_loss", "Dataset", "SynthSpec",
     "synth_dataset", "load_cifar10_binary", "CheckpointError",

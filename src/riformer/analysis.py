@@ -1,7 +1,7 @@
 """Effective-receptive-field maps, feature histograms, and coefficient dumps."""
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,19 +58,16 @@ def stage_activations(model: ModelWeights, images: np.ndarray,
 
 
 def feature_histogram(model: ModelWeights, images: np.ndarray, stage: int,
-                      bins: int = 101,
-                      edges: Optional[np.ndarray] = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of a stage's output activations over the probe batch."""
-    if edges is None and bins < 1:
+                      bins: int = 101) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of a stage's output activations over the probe batch, on
+    `bins` equal bins spanning their range."""
+    if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     acts = stage_activations(model, images, stage).ravel()
-    if edges is None:
-        lo, hi = float(acts.min()), float(acts.max())
-        if lo == hi:
-            hi = lo + 1e-6
-        edges = np.linspace(lo, hi, bins + 1)
-    counts, edges = np.histogram(acts, bins=edges)
+    lo, hi = float(acts.min()), float(acts.max())
+    if lo == hi:
+        hi = lo + 1e-6
+    counts, edges = np.histogram(acts, bins=np.linspace(lo, hi, bins + 1))
     return edges, counts
 
 

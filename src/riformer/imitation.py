@@ -9,7 +9,7 @@ run first, the relation term second, and only the soft loss afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import reduce
 from math import ceil, inf
 
@@ -64,12 +64,6 @@ class ImitationConfig:
         return frozenset(["soft"] + [name for name, _, _, p in MI_TERMS
                                      if p == phase])
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["layers"] is not None:
-            d["layers"] = list(d["layers"])
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ImitationConfig":
         cfg = _from_dict(cls, d)
@@ -93,12 +87,6 @@ def _check_4d_pair(a: Tensor, b: Tensor) -> None:
         raise T.ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 4:
         raise T.ShapeError(f"expected 4-D activations, got {a.shape}")
-
-
-def loss_in(student_ln_out: Tensor, teacher_ln_out: Tensor) -> Tensor:
-    """MSE between the normalized mixer inputs of student and teacher."""
-    _check_4d_pair(student_ln_out, teacher_ln_out)
-    return T.mse(student_ln_out, teacher_ln_out)
 
 
 def loss_in_prime(student_block_out: Tensor, teacher_block_out: Tensor) -> Tensor:

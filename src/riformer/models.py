@@ -146,15 +146,6 @@ class ModelSpec:
     def total_stride(self) -> int:
         return math.prod(s.stride for s in self.stages)
 
-    def block_stage(self, index: int) -> tuple[int, int]:
-        """Map a global block index to (stage, block-within-stage)."""
-        off = index
-        for si, s in enumerate(self.stages):
-            if off < s.depth:
-                return si, off
-            off -= s.depth
-        raise IndexError(f"block index {index} out of range")
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -338,8 +329,7 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
                   training: bool = False,
                   rng: Optional[np.random.Generator] = None,
                   capture: Optional[CaptureSet] = None,
-                  index: int = -1,
-                  eps: float = 1e-5) -> Tensor:
+                  index: int = -1) -> Tensor:
     grab = capture is not None and index in capture.layers
     dropping = training and spec.drop_path_rate > 0.0
 
@@ -358,12 +348,12 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
         if dropping:
             raise ValueError("drop_path needs the train form; a deploy "
                              "block has no first-sub-block branch to drop")
-        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps, residual=True)
+        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, residual=True)
     elif spec.mixer_kind == "identity":
         if grab:
             capture.mixer_out[index] = Tensor(np.zeros_like(x.data))
     else:
-        branch = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, eps)
+        branch = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta)
         _mark("mixer")
         branch = (affine_mixer(branch, bw.affine_s, bw.affine_t)
                   if spec.mixer_kind == "affine"
@@ -373,7 +363,7 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
         x = T.add(x, maybe_drop(_scale(branch, bw.layer_scale_1)))
 
     _mark("norm")
-    h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta, eps)
+    h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta)
     _mark("mlp")
     x = T.add(x, maybe_drop(_scale(_mlp(h2, bw), bw.layer_scale_2)))
     if grab:

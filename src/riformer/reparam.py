@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 from itertools import chain
+from math import inf
 
 import numpy as np
 
@@ -79,17 +80,19 @@ def verify_equivalence(train_model: ModelWeights, deploy_model: ModelWeights,
                        n_probes: int = 100, tol: float = 1e-5,
                        seed: int = 0) -> EquivalenceReport:
     """Compare logits and every block output on `n_probes` random inputs,
-    run through both models in chunks of VERIFY_CHUNK."""
+    run through both models in chunks of VERIFY_CHUNK. Both run eval-mode
+    forwards, where drop-path never applies."""
     if n_probes < 1:
         raise ValueError(f"need at least one probe, got {n_probes}")
+    # written so that a NaN fails the range; an infinite tol passes anything
+    if not 0 <= tol < inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     if train_model.deploy:
         raise ValueError("train_model is in deploy form; pass the unfused model")
     if not deploy_model.deploy:
         raise ValueError("deploy_model is not in deploy form; fuse it first")
     if train_model.spec.to_dict() != deploy_model.spec.to_dict():
         raise ValueError("models must share a spec")
-    if train_model.spec.drop_path_rate != 0.0:
-        raise ValueError("equivalence requires drop_path disabled")
     rng = np.random.default_rng(seed)
     res = train_model.spec.input_resolution
     all_layers = frozenset(range(train_model.spec.total_blocks))

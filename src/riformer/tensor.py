@@ -1,12 +1,14 @@
 """Dense float32 tensors with tape-based reverse-mode automatic differentiation.
 
-Only the kernels the backbone and its losses actually need are provided:
-elementwise arithmetic, per-sample group normalization (one group), valid-count
-average pooling, strided convolution for patch embedding, channel-wise linear
-maps, GELU, softmax / log-softmax, reductions, batched matmul, and the MSE of
-two batches of token relation (Gram) matrices. No general broadcasting beyond
-scalars and per-channel vectors, no higher-order gradients, no devices other
-than CPU.
+Only the kernels the backbone, its losses and the analysis tools call are
+provided: elementwise arithmetic and square root, per-sample group
+normalization (one group), valid-count average pooling, strided convolution
+for patch embedding, channel-wise and head linear maps, GELU, stochastic
+depth, log-softmax and KL divergence, sums, spatial means and MSE, batched
+matmul, and the MSE of two batches of token relation (Gram) matrices.
+Kernels are called as functions; a Tensor has no operator overloads. No
+general broadcasting beyond scalars and per-channel vectors, no higher-order
+gradients, no devices other than CPU.
 """
 from __future__ import annotations
 
@@ -69,36 +71,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; constants are allowed on either side.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Tape:
     """Records kernel applications for one reverse pass.
 
-    Recording order equals forward execution order; `backward` may run once per
-    recording unless `reset` is called. Tensors created while no tape is active
-    are constants as far as autodiff is concerned.
+    Recording order equals forward execution order; `backward` runs once per
+    tape, and a second call raises TapeError. Tensors created while no tape
+    is active are constants as far as autodiff is concerned.
     """
 
     def __init__(self):
@@ -118,14 +97,10 @@ class Tape:
                 backward_fn: Callable) -> None:
         self._nodes.append((out, inputs, backward_fn))
 
-    def reset(self) -> None:
-        self._nodes.clear()
-        self._consumed = False
-
     def backward(self, loss: Tensor) -> None:
         """Populate `.grad` on every recorded tensor with requires_grad set."""
         if self._consumed:
-            raise TapeError("tape already consumed by a backward pass; call reset()")
+            raise TapeError("tape already consumed by a backward pass")
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         produced = {id(out) for out, _, _ in self._nodes}
@@ -285,21 +260,6 @@ def div(a, b) -> Tensor:
                              _unbroadcast(-g * da / (db * db), sb)))
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    da = _coerce(a)
-    return _apply(da ** p, (a,), lambda g: (g * p * da ** (p - 1.0),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(_coerce(a))
-    return _apply(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    da = _coerce(a)
-    return _apply(np.log(da), (a,), lambda g: (g / da,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     da = _coerce(a)
     out = np.sqrt(da)
@@ -322,14 +282,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
                   lambda g: (np.transpose(g, inv),), 0)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    datas = [_coerce(t) for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
-    return _apply(np.concatenate(datas, axis=axis), tuple(tensors),
-                  lambda g: tuple(np.split(g, splits, axis=axis)), 0)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 
@@ -344,14 +296,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, shape).copy(),)
 
     return _apply(da.sum(axis=axis, keepdims=keepdims), (a,), bwd, da.size)
-
-
-def tmean(a: Tensor) -> Tensor:
-    da = _coerce(a)
-    n = da.size
-    shape = da.shape
-    return _apply(da.mean(), (a,),
-                  lambda g: (np.broadcast_to(g / n, shape).copy(),), n)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -796,20 +740,6 @@ def gelu(x: Tensor) -> Tensor:
         return (t,)
 
     return _apply(out.reshape(dx.shape), (x,), bwd, 6 * dx.size)  # by convention
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last dimension."""
-    dx = _coerce(x).astype(np.float64)
-    z = dx - dx.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        gx = out * (g - (g * out).sum(axis=-1, keepdims=True))
-        return (gx.astype(np.float32),)
-
-    return _apply(out, (x,), bwd, 5 * dx.size)  # max, sub, exp, sum, divide
 
 
 def log_softmax(x: Tensor) -> Tensor:

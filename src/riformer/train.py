@@ -51,7 +51,6 @@ class TrainConfig:
     imitation: Optional[ImitationConfig] = None
     init_from_teacher: bool = False
     warmup_epochs: int = 2
-    cosine: bool = True
 
     def validate(self) -> None:
         if self.recipe not in RECIPES:
@@ -96,8 +95,6 @@ class TrainConfig:
         base = self.base_lr
         if epoch < self.warmup_epochs:
             return base * (epoch + 1) / self.warmup_epochs
-        if not self.cosine:
-            return base
         span = max(self.epochs - self.warmup_epochs, 1)
         frac = (epoch - self.warmup_epochs) / span
         return base * (0.01 + 0.99 * 0.5 * (1.0 + cos(pi * frac)))

@@ -127,6 +127,23 @@ def test_fuse_verify_round_trip(tiny_config, tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_verify_accepts_a_drop_path_model(tiny_config, tmp_path, capsys):
+    # verify runs eval-mode forwards, where drop-path never applies
+    with open(tiny_config) as f:
+        cfg = json.load(f)
+    cfg["model"]["drop_path_rate"] = 0.1
+    path = tmp_path / "drop_path.json"
+    path.write_text(json.dumps(cfg))
+    train_ckpt = str(tmp_path / "train.ckpt")
+    deploy_ckpt = str(tmp_path / "deploy.ckpt")
+    assert main(["train", "--config", str(path), "--out", train_ckpt]) == 0
+    assert main(["fuse", "--in", train_ckpt, "--out", deploy_ckpt]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--train", train_ckpt, "--deploy", deploy_ckpt,
+                 "--probes", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_verify_perturbed_deploy_fails_with_exit_2(tiny_config, tmp_path,
                                                    capsys):
     from riformer import load_checkpoint, save_checkpoint
@@ -141,7 +158,18 @@ def test_verify_perturbed_deploy_fails_with_exit_2(tiny_config, tmp_path,
                  "--probes", "3"]) == 2
 
 
-@pytest.mark.parametrize("form", ["probes0", "train_as_deploy"])
+# an infinite tol would pass any pair of models, and no value passes
+# against a NaN tol or a negative one
+VACUOUS_VERIFY = {
+    "probes0": ["--probes", "0"],
+    "train_as_deploy": ["--probes", "1"],
+    "tol_inf": ["--tol", "inf"],
+    "tol_nan": ["--tol", "nan"],
+    "tol_negative": ["--tol", "-1"],
+}
+
+
+@pytest.mark.parametrize("form", list(VACUOUS_VERIFY))
 def test_verify_vacuous_or_unfused_is_runtime_error(tiny_config, tmp_path,
                                                     capsys, form):
     train_ckpt = str(tmp_path / "train.ckpt")
@@ -149,12 +177,14 @@ def test_verify_vacuous_or_unfused_is_runtime_error(tiny_config, tmp_path,
     main(["train", "--config", tiny_config, "--out", train_ckpt])
     main(["fuse", "--in", train_ckpt, "--out", deploy_ckpt])
     capsys.readouterr()
-    argv = (["--deploy", deploy_ckpt, "--probes", "0"] if form == "probes0"
-            else ["--deploy", train_ckpt, "--probes", "1"])
-    assert main(["verify", "--train", train_ckpt] + argv) == 3
+    deploy = train_ckpt if form == "train_as_deploy" else deploy_ckpt
+    assert main(["verify", "--train", train_ckpt, "--deploy", deploy]
+                + VACUOUS_VERIFY[form]) == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    if form.startswith("tol"):
+        assert "tol must be >= 0 and finite" in out.err
 
 
 def test_inspect_ckpt_summary(tiny_config, tmp_path, capsys):
@@ -226,7 +256,8 @@ def test_gen_data_writes_npz(tiny_config, tmp_path, capsys):
 
 
 def test_bench_json_report(tiny_config, tmp_path, capsys):
-    cfg = json.loads(open(tiny_config).read())
+    with open(tiny_config) as f:
+        cfg = json.load(f)
     cfg["bench"] = {"batch_size": 2, "resolution": 32, "warmup_runs": 1,
                     "timed_runs": 2, "repeats": 3}
     path = tmp_path / "bench_cfg.json"
@@ -246,6 +277,7 @@ def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
 
 @pytest.mark.parametrize("cfg", [
     {"train": {"bogus": 3}},
+    {"train": {"cosine": False}},
     {"model": {"depths": 2}},
     {"model": {"stages": [{"depth": 1, "dims": 4}] * 4}},
     {"imitation": {"bogus": 1}},
@@ -254,8 +286,8 @@ def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
     {"bench": {"bogus": 1}},
     {"model": {"\n": 1}},
     {"train": {"a\r\nb": 1}},
-], ids=["train", "model", "stage", "imitation", "imitation_tau", "data",
-        "bench", "model_newline", "train_crlf"])
+], ids=["train", "train_cosine", "model", "stage", "imitation",
+        "imitation_tau", "data", "bench", "model_newline", "train_crlf"])
 def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -267,15 +299,16 @@ def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     assert out.err.startswith("error: unknown ")
     assert out.err.count("\n") == 1
     # the key is named quoted, so a line break in it stays on the line
-    assert any(repr(key) in out.err
-               for key in ("bogus", "depths", "dims", "tau", "\n", "a\r\nb"))
+    assert any(repr(key) in out.err for key in ("bogus", "cosine", "depths",
+                                                "dims", "tau", "\n", "a\r\nb"))
 
 
 def test_config_teacher_ckpt_is_used(tiny_config, tmp_path, capsys):
     # train.teacher_ckpt names the teacher; it is not a TrainConfig field
     teacher = str(tmp_path / "teacher.ckpt")
     assert main(["train", "--config", tiny_config, "--out", teacher]) == 0
-    cfg = json.loads(open(tiny_config).read())
+    with open(tiny_config) as f:
+        cfg = json.load(f)
     cfg["train"].update(recipe="soft_kd", teacher_ckpt=teacher)
     path = tmp_path / "kd.json"
     path.write_text(json.dumps(cfg))
@@ -327,7 +360,8 @@ def test_malformed_config_is_runtime_error(cmd, cfg, tmp_path, capsys):
 
 def test_config_scalars_accept_their_types(tiny_config, tmp_path, capsys):
     # an int where a float is expected, and None for an Optional field
-    cfg = json.loads(open(tiny_config).read())
+    with open(tiny_config) as f:
+        cfg = json.load(f)
     cfg["train"].update(lr=None, weight_decay=0, label_smoothing=0)
     cfg["model"]["stages"][0]["mlp_ratio"] = 4
     path = tmp_path / "ok.json"
@@ -346,7 +380,8 @@ def test_shipped_presets_load():
 
 def test_breakdown_csv(tiny_config, tmp_path, capsys, monkeypatch):
     from riformer import bench, build_model, op_count
-    cfg = json.loads(open(tiny_config).read())
+    with open(tiny_config) as f:
+        cfg = json.load(f)
     cfg["bench"] = {"batch_size": 2, "resolution": 32, "warmup_runs": 1,
                     "timed_runs": 2, "repeats": 3}
     path = tmp_path / "bench_cfg.json"

@@ -1,6 +1,9 @@
 """Autodiff core: finite-difference gradient checks, hand-derived values,
-tape semantics, and determinism."""
+tape semantics, determinism, and the kernel set."""
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,10 +63,7 @@ def test_grad_unary(seed):
     pos = param(rng, 2, 5, scale=0.3, offset=2.0)
     x = param(rng, 2, 5)
     wseed = seed + 1
-    check_gradients(lambda: T.exp(x), [x], rng, wseed=seed)
-    check_gradients(lambda: T.log(pos), [pos], rng, wseed=wseed)
     check_gradients(lambda: T.sqrt(pos), [pos], rng, wseed=wseed)
-    check_gradients(lambda: T.pow_const(pos, 1.7), [pos], rng, wseed=wseed)
     check_gradients(lambda: T.gelu(x), [x], rng, wseed=seed)
 
 
@@ -71,11 +71,9 @@ def test_grad_unary(seed):
 def test_grad_shape_ops(seed):
     rng = np.random.default_rng(seed)
     a = param(rng, 2, 3, 4)
-    b = param(rng, 2, 3, 4)
     wseed = seed + 1
     check_gradients(lambda: T.reshape(a, (6, 4)), [a], rng, wseed=wseed)
     check_gradients(lambda: T.transpose(a, (2, 0, 1)), [a], rng, wseed=wseed)
-    check_gradients(lambda: T.concat([a, b], axis=1), [a, b], rng, wseed=wseed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -85,7 +83,6 @@ def test_grad_reductions(seed):
     b = param(rng, 3, 5)
     wseed = seed + 1
     check_gradients(lambda: T.tsum(a, axis=1), [a], rng, wseed=wseed)
-    check_gradients(lambda: T.mul(T.tmean(a), 7.0), [a], rng)
     check_gradients(lambda: T.mse(a, b), [a, b], rng)
 
 
@@ -168,7 +165,6 @@ def test_grad_softmax_family(seed):
     a = param(rng, 3, 5)
     b = param(rng, 3, 5)
     wseed = seed + 1
-    check_gradients(lambda: T.softmax(a), [a], rng, wseed=wseed)
     check_gradients(lambda: T.log_softmax(a), [a], rng, wseed=wseed)
     check_gradients(
         lambda: T.kl_div(T.log_softmax(Tensor(b.data)), T.log_softmax(a)),
@@ -402,7 +398,7 @@ def test_constant_operand_keeps_gradient_positions():
     # each backward output is credited to
     x = Tensor(np.array([2.0, 3.0], np.float32), requires_grad=True)
     with Tape() as tape:
-        tape.backward(T.tsum(1.0 - x))
+        tape.backward(T.tsum(T.sub(2.0, x)))
     np.testing.assert_array_equal(x.grad, [-1.0, -1.0])
 
     rng = np.random.default_rng(5)
@@ -422,10 +418,11 @@ def test_constant_operand_keeps_gradient_positions():
 
 def test_softmax_log_softmax_consistent():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(0, 3, (4, 6)).astype(np.float32))
-    np.testing.assert_allclose(T.softmax(x).data,
-                               np.exp(T.log_softmax(x).data), atol=1e-6)
-    np.testing.assert_allclose(T.softmax(x).data.sum(axis=-1), 1.0, atol=1e-6)
+    x = rng.normal(0, 3, (4, 6)).astype(np.float32)
+    e = np.exp(x.astype(np.float64) - x.max(axis=-1, keepdims=True))
+    softmax = e / e.sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(np.exp(T.log_softmax(Tensor(x)).data), softmax,
+                               atol=1e-6)
 
 
 def test_kl_div_brute_force():
@@ -516,12 +513,13 @@ def test_reused_leaf_accumulates_once_per_backward():
     np.testing.assert_allclose(x.grad, [4.0])
 
 
-def test_double_backward_rejected_until_reset():
+def test_double_backward_rejected():
+    # a tape records one backward pass
     x = Tensor(np.ones(3, np.float32), requires_grad=True)
     with Tape() as tape:
         loss = T.tsum(x)
         tape.backward(loss)
-        with pytest.raises(TapeError):
+        with pytest.raises(TapeError, match="already consumed"):
             tape.backward(loss)
 
 
@@ -549,8 +547,8 @@ def test_no_tape_means_constant_outputs():
 def test_non_finite_input_rejected():
     with pytest.raises(NumericsError):
         Tensor(np.array([np.nan], np.float32))
-    with pytest.raises(NumericsError):
-        T.log(Tensor(np.array([-1.0], np.float32)))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
+        T.sqrt(Tensor(np.array([-1.0], np.float32)))
 
 
 def test_shape_mismatch_rejected():
@@ -569,7 +567,7 @@ def test_determinism_same_seed_bitexact():
         b = Tensor(np.zeros(3, np.float32), requires_grad=True)
         with Tape() as tape:
             y = T.group_norm_1(x, g, b)
-            loss = T.tmean(T.mul(y, y))
+            loss = T.tsum(T.mul(y, y))
             tape.backward(loss)
         return loss.data.copy(), x.grad.copy()
 
@@ -645,3 +643,29 @@ def test_kernel_flop_counts():
     with T._Profile() as profile:
         T.reshape(x, (2, 60))
     assert profile.flops == {"": 0}
+
+
+# ---------------------------------------------------------------------------
+# The kernel set
+
+def test_every_public_kernel_has_a_library_caller():
+    # a kernel that only the tests call is dead code: every public function
+    # of riformer.tensor is named by another module of the package, as
+    # T.<name> or in a `from .tensor import`
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_")}
+    named = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "T"):
+                named.add(node.attr)
+            elif (isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module == "tensor"):
+                named.update(alias.name for alias in node.names)
+    dead = sorted(public - named)
+    assert not dead, f"kernels with no library caller: {dead}"
