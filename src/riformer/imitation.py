@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import reduce
 from math import ceil, inf
 
+import numpy as np
+
 from . import tensor as T
 from .models import ModelSpec, ModelWeights, _from_dict
 from .tensor import Tensor
@@ -102,37 +104,28 @@ def loss_out(student_mixer_out: Tensor, teacher_mixer_out: Tensor) -> Tensor:
     return T.mse(student_mixer_out, teacher_mixer_out)
 
 
-def _unit_tokens(t: Tensor) -> Tensor:
-    """(N, C, H, W) -> (N, C, HW) with each token (a column) L2-normalized
-    over channels, with a small guard against zero tokens."""
-    if t.ndim != 4:
-        raise T.ShapeError(f"expected 4-D input, got {t.shape}")
-    n, c, h, w = t.shape
-    tokens = T.reshape(t, (n, c, h * w))
-    sq = T.tsum(T.mul(tokens, tokens), axis=1, keepdims=True)
-    norm = T.add(T.sqrt(T.add(sq, 1e-24)), 1e-12)
-    return T.div(tokens, norm)
-
-
 def relation_matrix(t: Tensor) -> Tensor:
-    """Token-by-token Gram matrix of row-normalized features.
+    """Token-by-token Gram matrix of row-normalized features, as a constant.
 
     (N, C, H, W) is read as HW tokens of C channels; each token is
-    L2-normalized over channels (with a small guard against zero rows) and
-    the per-sample (HW x HW) inner-product matrix is returned.
+    L2-normalized over channels by the normalization `loss_rel` applies
+    (with a small guard against zero rows), and the per-sample (HW x HW)
+    inner-product matrix is returned.
     """
-    u = _unit_tokens(t)
-    return T.matmul(T.transpose(u, (0, 2, 1)), u)
+    if t.ndim != 4:
+        raise T.ShapeError(f"expected 4-D input, got {t.shape}")
+    u, _ = T._normalize_tokens(t.data)
+    return Tensor(np.swapaxes(u, 1, 2) @ u)
 
 
 def loss_rel(student_out: Tensor, teacher_out: Tensor) -> Tensor:
     """Squared Frobenius distance of relation matrices, scaled by 1/(N*(HW)^2).
 
-    Evaluated by `relation_mse` on the normalized tokens, through the
+    One `relation_mse` call: it normalizes the tokens and works through the
     C x C Grams when C < HW, so the relation matrices are never formed.
     """
     _check_4d_pair(student_out, teacher_out)
-    return T.relation_mse(_unit_tokens(student_out), _unit_tokens(teacher_out))
+    return T.relation_mse(student_out, teacher_out)
 
 
 def loss_soft(student_logits: Tensor, teacher_logits: Tensor,

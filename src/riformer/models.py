@@ -273,9 +273,6 @@ class ModelWeights:
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         yield from self.params.items()
 
-    def num_params(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     def clone(self) -> "ModelWeights":
         return copy.deepcopy(self)
 

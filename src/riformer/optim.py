@@ -15,10 +15,10 @@ class AdamW:
     Parameters for which `no_decay` holds, those with fewer than two
     dimensions (norm scales/shifts, biases, layer scales, affine mixer
     coefficients), are excluded from decay; the name is not consulted.
+    Each `step` takes the learning rate, which the schedule sets.
     """
 
     params: list[tuple[str, Tensor]]
-    lr: float = 1e-3
     weight_decay: float = 0.05
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
@@ -36,9 +36,7 @@ class AdamW:
         for _, p in self.params:
             p.zero_grad()
 
-    def step(self, lr: float | None = None) -> None:
-        if lr is None:
-            lr = self.lr
+    def step(self, lr: float) -> None:
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count

@@ -1,11 +1,11 @@
 """Dense float32 tensors with tape-based reverse-mode automatic differentiation.
 
 Only the kernels the backbone, its losses and the analysis tools call are
-provided: elementwise arithmetic and square root, per-sample group
-normalization (one group), valid-count average pooling, strided convolution
-for patch embedding, channel-wise and head linear maps, GELU, stochastic
-depth, log-softmax and KL divergence, sums, spatial means and MSE, batched
-matmul, and the MSE of two batches of token relation (Gram) matrices.
+provided: elementwise add, subtract and multiply, a reshape, per-sample
+group normalization (one group), valid-count average pooling, strided
+convolution for patch embedding, channel-wise and head linear maps, GELU,
+stochastic depth, log-softmax and KL divergence, the sum of all elements,
+spatial means, MSE, and the MSE of two batches of token relation matrices.
 Kernels are called as functions; a Tensor has no operator overloads. No
 general broadcasting beyond scalars and per-channel vectors, no higher-order
 gradients, no devices other than CPU.
@@ -251,21 +251,6 @@ def mul(a, b) -> Tensor:
                   lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
 
 
-def div(a, b) -> Tensor:
-    da, db = _coerce(a), _coerce(b)
-    _broadcast_ok(da, db)
-    sa, sb = da.shape, db.shape
-    return _apply(da / db, (a, b),
-                  lambda g: (_unbroadcast(g / db, sa),
-                             _unbroadcast(-g * da / (db * db), sb)))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    da = _coerce(a)
-    out = np.sqrt(da)
-    return _apply(out, (a,), lambda g: (g * 0.5 / out,))
-
-
 # ---------------------------------------------------------------------------
 # Shape manipulation
 
@@ -275,27 +260,15 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _apply(da.reshape(shape), (a,), lambda g: (g.reshape(old),), 0)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    da = _coerce(a)
-    inv = np.argsort(axes)
-    return _apply(np.transpose(da, axes), (a,),
-                  lambda g: (np.transpose(g, inv),), 0)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor) -> Tensor:
+    """The sum of all elements."""
     da = _coerce(a)
     shape = da.shape
-
-    def bwd(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return _apply(da.sum(axis=axis, keepdims=keepdims), (a,), bwd, da.size)
+    return _apply(da.sum(), (a,),
+                  lambda g: (np.broadcast_to(g, shape).copy(),), da.size)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -316,87 +289,91 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return _apply(out, (a, b), bwd, 3 * n)  # subtract, square, accumulate
 
 
-def relation_mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean over (N, P, P) of (a_n^T a_n - b_n^T b_n)^2 for (N, C, P) inputs:
-    the MSE of two batches of P x P Gram matrices, without forming them when
-    C < P.
+def _normalize_tokens(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, C, H, W) -> the HW tokens of C channels as (N, C, HW) in float64,
+    each divided by its norm n = sqrt(sum x^2 + 1e-24) + 1e-12 (an all-zero
+    token stays 0), and the (N, 1, HW) norms."""
+    t = x.reshape(x.shape[0], x.shape[1], -1).astype(np.float64)
+    norm = np.sqrt((t * t).sum(axis=1, keepdims=True) + 1e-24) + 1e-12
+    return t / norm, norm
 
-    With A = a_n and B = b_n, ||A^T A - B^T B||^2 = ||A A^T||^2
-    - 2 ||A B^T||^2 + ||B B^T||^2, so the shape picks the smaller products:
-    D = A^T A - B^T B when P <= C, else the C x C Grams Ga = A A^T,
-    Gb = B B^T and M = A B^T. Everything is evaluated in float64 and the
-    loss is rounded once to float32. Each side's products run the same
-    matmul on operands of the same layout, so identical inputs give exactly
-    0.
-    With s = 1 / (N P^2) the gradients are 4s A D and -4s B D, that is
-    4s (Ga A - M B) and 4s (Gb B - M^T A). Counted as 2 FLOPs per
-    multiply-add of the products formed, plus 1 per subtract, square and
-    accumulate over their entries.
+
+def relation_mse(a: Tensor, b: Tensor) -> Tensor:
+    """The MSE of two batches of token relation matrices, without forming
+    them when C < P.
+
+    Each (N, C, H, W) input is read as P = HW tokens of C channels, and
+    each token is normalized over channels (`_normalize_tokens`). With A and
+    B a sample's (C, P) unit tokens, the loss is the mean over (N, P, P) of
+    (A^T A - B^T B)^2. As ||A^T A - B^T B||^2 = ||A A^T||^2 - 2 ||A B^T||^2
+    + ||B B^T||^2, the shape picks the smaller products: D = A^T A - B^T B
+    when P <= C, else the C x C Grams Ga = A A^T, Gb = B B^T and M = A B^T.
+    Everything is evaluated in float64 and the loss is rounded once to
+    float32. Each side's products run the same matmul on operands of the
+    same layout, so identical inputs give exactly 0.
+    With s = 1 / (N P^2) the gradients with respect to the unit tokens are
+    4s A D and -4s B D, that is 4s (Ga A - M B) and 4s (Gb B - M^T A). The
+    normalization's adjoint takes such a gradient gu of u = x / n to
+    gu / n - x (gu . x) / (n^2 (n - 1e-12)), evaluated token by token as
+    (gu - u (gu . u) n / (n - 1e-12)) / n, for a side that needs a gradient
+    only. Counted as 2 FLOPs per multiply-add of the products formed, plus 1
+    per subtract, square and accumulate over their entries, plus 3 per input
+    element for the normalization (square, accumulate, divide).
     """
     da, db = _coerce(a), _coerce(b)
-    if da.shape != db.shape or da.ndim != 3:
-        raise ShapeError(f"relation_mse expects two (N, C, P) inputs of one "
-                         f"shape, got {da.shape} and {db.shape}")
-    n, c, p = da.shape
+    if da.shape != db.shape or da.ndim != 4:
+        raise ShapeError(f"relation_mse expects two (N, C, H, W) inputs of "
+                         f"one shape, got {da.shape} and {db.shape}")
+    n, c, h, w = da.shape
+    p = h * w
     s = 1.0 / (n * p * p)
-    a64, b64 = da.astype(np.float64), db.astype(np.float64)
+    (ua, na), (ub, nb) = _normalize_tokens(da), _normalize_tokens(db)
     need_a, need_b = _needs_grad(a, b)
 
     if p <= c:
-        d = np.swapaxes(a64, 1, 2) @ a64
-        d -= np.swapaxes(b64, 1, 2) @ b64
+        d = np.swapaxes(ua, 1, 2) @ ua
+        d -= np.swapaxes(ub, 1, 2) @ ub
         out = s * np.vdot(d, d)
+        flops = n * p * p * (4 * c + 3)
 
-        def bwd(g):
-            k = 4.0 * s * g.item()
-            return ((a64 @ d * k).astype(np.float32) if need_a else None,
-                    (b64 @ d * -k).astype(np.float32) if need_b else None)
+        def unit_grads():
+            return (ua @ d if need_a else None, ub @ -d if need_b else None)
+    else:
+        at = np.ascontiguousarray(np.swapaxes(ua, 1, 2))
+        bt = np.ascontiguousarray(np.swapaxes(ub, 1, 2))
+        ga, m, gb = ua @ at, ua @ bt, ub @ bt
+        # a sum of squares, so rounding below zero is rounded back up
+        out = max(s * (np.vdot(ga, ga) - 2.0 * np.vdot(m, m)
+                       + np.vdot(gb, gb)), 0.0)
+        flops = n * c * c * (6 * p + 6)
 
-        return _apply(np.float32(out), (a, b), bwd, n * p * p * (4 * c + 3))
-
-    at = np.ascontiguousarray(np.swapaxes(a64, 1, 2))
-    bt = np.ascontiguousarray(np.swapaxes(b64, 1, 2))
-    ga, m, gb = a64 @ at, a64 @ bt, b64 @ bt
-    # a sum of squares, so rounding below zero is rounded back up
-    out = max(s * (np.vdot(ga, ga) - 2.0 * np.vdot(m, m) + np.vdot(gb, gb)),
-              0.0)
+        def unit_grads():
+            gua = gub = None
+            if need_a:
+                gua = ga @ ua
+                gua -= m @ ub
+            if need_b:
+                gub = gb @ ub
+                gub -= np.swapaxes(m, 1, 2) @ ua
+            return gua, gub
 
     def bwd(g):
         k = 4.0 * s * g.item()
-        grad_a = grad_b = None
-        if need_a:
-            grad_a = ga @ a64
-            grad_a -= m @ b64
-            grad_a = (grad_a * k).astype(np.float32)
-        if need_b:
-            grad_b = gb @ b64
-            grad_b -= np.swapaxes(m, 1, 2) @ a64
-            grad_b = (grad_b * k).astype(np.float32)
-        return (grad_a, grad_b)
+        grads = []
+        for gu, u, norm in zip(unit_grads(), (ua, ub), (na, nb)):
+            if gu is not None:
+                dot = (gu * u).sum(axis=1, keepdims=True)
+                gu -= u * (dot * (norm / (norm - 1e-12)))
+                gu *= k / norm
+                gu = gu.astype(np.float32).reshape(da.shape)
+            grads.append(gu)
+        return tuple(grads)
 
-    return _apply(np.float32(out), (a, b), bwd, n * c * c * (6 * p + 6))
+    return _apply(np.float32(out), (a, b), bwd, flops + 6 * da.size)
 
 
 # ---------------------------------------------------------------------------
 # Linear algebra
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D or batched 3-D matrix product."""
-    da, db = _coerce(a), _coerce(b)
-    if da.shape[-1] != db.shape[-2]:
-        raise ShapeError(f"matmul inner dims: {da.shape} @ {db.shape}")
-    need_a, need_b = _needs_grad(a, b)
-
-    def bwd(g):
-        ga = (_unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape)
-              if need_a else None)
-        gb = (_unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape)
-              if need_b else None)
-        return (ga, gb)
-
-    out = da @ db
-    return _apply(out, (a, b), bwd, 2 * da.shape[-1] * out.size)
-
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """(N, C) @ (K, C)^T + (K,) -- the classifier head."""

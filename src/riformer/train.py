@@ -150,8 +150,7 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
     if cfg.init_from_teacher:
         load_from_teacher(model, teacher)
 
-    opt = AdamW(list(model.named_parameters()), lr=cfg.base_lr,
-                weight_decay=cfg.weight_decay)
+    opt = AdamW(list(model.named_parameters()), weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 101])
     droppath_rng = np.random.default_rng([cfg.seed, 202])
 

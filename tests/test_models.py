@@ -211,8 +211,10 @@ def test_affine_at_init_equals_identity_model():
 
 def test_affine_param_surplus_is_two_dim_per_block():
     spec = tiny_spec("affine")
-    surplus = (build_model(spec, seed=0).num_params()
-               - build_model(tiny_spec("identity"), seed=0).num_params())
+    affine = build_model(spec, seed=0)
+    ident = build_model(tiny_spec("identity"), seed=0)
+    surplus = (sum(p.size for p in affine.params.values())
+               - sum(p.size for p in ident.params.values()))
     expect = sum(st.depth * 2 * st.dim for st in spec.stages)
     assert surplus == expect
 

@@ -11,9 +11,9 @@ def scalar_param(value):
 
 def test_zero_grad_zero_decay_leaves_params_unchanged():
     p = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2), requires_grad=True)
-    opt = AdamW([("w", p)], lr=0.1, weight_decay=0.0)
+    opt = AdamW([("w", p)], weight_decay=0.0)
     before = p.data.copy()
-    opt.step()
+    opt.step(0.1)
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -21,32 +21,24 @@ def test_single_step_matches_hand_computation():
     # g=1, lr=0.1: m_hat = 1, v_hat = 1, update = 1/(1 + eps) -> ~0.1 decrease
     p = scalar_param(2.0)
     p.grad = np.array([1.0], np.float32)
-    opt = AdamW([("w", p)], lr=0.1, weight_decay=0.0)
-    opt.step()
+    opt = AdamW([("w", p)], weight_decay=0.0)
+    opt.step(0.1)
     assert abs(p.data[0] - 1.9) < 1e-5
 
 
 def test_decoupled_decay_shrinks_without_gradient():
     p = Tensor(np.full((2, 3), 4.0, np.float32), requires_grad=True)
-    opt = AdamW([("w", p)], lr=0.1, weight_decay=0.05)
-    opt.step()
+    opt = AdamW([("w", p)], weight_decay=0.05)
+    opt.step(0.1)
     # p * (1 - lr*wd) = 4 * 0.995 = 3.98, no moment update from zero grad
     np.testing.assert_allclose(p.data, 3.98, atol=1e-6)
 
 
 def test_vectors_are_excluded_from_decay():
     gamma = Tensor(np.full(3, 4.0, np.float32), requires_grad=True)
-    opt = AdamW([("norm.gamma", gamma)], lr=0.1, weight_decay=0.05)
-    opt.step()
+    opt = AdamW([("norm.gamma", gamma)], weight_decay=0.05)
+    opt.step(0.1)
     np.testing.assert_array_equal(gamma.data, np.full(3, 4.0, np.float32))
-
-
-def test_lr_override_at_step_time():
-    p = scalar_param(1.0)
-    p.grad = np.array([1.0], np.float32)
-    opt = AdamW([("w", p)], lr=1.0, weight_decay=0.0)
-    opt.step(lr=0.01)
-    assert abs(p.data[0] - 0.99) < 1e-5
 
 
 def test_gradient_shape_mismatch_rejected():
@@ -54,16 +46,16 @@ def test_gradient_shape_mismatch_rejected():
     p.grad = np.ones((2, 2), np.float32)
     opt = AdamW([("w", p)], weight_decay=0.0)
     with pytest.raises(ShapeError):
-        opt.step()
+        opt.step(1e-3)
 
 
 def test_moments_accumulate_across_steps():
     # with constant gradient the bias-corrected update stays ~1 each step
     p = scalar_param(0.0)
-    opt = AdamW([("w", p)], lr=0.1, weight_decay=0.0)
+    opt = AdamW([("w", p)], weight_decay=0.0)
     for _ in range(5):
         p.grad = np.array([1.0], np.float32)
-        opt.step()
+        opt.step(0.1)
     assert abs(p.data[0] + 0.5) < 1e-3
 
 

@@ -91,7 +91,8 @@ def test_deploy_param_count_drops_by_two_dim_per_block():
     model = build_model(tiny_spec("affine"), seed=0)
     deploy = switch_to_deploy(model)
     expect = sum(st.depth * 3 * st.dim for st in model.spec.stages)
-    assert model.num_params() - deploy.num_params() == expect
+    assert (sum(p.size for p in model.params.values())
+            - sum(p.size for p in deploy.params.values())) == expect
 
 
 def test_deploy_norm_folds_layer_scale_bitwise():

@@ -50,20 +50,16 @@ def param(rng, *shape, scale=1.0, offset=0.0):
 def test_grad_elementwise(seed):
     rng = np.random.default_rng(seed)
     a = param(rng, 3, 4)
-    b = param(rng, 3, 4, offset=3.0)  # keep div and log well away from 0
+    b = param(rng, 3, 4, offset=3.0)
     check_gradients(lambda: T.add(a, b), [a, b], rng, wseed=seed)
     check_gradients(lambda: T.sub(a, b), [a, b], rng, wseed=seed)
     check_gradients(lambda: T.mul(a, b), [a, b], rng, wseed=seed)
-    check_gradients(lambda: T.div(a, b), [a, b], rng, wseed=seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_unary(seed):
     rng = np.random.default_rng(seed)
-    pos = param(rng, 2, 5, scale=0.3, offset=2.0)
     x = param(rng, 2, 5)
-    wseed = seed + 1
-    check_gradients(lambda: T.sqrt(pos), [pos], rng, wseed=wseed)
     check_gradients(lambda: T.gelu(x), [x], rng, wseed=seed)
 
 
@@ -73,7 +69,6 @@ def test_grad_shape_ops(seed):
     a = param(rng, 2, 3, 4)
     wseed = seed + 1
     check_gradients(lambda: T.reshape(a, (6, 4)), [a], rng, wseed=wseed)
-    check_gradients(lambda: T.transpose(a, (2, 0, 1)), [a], rng, wseed=wseed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -82,16 +77,16 @@ def test_grad_reductions(seed):
     a = param(rng, 3, 5)
     b = param(rng, 3, 5)
     wseed = seed + 1
-    check_gradients(lambda: T.tsum(a, axis=1), [a], rng, wseed=wseed)
+    check_gradients(lambda: T.tsum(a), [a], rng, wseed=wseed)
     check_gradients(lambda: T.mse(a, b), [a, b], rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", [(2, 3, 7), (2, 6, 3)],
+@pytest.mark.parametrize("shape", [(2, 3, 2, 4), (2, 6, 1, 3)],
                          ids=["gram_side", "relation_side"])
 def test_grad_relation_mse(seed, shape):
-    # (N, C, P) with C < P runs through the C x C Grams, C > P through the
-    # P x P difference
+    # (N, C, H, W) with C < HW runs through the C x C Grams, C > HW through
+    # the HW x HW difference; the tokens are normalized inside the kernel
     rng = np.random.default_rng(seed)
     a = param(rng, *shape, scale=0.5)
     b = param(rng, *shape, scale=0.5)
@@ -101,17 +96,11 @@ def test_grad_relation_mse(seed, shape):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_grad_matmul_linear(seed):
     rng = np.random.default_rng(seed)
-    a = param(rng, 3, 4)
-    b = param(rng, 4, 2)
-    ab = param(rng, 2, 3, 4)
-    bb = param(rng, 2, 4, 3)
     x = param(rng, 3, 5)
     w = param(rng, 2, 5)
     bias = param(rng, 2)
-    wseed = seed + 1
-    check_gradients(lambda: T.matmul(a, b), [a, b], rng, wseed=wseed)
-    check_gradients(lambda: T.matmul(ab, bb), [ab, bb], rng, wseed=wseed)
-    check_gradients(lambda: T.linear(x, w, bias), [x, w, bias], rng, wseed=wseed)
+    check_gradients(lambda: T.linear(x, w, bias), [x, w, bias], rng,
+                    wseed=seed + 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -361,11 +350,11 @@ MASKED_KERNELS = {
     "conv2d": (lambda a: T.conv2d(*a, 4, 2), [(2, 3, 16, 16), (4, 3, 7, 7), (4,)]),
     "channel_linear": (lambda a: T.channel_linear(*a), [(2, 3, 4, 4), (5, 3), (5,)]),
     "linear": (lambda a: T.linear(*a), [(3, 5), (2, 5), (2,)]),
-    "matmul": (lambda a: T.matmul(*a), [(2, 3, 4), (2, 4, 3)]),
     "mse": (lambda a: T.mse(*a), [(3, 4), (3, 4)]),
-    "relation_mse": (lambda a: T.relation_mse(*a), [(2, 3, 5), (2, 3, 5)]),
+    "relation_mse": (lambda a: T.relation_mse(*a),
+                     [(2, 3, 2, 3), (2, 3, 2, 3)]),
     "relation_mse_p_le_c": (lambda a: T.relation_mse(*a),
-                            [(2, 5, 3), (2, 5, 3)]),
+                            [(2, 5, 1, 3), (2, 5, 1, 3)]),
 }
 
 
@@ -446,31 +435,70 @@ def test_mse_double_loop_oracle():
     assert abs(T.mse(Tensor(a), Tensor(b)).item() - acc / 12) < 1e-6
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 10), (2, 7, 3), (3, 4, 4),
-                                   (2, 5, 1)],
-                         ids=["c_lt_p", "c_gt_p", "c_eq_p", "p_1"])
-def test_relation_mse_brute_force_oracle(shape):
-    # every P x P relation entry in float64, one at a time; b close to a,
-    # so the Gram-side terms nearly cancel
+def _relation_mse_brute_force(a, b):
+    """The relation MSE of two (N, C, H, W) float64 arrays, one token and one
+    relation entry at a time: each token divided by its guarded norm
+    sqrt(sum x^2 + 1e-24) + 1e-12, then every P x P entry formed."""
+    n, c = a.shape[:2]
+    units = []
+    for x in (a, b):
+        t = x.reshape(n, c, -1)
+        u = np.empty_like(t)
+        for k, i in np.ndindex(n, t.shape[2]):
+            u[k, :, i] = t[k, :, i] / (math.sqrt(t[k, :, i] @ t[k, :, i]
+                                                 + 1e-24) + 1e-12)
+        units.append(u)
+    ua, ub = units
+    p = ua.shape[2]
+    acc = 0.0
+    for k, i, j in np.ndindex(n, p, p):
+        acc += (ua[k, :, i] @ ua[k, :, j] - ub[k, :, i] @ ub[k, :, j]) ** 2
+    return acc / (n * p * p)
+
+
+@pytest.mark.parametrize("shape,zero_token",
+                         [((2, 3, 2, 5), False), ((2, 7, 3, 1), False),
+                          ((3, 4, 2, 2), False), ((2, 5, 1, 1), False),
+                          ((2, 3, 2, 3), True)],
+                         ids=["c_lt_p", "c_gt_p", "c_eq_p", "p_1",
+                              "zero_token"])
+def test_relation_mse_brute_force_oracle(shape, zero_token):
+    # b close to a, so the Gram-side terms nearly cancel
     rng = np.random.default_rng(6)
     a = rng.normal(0, 1, shape).astype(np.float32)
     b = (a + rng.normal(0, 0.01, shape)).astype(np.float32)
-    n, c, p = shape
-    a64, b64 = a.astype(np.float64), b.astype(np.float64)
-    d = np.zeros((n, p, p))
-    for k, i, j in np.ndindex(n, p, p):
-        d[k, i, j] = a64[k, :, i] @ a64[k, :, j] - b64[k, :, i] @ b64[k, :, j]
-    expect = (d * d).mean()
+    # the guard's region: FD steps there would cross the 1e-12 scale on
+    # which the normalization bends, so no coordinate of it is probed
+    guarded = np.zeros(shape, bool)
+    if zero_token:
+        a[0, :, 0, 0] = 0.0
+        guarded[0, :, 0, 0] = True
+    inputs = [a.astype(np.float64), b.astype(np.float64)]
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
         loss = T.relation_mse(ta, tb)
         tape.backward(loss)
     # evaluated in float64 and rounded once: within one float32 rounding
-    assert loss.item() == pytest.approx(expect, rel=2 ** -23)
-    # the gradient of s * ||A^T A - B^T B||^2 is 4s A D, and -4s B D for B
-    s = 4.0 / (n * p * p)
-    np.testing.assert_allclose(ta.grad, s * a64 @ d, rtol=1e-5, atol=1e-7)
-    np.testing.assert_allclose(tb.grad, -s * b64 @ d, rtol=1e-5, atol=1e-7)
+    assert loss.item() == pytest.approx(_relation_mse_brute_force(*inputs),
+                                        rel=2 ** -23)
+    # the gradients against float64 central differences of the brute force
+    h = 1e-6
+    for x, t, skip in ((inputs[0], ta, guarded),
+                       (inputs[1], tb, np.zeros(shape, bool))):
+        assert np.isfinite(t.grad).all()
+        coords = rng.choice(np.flatnonzero(~skip), size=6, replace=False)
+        flat = x.reshape(-1)
+        numeric = []
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = _relation_mse_brute_force(*inputs)
+            flat[i] = orig - h
+            lm = _relation_mse_brute_force(*inputs)
+            flat[i] = orig
+            numeric.append((lp - lm) / (2 * h))
+        err = np.linalg.norm(t.grad.reshape(-1)[coords] - numeric)
+        assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-12
     assert T.relation_mse(Tensor(a), Tensor(a.copy())).item() == 0.0
 
 
@@ -547,8 +575,9 @@ def test_no_tape_means_constant_outputs():
 def test_non_finite_input_rejected():
     with pytest.raises(NumericsError):
         Tensor(np.array([np.nan], np.float32))
-    with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-        T.sqrt(Tensor(np.array([-1.0], np.float32)))
+    # a kernel whose float32 output overflows
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        T.mul(Tensor(np.array([3e38], np.float32)), 10.0)
 
 
 def test_shape_mismatch_rejected():
@@ -630,15 +659,16 @@ def test_kernel_flop_counts():
         == 2 * 6 * 20 * (2 * 3 + 1)
     assert _profiled_flops(lambda: T.channel_linear(x, w)) \
         == 2 * 6 * 20 * (2 * 3)
-    # C < P: three 3x3 Grams over 5 tokens, each entry squared and summed
-    a = Tensor(rng.normal(size=(2, 3, 5)))
+    # C < P: three 3x3 Grams over 5 tokens, each entry squared and summed,
+    # and both sides' 30 elements normalized
+    a = Tensor(rng.normal(size=(2, 3, 1, 5)))
     assert _profiled_flops(lambda: T.relation_mse(a, a)) \
-        == 2 * 3 * 9 * (2 * 5 + 2)
+        == 2 * 3 * 9 * (2 * 5 + 2) + 6 * 30
     # P <= C: two 3x3 relation products over 5 channels, then subtract,
     # square and sum each entry
-    a = Tensor(rng.normal(size=(2, 5, 3)))
+    a = Tensor(rng.normal(size=(2, 5, 1, 3)))
     assert _profiled_flops(lambda: T.relation_mse(a, a)) \
-        == 2 * 9 * (2 * 2 * 5 + 3)
+        == 2 * 9 * (2 * 2 * 5 + 3) + 6 * 30
     # shape kernels count nothing, a profile outside a model charges ""
     with T._Profile() as profile:
         T.reshape(x, (2, 60))
