@@ -15,7 +15,7 @@ from .data import (Dataset, SynthSpec, synth_dataset, load_cifar10_binary)
 from .checkpoint import (CheckpointError, save_checkpoint, load_checkpoint,
                          read_header)
 from .train import (TrainConfig, TrainResult, TrainingDiverged, RECIPES,
-                    LOG_COLUMNS, train, evaluate, write_log)
+                    LOG_COLUMNS, train, evaluate)
 from .bench import (BenchProtocol, BenchReport, BreakdownRow, throughput,
                     latency_breakdown, reduce_timings, op_count, thread_count)
 from .analysis import (erf_map, erf_active_area, stage_activations,
@@ -35,7 +35,7 @@ __all__ = [
     "synth_dataset", "load_cifar10_binary", "CheckpointError",
     "save_checkpoint", "load_checkpoint", "read_header", "TrainConfig",
     "TrainResult", "TrainingDiverged", "RECIPES", "LOG_COLUMNS", "train",
-    "evaluate", "write_log", "BenchProtocol", "BenchReport", "BreakdownRow",
+    "evaluate", "BenchProtocol", "BenchReport", "BreakdownRow",
     "throughput", "latency_breakdown", "reduce_timings", "op_count",
     "thread_count", "erf_map", "erf_active_area", "stage_activations",
     "feature_histogram", "wasserstein_binned", "feature_distance",

@@ -65,7 +65,8 @@ def save_checkpoint(model: ModelWeights, path: str,
 
 def _read_header(f) -> tuple[dict, ModelSpec]:
     """Read and check the header of an open checkpoint; `f` is left at the
-    payload. Returns the header and its parsed spec."""
+    payload. Returns the header, whose spec echo is rewritten from the parsed
+    spec so that defaults are filled in, and the parsed spec."""
     magic = f.read(len(MAGIC))
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
@@ -77,11 +78,18 @@ def _read_header(f) -> tuple[dict, ModelSpec]:
         # a cut header is never a whole JSON object, so it fails here too
         header = json.loads(f.read(hlen).decode("utf-8"))
         _from_dict(CheckpointHeader, header)
+        # headers written while the spec had stochastic depth echo its rate
+        drop_path_rate = header["spec"].pop("drop_path_rate", 0)
         for entry in header["manifest"]:
             _from_dict(ManifestEntry, entry)
         spec = ModelSpec.from_dict(header["spec"])
+        header["spec"] = spec.to_dict()
     except ValueError as e:  # JSON and UTF-8 errors are ValueErrors too
         raise CheckpointError(f"corrupt header: {e}") from None
+    if drop_path_rate != 0:
+        raise CheckpointError(f"spec has drop_path_rate {drop_path_rate!r}; "
+                              f"only a rate of 0 loads, as stochastic depth "
+                              f"is gone")
     if header["deploy"] and spec.mixer_kind != "affine":
         raise CheckpointError(f"deploy header on a {spec.mixer_kind!r} spec")
     if header["deploy"] and any(e["name"].endswith(".layer_scale_1")

@@ -307,7 +307,7 @@ def _cmd_inspect_ckpt(args) -> int:
     summary = {
         "deploy": header["deploy"],
         "meta": header["meta"],
-        "mixer_kind": ModelSpec.from_dict(header["spec"]).mixer_kind,
+        "mixer_kind": header["spec"]["mixer_kind"],
         "num_tensors": len(header["manifest"]),
         "total_params": sum(math.prod(e["shape"]) for e in header["manifest"]),
     }

@@ -112,7 +112,6 @@ class ModelSpec:
     pool_size: int = 3
     num_classes: int = 8
     layer_scale_init: float = 1e-5
-    drop_path_rate: float = 0.0
     input_resolution: int = 64
     in_channels: int = 3
 
@@ -126,8 +125,6 @@ class ModelSpec:
         if self.mixer_kind == "pooling" and not (self.pool_size > 0
                                                  and self.pool_size % 2):
             raise ValueError(f"pool_size must be odd and >= 1, got {self.pool_size}")
-        if not (0.0 <= self.drop_path_rate < 1.0):
-            raise ValueError("drop_path_rate must be in [0, 1)")
         if not math.isfinite(self.layer_scale_init):
             raise ValueError(f"layer_scale_init must be finite, "
                              f"got {self.layer_scale_init}")
@@ -323,28 +320,14 @@ def _scale(x: Tensor, ls: Tensor) -> Tensor:
 
 
 def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
-                  training: bool = False,
-                  rng: Optional[np.random.Generator] = None,
                   capture: Optional[CaptureSet] = None,
                   index: int = -1) -> Tensor:
     grab = capture is not None and index in capture.layers
-    dropping = training and spec.drop_path_rate > 0.0
-
-    def maybe_drop(branch: Tensor) -> Tensor:
-        if dropping:
-            if rng is None:
-                raise ValueError("training with drop_path requires an rng")
-            return T.drop_path(branch, spec.drop_path_rate, rng)
-        return branch
-
     # The first sub-block: a deploy block (layer_scale_1 folded into its
     # norm) runs x + norm1(x) as one kernel, captured or not; an identity
     # block adds exactly zero and runs none.
     _mark("norm")
     if bw.layer_scale_1 is None:
-        if dropping:
-            raise ValueError("drop_path needs the train form; a deploy "
-                             "block has no first-sub-block branch to drop")
         x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, residual=True)
     elif spec.mixer_kind == "identity":
         if grab:
@@ -357,20 +340,18 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
                   else pooling_mixer(branch, spec.pool_size))
         if grab:
             capture.mixer_out[index] = branch
-        x = T.add(x, maybe_drop(_scale(branch, bw.layer_scale_1)))
+        x = T.add(x, _scale(branch, bw.layer_scale_1))
 
     _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta)
     _mark("mlp")
-    x = T.add(x, maybe_drop(_scale(_mlp(h2, bw), bw.layer_scale_2)))
+    x = T.add(x, _scale(_mlp(h2, bw), bw.layer_scale_2))
     if grab:
         capture.block_out[index] = x
     return x
 
 
 def forward_features(model: ModelWeights, x: Tensor, *,
-                     training: bool = False,
-                     rng: Optional[np.random.Generator] = None,
                      capture: Optional[CaptureSet] = None) -> Tensor:
     """Run the backbone up to (excluding) the classifier head."""
     spec = model.spec
@@ -387,8 +368,7 @@ def forward_features(model: ModelWeights, x: Tensor, *,
         _mark("embedding")
         x = T.conv2d(x, ew, eb, st.stride, st.padding)
         for bw in model.blocks[si]:
-            x = block_forward(x, bw, spec, training=training, rng=rng,
-                              capture=capture, index=gi)
+            x = block_forward(x, bw, spec, capture=capture, index=gi)
             gi += 1
         if capture is not None:
             capture.stage_out[si + 1] = x
@@ -396,12 +376,9 @@ def forward_features(model: ModelWeights, x: Tensor, *,
 
 
 def forward(model: ModelWeights, x: Tensor, *,
-            training: bool = False,
-            rng: Optional[np.random.Generator] = None,
             capture: Optional[CaptureSet] = None) -> Tensor:
     """Full forward pass to logits of shape (N, num_classes)."""
-    feats = forward_features(model, x, training=training, rng=rng,
-                             capture=capture)
+    feats = forward_features(model, x, capture=capture)
     _mark("head")
     feats = T.group_norm_1(feats, model.final_gamma, model.final_beta)
     pooled = T.global_spatial_mean(feats)

@@ -80,8 +80,7 @@ def verify_equivalence(train_model: ModelWeights, deploy_model: ModelWeights,
                        n_probes: int = 100, tol: float = 1e-5,
                        seed: int = 0) -> EquivalenceReport:
     """Compare logits and every block output on `n_probes` random inputs,
-    run through both models in chunks of VERIFY_CHUNK. Both run eval-mode
-    forwards, where drop-path never applies."""
+    run through both models in chunks of VERIFY_CHUNK."""
     if n_probes < 1:
         raise ValueError(f"need at least one probe, got {n_probes}")
     # written so that a NaN fails the range; an infinite tol passes anything

@@ -4,7 +4,7 @@ Only the kernels the backbone, its losses and the analysis tools call are
 provided: elementwise add, subtract and multiply, a reshape, per-sample
 group normalization (one group), valid-count average pooling, strided
 convolution for patch embedding, channel-wise and head linear maps, GELU,
-stochastic depth, log-softmax and KL divergence, the sum of all elements,
+log-softmax and KL divergence, the sum of all elements,
 spatial means, MSE, and the MSE of two batches of token relation matrices.
 Kernels are called as functions; a Tensor has no operator overloads. No
 general broadcasting beyond scalars and per-channel vectors, no higher-order
@@ -761,15 +761,3 @@ def kl_div(log_p: Tensor, log_q: Tensor) -> Tensor:
         return (None, (-g * p / n).astype(np.float32))
 
     return _apply(out, (log_p, log_q), bwd, 4 * dlp.size)  # exp, sub, mul, sum
-
-
-def drop_path(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Stochastic depth: zero whole samples, rescale survivors."""
-    if rate <= 0.0:
-        return x
-    dx = _coerce(x)
-    keep = 1.0 - rate
-    mask = (rng.random(dx.shape[0]) < keep).astype(np.float64) / keep
-    mask = mask.reshape((-1,) + (1,) * (dx.ndim - 1))
-    return _apply(dx * mask, (x,),
-                  lambda g: ((g * mask).astype(np.float32),))

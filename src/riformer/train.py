@@ -152,7 +152,6 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
 
     opt = AdamW(list(model.named_parameters()), weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 101])
-    droppath_rng = np.random.default_rng([cfg.seed, 202])
 
     mi_cfg = cfg.imitation
     mi_layers: tuple[int, ...] = ()
@@ -179,7 +178,7 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
         steps = 0
         for xb, yb, idx in train_data.batches(cfg.batch_size, shuffle_rng):
             report = _step(model, teacher, cache, xb, yb, idx, cfg, mi_layers,
-                           epoch, opt, lr, droppath_rng)
+                           epoch, opt, lr)
             for key in sums:
                 sums[key] += getattr(report, key)
             steps += 1
@@ -197,7 +196,7 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
 class _TeacherCache:
     """The frozen teacher's outputs within one `train()` call, by sample index.
 
-    The teacher runs outside the tape in eval mode, and `Dataset.batches`
+    The teacher runs outside the tape, and `Dataset.batches`
     serves stored samples without augmentation, so a sample's logits and MI
     activations do not depend on the epoch. The first epoch's live forwards
     fill one array per output; later epochs gather from them, so a gathered
@@ -285,8 +284,7 @@ def _teacher_outputs(teacher: ModelWeights, cache: Optional[_TeacherCache],
 
 def _step(model, teacher, cache: Optional[_TeacherCache], xb, yb, idx,
           cfg: TrainConfig, mi_layers: tuple[int, ...], epoch: int,
-          opt: AdamW, lr: float,
-          droppath_rng: np.random.Generator) -> LossReport:
+          opt: AdamW, lr: float) -> LossReport:
     fields = _mi_fields(cfg, (epoch,))
     teacher_logits = teacher_cap = None
     if cfg.recipe != "ce":
@@ -296,8 +294,7 @@ def _step(model, teacher, cache: Optional[_TeacherCache], xb, yb, idx,
     try:
         with Tape() as tape:
             student_cap = CaptureSet.for_layers(mi_layers) if fields else None
-            logits = forward(model, Tensor(xb), training=True,
-                             rng=droppath_rng, capture=student_cap)
+            logits = forward(model, Tensor(xb), capture=student_cap)
             if cfg.recipe == "ce":
                 targets = _smoothed_targets(yb, model.spec.num_classes,
                                             cfg.label_smoothing)

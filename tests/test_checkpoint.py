@@ -172,6 +172,60 @@ def test_old_deploy_layout_rejected(tmp_path, capsys):
         assert "re-fuse" in out.err
 
 
+def _legacy_drop_path_checkpoint(tmp_path, rate):
+    # headers written while the spec had stochastic depth echo its rate
+    model = build_model(tiny_spec("affine"), seed=0)
+    path = str(tmp_path / "legacy.ckpt")
+    save_checkpoint(model, path, meta={"seed": 0})
+    _rewrite_header(path, lambda h: h["spec"].update(drop_path_rate=rate))
+    return model, path
+
+
+def test_legacy_zero_drop_path_rate_loads(tmp_path, capsys):
+    from riformer.cli import main
+    model, path = _legacy_drop_path_checkpoint(tmp_path, 0.0)
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"seed": 0}
+    assert loaded.spec.to_dict() == model.spec.to_dict()
+    orig = dict(model.named_parameters())
+    for name, p in loaded.named_parameters():
+        assert p.data.tobytes() == orig[name].data.tobytes(), name
+    assert main(["inspect-ckpt", "--ckpt", path]) == 0
+    assert json.loads(capsys.readouterr().out)["mixer_kind"] == "affine"
+    deploy = str(tmp_path / "deploy.ckpt")
+    assert main(["fuse", "--in", path, "--out", deploy]) == 0
+    assert main(["verify", "--train", path, "--deploy", deploy,
+                 "--probes", "2"]) == 0
+
+
+def test_read_header_fills_spec_defaults(tmp_path, capsys):
+    # inspect-ckpt reads the checked header, so a spec echo that leaves a
+    # field to its default reports the default
+    from riformer.cli import main
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(build_model(tiny_spec("identity"), seed=0), path)
+    _rewrite_header(path, lambda h: h["spec"].pop("mixer_kind"))
+    assert read_header(path)["spec"]["mixer_kind"] == "identity"
+    assert main(["inspect-ckpt", "--ckpt", path]) == 0
+    assert json.loads(capsys.readouterr().out)["mixer_kind"] == "identity"
+
+
+@pytest.mark.parametrize("rate", [0.1, "x"])
+def test_legacy_nonzero_drop_path_rate_rejected(tmp_path, capsys, rate):
+    from riformer.cli import main
+    _, path = _legacy_drop_path_checkpoint(tmp_path, rate)
+    for read in (read_header, load_checkpoint):
+        with pytest.raises(CheckpointError, match="drop_path_rate"):
+            read(path)
+    for argv in (["inspect-ckpt", "--ckpt", path],
+                 ["dump-affine", "--ckpt", path]):
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "drop_path_rate" in out.err
+
+
 @pytest.mark.parametrize("mutate", [
     lambda h: h.update(manifest=[1]),
     lambda h: h.update(manifest="x"),

@@ -127,23 +127,6 @@ def test_fuse_verify_round_trip(tiny_config, tmp_path, capsys):
     assert report["passed"] is True
 
 
-def test_verify_accepts_a_drop_path_model(tiny_config, tmp_path, capsys):
-    # verify runs eval-mode forwards, where drop-path never applies
-    with open(tiny_config) as f:
-        cfg = json.load(f)
-    cfg["model"]["drop_path_rate"] = 0.1
-    path = tmp_path / "drop_path.json"
-    path.write_text(json.dumps(cfg))
-    train_ckpt = str(tmp_path / "train.ckpt")
-    deploy_ckpt = str(tmp_path / "deploy.ckpt")
-    assert main(["train", "--config", str(path), "--out", train_ckpt]) == 0
-    assert main(["fuse", "--in", train_ckpt, "--out", deploy_ckpt]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--train", train_ckpt, "--deploy", deploy_ckpt,
-                 "--probes", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["passed"] is True
-
-
 def test_verify_perturbed_deploy_fails_with_exit_2(tiny_config, tmp_path,
                                                    capsys):
     from riformer import load_checkpoint, save_checkpoint
@@ -286,8 +269,10 @@ def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
     {"bench": {"bogus": 1}},
     {"model": {"\n": 1}},
     {"train": {"a\r\nb": 1}},
+    {"model": {"drop_path_rate": 0.0}},
 ], ids=["train", "train_cosine", "model", "stage", "imitation",
-        "imitation_tau", "data", "bench", "model_newline", "train_crlf"])
+        "imitation_tau", "data", "bench", "model_newline", "train_crlf",
+        "model_drop_path_rate"])
 def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -300,7 +285,8 @@ def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     assert out.err.count("\n") == 1
     # the key is named quoted, so a line break in it stays on the line
     assert any(repr(key) in out.err for key in ("bogus", "cosine", "depths",
-                                                "dims", "tau", "\n", "a\r\nb"))
+                                                "dims", "tau", "\n", "a\r\nb",
+                                                "drop_path_rate"))
 
 
 def test_config_teacher_ckpt_is_used(tiny_config, tmp_path, capsys):

@@ -294,28 +294,3 @@ def test_constant_input_stays_constant_through_stages():
         np.testing.assert_array_equal(per_channel_spread,
                                       np.zeros_like(per_channel_spread))
 
-
-def test_drop_path_training_requires_rng():
-    spec = tiny_spec("identity", drop_path_rate=0.2)
-    model = build_model(spec, seed=0)
-    with pytest.raises(ValueError):
-        forward(model, rand_input(spec), training=True)
-
-
-def test_deploy_block_rejects_drop_path_in_training():
-    # drop-path acts on the train form's branch; the deploy form folds it
-    # into one kernel, so it only runs inference
-    spec = tiny_spec("affine", drop_path_rate=0.2)
-    deploy = switch_to_deploy(build_model(spec, seed=0))
-    x = rand_input(spec)
-    with pytest.raises(ValueError, match="deploy"):
-        forward(deploy, x, training=True, rng=np.random.default_rng(0))
-    assert np.isfinite(forward(deploy, x).data).all()
-
-
-def test_forward_deterministic_without_drop_path():
-    spec = tiny_spec("pooling")
-    model = build_model(spec, seed=0)
-    x = rand_input(spec)
-    assert np.array_equal(forward(model, x, training=True).data,
-                          forward(model, x).data)

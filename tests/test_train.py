@@ -7,8 +7,9 @@ import pytest
 
 from riformer import (LOG_COLUMNS, ImitationConfig, SynthSpec, Tape, Tensor,
                       TrainConfig, build_model, evaluate, save_checkpoint,
-                      switch_to_deploy, synth_dataset, train, write_log)
+                      switch_to_deploy, synth_dataset, train)
 from riformer.data import Dataset
+from riformer.train import write_log
 from helpers import tiny_spec
 
 
