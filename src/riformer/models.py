@@ -290,12 +290,7 @@ def build_model(spec: ModelSpec, seed: int) -> ModelWeights:
 
 def affine_mixer(m: Tensor, s: Tensor, t: Tensor) -> Tensor:
     """Per-channel scale-and-shift minus its own input: s*m + t - m."""
-    c = m.shape[1]
-    if s.shape != (c,) or t.shape != (c,):
-        raise T.ShapeError(f"affine coefficients must have shape ({c},)")
-    s4 = T.reshape(s, (1, c, 1, 1))
-    t4 = T.reshape(t, (1, c, 1, 1))
-    return T.sub(T.add(T.mul(m, s4), t4), m)
+    return T.sub(T.channel_affine(m, s, t), m)
 
 
 def pooling_mixer(m: Tensor, k: int) -> Tensor:
@@ -313,10 +308,6 @@ def _mlp(x: Tensor, bw: BlockWeights) -> Tensor:
     h = T.channel_linear(x, bw.mlp_w1, bw.mlp_b1)
     h = T.gelu(h)
     return T.channel_linear(h, bw.mlp_w2, bw.mlp_b2)
-
-
-def _scale(x: Tensor, ls: Tensor) -> Tensor:
-    return T.mul(x, T.reshape(ls, (1, ls.shape[0], 1, 1)))
 
 
 def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
@@ -340,12 +331,12 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
                   else pooling_mixer(branch, spec.pool_size))
         if grab:
             capture.mixer_out[index] = branch
-        x = T.add(x, _scale(branch, bw.layer_scale_1))
+        x = T.add(x, T.channel_affine(branch, bw.layer_scale_1))
 
     _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta)
     _mark("mlp")
-    x = T.add(x, _scale(_mlp(h2, bw), bw.layer_scale_2))
+    x = T.add(x, T.channel_affine(_mlp(h2, bw), bw.layer_scale_2))
     if grab:
         capture.block_out[index] = x
     return x

@@ -152,7 +152,6 @@ def test_criterion_03_gradient_suite_10_seeds():
         check_gradients(lambda: T.sub(a, b), [a, b], rng, wseed=ws)
         check_gradients(lambda: T.mul(a, b), [a, b], rng, wseed=ws)
         check_gradients(lambda: T.gelu(a), [a], rng, wseed=ws)
-        check_gradients(lambda: T.reshape(a, (4, 3)), [a], rng, wseed=ws)
         check_gradients(lambda: T.tsum(a), [a], rng, wseed=ws)
         check_gradients(lambda: T.mse(a, b), [a, b], rng)
         check_gradients(lambda: T.log_softmax(a), [a], rng, wseed=ws)
@@ -169,6 +168,8 @@ def test_criterion_03_gradient_suite_10_seeds():
         g, be = p(rng, 3, scale=0.2, offset=1.0), p(rng, 3, scale=0.2)
         check_gradients(lambda: T.group_norm_1(xc, g, be), [xc, g, be], rng,
                         wseed=ws)
+        check_gradients(lambda: T.channel_affine(xc, g, be), [xc, g, be],
+                        rng, wseed=ws)
         check_gradients(lambda: T.avg_pool_same(xc, 3), [xc], rng, wseed=ws)
         xi = p(rng, 2, 2, 8, 8)
         wk, bk = p(rng, 3, 2, 3, 3, scale=0.5), p(rng, 3, scale=0.5)

@@ -7,7 +7,7 @@ import pytest
 import riformer.tensor as T
 from riformer import (Tensor, build_model, forward, fuse_affine,
                       switch_to_deploy, verify_equivalence)
-from riformer.models import CaptureSet, affine_mixer
+from riformer.models import CaptureSet, affine_mixer, block_forward
 from helpers import tiny_spec
 
 
@@ -115,14 +115,9 @@ def test_deploy_norm_folds_layer_scale_bitwise():
         deploy.deploy = False
 
 
-def test_deploy_first_subblock_is_one_kernel_captured_or_not(monkeypatch):
-    # the identity form's first sub-block runs no kernel and the deploy
-    # form's one residual norm per block, captured or not, so verify
-    # certifies the kernels that inference runs
-    spec = tiny_spec("affine")
-    deploy = switch_to_deploy(build_model(spec, seed=0))
-    identity = build_model(tiny_spec("identity"), seed=0)
-    x = Tensor(np.ones((1, 3, 32, 32), np.float32))
+@pytest.fixture
+def kernel_names(monkeypatch):
+    """The name of every kernel run while the test runs, in order."""
     names = []
     apply = T._apply
 
@@ -132,11 +127,22 @@ def test_deploy_first_subblock_is_one_kernel_captured_or_not(monkeypatch):
         return apply(*args, **kwargs)
 
     monkeypatch.setattr(T, "_apply", counted)
+    return names
+
+
+def test_deploy_first_subblock_is_one_kernel_captured_or_not(kernel_names):
+    # the identity form's first sub-block runs no kernel and the deploy
+    # form's one residual norm per block, captured or not, so verify
+    # certifies the kernels that inference runs
+    spec = tiny_spec("affine")
+    deploy = switch_to_deploy(build_model(spec, seed=0))
+    identity = build_model(tiny_spec("identity"), seed=0)
+    x = Tensor(np.ones((1, 3, 32, 32), np.float32))
 
     def kernels(model, capture=None):
-        names.clear()
+        kernel_names.clear()
         forward(model, x, capture=capture)
-        return list(names)
+        return list(kernel_names)
 
     def extra(model, base, capture=None):
         names = kernels(model, capture)
@@ -148,6 +154,30 @@ def test_deploy_first_subblock_is_one_kernel_captured_or_not(monkeypatch):
     assert extra(deploy, identity) == ["group_norm_1"] * n
     everything = CaptureSet.for_layers(range(n))
     assert extra(deploy, identity, everything) == ["group_norm_1"] * n
+
+
+def test_block_kernel_sequence_per_form(kernel_names):
+    # each per-channel vector (affine s and t, the layer scales) is one
+    # channel_affine kernel, with no reshape or broadcasting around it
+    mlp = ["group_norm_1", "channel_linear", "gelu", "channel_linear",
+           "channel_affine", "add"]
+    expect = {
+        "deploy": ["group_norm_1"] + mlp,
+        "affine": ["group_norm_1", "channel_affine", "sub", "channel_affine",
+                   "add"] + mlp,
+        "pooling": ["group_norm_1", "avg_pool_same", "sub", "channel_affine",
+                    "add"] + mlp,
+        "identity": mlp,
+    }
+    x = Tensor(np.ones((1, 8, 4, 4), np.float32))
+    for form, names in expect.items():
+        model = build_model(tiny_spec("affine" if form == "deploy" else form),
+                            seed=0)
+        if form == "deploy":
+            model = switch_to_deploy(model)
+        kernel_names.clear()
+        block_forward(x, model.blocks[2][0], model.spec)
+        assert kernel_names == names, form
 
 
 def test_source_model_untouched_by_fusion():

@@ -64,11 +64,15 @@ def test_grad_unary(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_grad_shape_ops(seed):
+def test_grad_channel_affine(seed):
     rng = np.random.default_rng(seed)
-    a = param(rng, 2, 3, 4)
+    x = param(rng, 2, 3, 4, 4)
+    s = param(rng, 3, offset=1.0)
+    t = param(rng, 3)
     wseed = seed + 1
-    check_gradients(lambda: T.reshape(a, (6, 4)), [a], rng, wseed=wseed)
+    check_gradients(lambda: T.channel_affine(x, s, t), [x, s, t], rng,
+                    wseed=wseed)
+    check_gradients(lambda: T.channel_affine(x, s), [x, s], rng, wseed=wseed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -175,7 +179,7 @@ def test_group_norm_hand_case():
     # statistics over all 4 elements of the sample: mean 2.5, var 1.25
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 2, 1, 2))
     out = T.group_norm_1(x, Tensor(np.ones(2, np.float32)),
-                         Tensor(np.zeros(2, np.float32)), eps=0.0)
+                         Tensor(np.zeros(2, np.float32)))
     expected = np.array([-1.3416, -0.4472, 0.4472, 1.3416])
     np.testing.assert_allclose(out.data.reshape(-1), expected, atol=1e-4)
 
@@ -344,6 +348,8 @@ def test_conv2d_rejects_a_window_larger_than_the_padded_input():
 MASKED_KERNELS = {
     "conv2d": (lambda a: T.conv2d(*a, 4, 2), [(2, 3, 16, 16), (4, 3, 7, 7), (4,)]),
     "channel_linear": (lambda a: T.channel_linear(*a), [(2, 3, 4, 4), (5, 3), (5,)]),
+    "channel_affine": (lambda a: T.channel_affine(*a), [(2, 3, 4, 4), (3,), (3,)]),
+    "mul": (lambda a: T.mul(*a), [(3, 4), (3, 4)]),
     "linear": (lambda a: T.linear(*a), [(3, 5), (2, 5), (2,)]),
     "mse": (lambda a: T.mse(*a), [(3, 4), (3, 4)]),
     "relation_mse": (lambda a: T.relation_mse(*a),
@@ -576,8 +582,21 @@ def test_non_finite_input_rejected():
 
 
 def test_shape_mismatch_rejected():
+    # elementwise kernels take one shape or a plain scalar, and broadcast
+    # nothing else: not even a pair numpy would broadcast
+    for sa, sb in [((2, 3), (4, 5)), ((2, 3), (1, 3)), ((2, 3, 4, 4), (3,)),
+                   ((1,), (2, 3))]:
+        for kernel in (T.add, T.sub, T.mul):
+            for a, b in ((sa, sb), (sb, sa)):
+                with pytest.raises(ShapeError):
+                    kernel(Tensor(np.ones(a)), Tensor(np.ones(b)))
+    x = Tensor(np.ones((2, 3, 4, 4)))
+    for s, t in [((2,), None), ((3,), (2,)), ((1, 3, 1, 1), None)]:
+        with pytest.raises(ShapeError):
+            T.channel_affine(x, Tensor(np.ones(s)),
+                             None if t is None else Tensor(np.ones(t)))
     with pytest.raises(ShapeError):
-        T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+        T.channel_affine(Tensor(np.ones((3, 4, 4))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         T.mse(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
@@ -664,10 +683,13 @@ def test_kernel_flop_counts():
     a = Tensor(rng.normal(size=(2, 5, 1, 3)))
     assert _profiled_flops(lambda: T.relation_mse(a, a)) \
         == 2 * 9 * (2 * 2 * 5 + 3) + 6 * 30
-    # shape kernels count nothing, a profile outside a model charges ""
+    # a per-channel scale is 1 FLOP per element, 2 with the shift; a
+    # profile outside a model charges ""
+    s = Tensor(rng.normal(size=3))
     with T._Profile() as profile:
-        T.reshape(x, (2, 60))
-    assert profile.flops == {"": 0}
+        T.channel_affine(x, s)
+    assert profile.flops == {"": 120}
+    assert _profiled_flops(lambda: T.channel_affine(x, s, s)) == 240
 
 
 # ---------------------------------------------------------------------------
