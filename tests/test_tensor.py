@@ -3,6 +3,7 @@ tape semantics, determinism, and the kernel set."""
 import ast
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,12 @@ def test_grad_unary(seed):
     rng = np.random.default_rng(seed)
     x = param(rng, 2, 5)
     check_gradients(lambda: T.gelu(x), [x], rng, wseed=seed)
+    # |x| in [4, 7], where Phi saturates and the clip at 6 starts to act:
+    # normal inputs rarely reach it
+    mag = rng.uniform(4.0, 7.0, (2, 5))
+    seam = Tensor((rng.choice([-1.0, 1.0], mag.shape) * mag)
+                  .astype(np.float32), requires_grad=True)
+    check_gradients(lambda: T.gelu(seam), [seam], rng, wseed=seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -212,6 +219,52 @@ def test_gelu_matches_float64_reference():
     phi = 0.5 * np.array([math.erfc(v) for v in (-x64 / math.sqrt(2)).tolist()])
     err = np.abs(out - x64 * phi) / np.maximum(1.0, np.abs(x64))
     assert err.max() <= 3e-7, f"max scaled error {err.max():.3g}"
+
+
+def test_gelu_gradient_matches_float64_reference_across_blocks():
+    # the backward reads Phi kept from every forward block: d/dx x Phi(x) =
+    # Phi(x) + x pdf(x) over several blocks
+    x = np.linspace(-10.0, 10.0, 3 * T._GELU_BLOCK + 7, dtype=np.float32)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(T.tsum(T.gelu(xt)))
+    x64 = x.astype(np.float64)
+    phi = 0.5 * np.array([math.erfc(v) for v in (-x64 / math.sqrt(2)).tolist()])
+    ref = phi + x64 * np.exp(-0.5 * x64 ** 2) / math.sqrt(2 * math.pi)
+    assert np.abs(xt.grad - ref).max() <= 1e-6
+
+
+def test_gelu_tails_are_exact_and_sign_correct():
+    zero_and_below = -np.concatenate([
+        np.linspace(0.0, 10.0, 100_001),
+        np.geomspace(np.finfo(np.float32).smallest_subnormal, 3.4e38, 10_001),
+    ]).astype(np.float32)
+    assert (T.gelu(Tensor(zero_and_below)).data <= 0).all()
+    far = np.geomspace(6.0, 3.4e38, 100_001).astype(np.float32)
+    assert (np.abs(T.gelu(Tensor(-far)).data) <= 3e-7).all()
+    assert np.array_equal(T.gelu(Tensor(far)).data, far)
+
+
+def test_gelu_no_input_warns():
+    tiny = np.finfo(np.float32).smallest_subnormal
+    x = np.array([0.0, tiny, 1e-40, 1e19, 1e30, 3.4e38], np.float32)
+    x = np.concatenate([x, -x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.gelu(Tensor(x)).data
+    assert np.isfinite(out).all()
+
+
+def test_gelu_polynomial_is_positive_on_the_clip_range():
+    # h > 0 on [0, clip^2] gives u h(u^2) the sign of x; evaluated in
+    # float64 from the shipped float32 coefficients, on a grid and by its
+    # real roots
+    h = np.array(T._GELU_H, np.float64)
+    clip2 = float(T._GELU_CLIP) ** 2
+    assert np.polyval(h, np.linspace(0.0, clip2, 100_001)).min() > 0
+    roots = np.roots(h)
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    assert not ((real >= 0) & (real <= clip2)).any()
 
 
 @pytest.mark.parametrize("residual", [False, True])
