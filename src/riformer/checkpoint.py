@@ -92,10 +92,11 @@ def _read_header(f) -> tuple[dict, ModelSpec]:
                               f"is gone")
     if header["deploy"] and spec.mixer_kind != "affine":
         raise CheckpointError(f"deploy header on a {spec.mixer_kind!r} spec")
-    if header["deploy"] and any(e["name"].endswith(".layer_scale_1")
-                                for e in header["manifest"]):
-        raise CheckpointError("old deploy layout with layer_scale_1; re-fuse "
-                              "it from its train checkpoint")
+    for entry in header["manifest"]:
+        scale = entry["name"].rsplit(".", 1)[-1]
+        if header["deploy"] and scale in ("layer_scale_1", "layer_scale_2"):
+            raise CheckpointError(f"old deploy layout with {scale}; re-fuse "
+                                  f"it from its train checkpoint")
     return header, spec
 
 

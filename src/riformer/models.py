@@ -174,7 +174,8 @@ _ALL = (*MIXER_KINDS, "deploy")
 # A block's parameters in checkpoint order: BlockWeights field, name under
 # "stage.{si}.block.{bi}.", shape (hidden = int(dim * mlp_ratio)), init
 # ("normal" is N(0, 0.02), "ls" the spec's layer_scale_init) and the forms
-# that carry it: train mixer kinds, or "deploy", whose norm1 is fused.
+# that carry it: train mixer kinds, or "deploy", whose norm1 and MLP output
+# projection hold the layer scales.
 _BLOCK_PARAMS = (
     ("norm1_gamma", "norm1.gamma", ("dim",), 1.0, MIXER_KINDS),
     ("norm1_beta", "norm1.beta", ("dim",), 0.0, MIXER_KINDS),
@@ -189,7 +190,7 @@ _BLOCK_PARAMS = (
     ("mlp_w2", "mlp.w2", ("dim", "hidden"), "normal", _ALL),
     ("mlp_b2", "mlp.b2", ("dim",), 0.0, _ALL),
     ("layer_scale_1", "layer_scale_1", ("dim",), "ls", MIXER_KINDS),
-    ("layer_scale_2", "layer_scale_2", ("dim",), "ls", _ALL),
+    ("layer_scale_2", "layer_scale_2", ("dim",), "ls", MIXER_KINDS),
 )
 BlockWeights = make_dataclass("BlockWeights", [  # a field its form lacks is None
     (key, Optional[Tensor], None) for key in dict.fromkeys(
@@ -264,7 +265,9 @@ class ModelWeights:
 
     @property
     def deploy(self) -> bool:
-        """Whether this is the fused form, whose blocks carry no layer_scale_1."""
+        """Whether this is the fused form, whose blocks carry no affine
+        coefficients and no layer scales: layer_scale_1 is folded into the
+        norm, layer_scale_2 into mlp.w2 and mlp.b2."""
         return self._deploy
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
@@ -336,7 +339,10 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
     _mark("norm")
     h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta)
     _mark("mlp")
-    x = T.add(x, T.channel_affine(_mlp(h2, bw), bw.layer_scale_2))
+    branch = _mlp(h2, bw)
+    if bw.layer_scale_2 is not None:  # a deploy block's is in mlp_w2, mlp_b2
+        branch = T.channel_affine(branch, bw.layer_scale_2)
+    x = T.add(x, branch)
     if grab:
         capture.block_out[index] = x
     return x

@@ -10,9 +10,11 @@ normalization with modified parameters:
     gamma'_i = gamma_i * (s_i - 1)
     beta'_i  = beta_i  * (s_i - 1) + t_i
 
-`switch_to_deploy` applies this block-wise, folds the layer scale in as
-gamma'*ls1 and beta'*ls1, and drops the affine coefficients and layer_scale_1;
-`verify_equivalence` certifies the transformation numerically on random probes.
+`switch_to_deploy` applies this block-wise, folds the first layer scale in
+as gamma'*ls1 and beta'*ls1 and the second into the MLP's output projection
+as ls2[:, None]*w2 and ls2*b2, and drops the affine coefficients and both
+layer scales; `verify_equivalence` certifies the transformation numerically
+on random probes.
 """
 from __future__ import annotations
 
@@ -73,6 +75,9 @@ def switch_to_deploy(model: ModelWeights) -> ModelWeights:
                             tb.affine_s.data, tb.affine_t.data)
         db.norm1_gamma.data = fused.gamma_prime * tb.layer_scale_1.data
         db.norm1_beta.data = fused.beta_prime * tb.layer_scale_1.data
+        ls2 = tb.layer_scale_2.data
+        db.mlp_w2.data = ls2[:, None] * tb.mlp_w2.data
+        db.mlp_b2.data = ls2 * tb.mlp_b2.data
     return out
 
 

@@ -35,7 +35,7 @@ def _f32(x) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, what: str = "kernel output") -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values in {what}")
 
 
@@ -179,16 +179,15 @@ def _apply(out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = _f32(out_data)
     out.grad = None
-    # constants stay in place as None so each input lines up with its
-    # position in the tuple backward_fn returns
-    tensors = tuple(t if isinstance(t, Tensor) else None for t in inputs)
+    out.requires_grad = False
     tape = _tape()
-    if tape is not None and any(t is not None and t.requires_grad
-                                for t in tensors):
-        out.requires_grad = True
-        tape._record(out, tensors, backward_fn)
-    else:
-        out.requires_grad = False
+    if tape is not None:
+        # constants stay in place as None so each input lines up with its
+        # position in the tuple backward_fn returns
+        tensors = tuple(t if isinstance(t, Tensor) else None for t in inputs)
+        if any(t is not None and t.requires_grad for t in tensors):
+            out.requires_grad = True
+            tape._record(out, tensors, backward_fn)
     if _PROFILE is not None:
         _PROFILE.charge(out.data.size if flops is None else flops)
     return out
@@ -563,13 +562,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     The forward and the backward share one edge-padded grid laid out
     (C, H', W', N), so every copy and add in them runs over contiguous
     samples. im2col: the input is copied into the grid once (interior, then
-    the replicated border rows and columns), and k*k strided slab copies
-    fill a (C, k, k, OH, OW, N) column buffer. Read as its transpose, with a
-    row per (output position, sample), that buffer is the column matrix, so
-    the forward and the weight gradient are each one GEMM against the
-    (D, C*k*k) weight matrix. col2im, the input gradient, is the adjoint:
-    k*k strided slab adds into the grid, then the border folded back onto
-    the edge rows and columns.
+    the replicated border rows and columns), and one copy of a strided view
+    of the grid fills a (C, k, k, OH, OW, N) column buffer. Read as its
+    transpose, with a row per (output position, sample), that buffer is the
+    column matrix, so the forward and the weight gradient are each one GEMM
+    against the (D, C*k*k) weight matrix. col2im, the input gradient, is the
+    adjoint: k*k strided slab adds into the grid (the windows overlap, so
+    they cannot be one add), then the border folded back onto the edge rows
+    and columns.
     """
     if pad < 0 or stride < 1:
         raise ShapeError(f"conv2d needs pad >= 0 and stride >= 1, "
@@ -603,11 +603,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
         xp[:, :, :pad] = xp[:, :, pad:pad + 1]
     if pw:
         xp[:, :, right:] = xp[:, :, right - 1:right]
-    win = np.empty((cin, k, k, oh, ow, n), np.float32)
-    for i in range(k):
-        for j in range(k):
-            win[:, i, j] = xp[:, i:i + (oh - 1) * stride + 1:stride,
-                              j:j + (ow - 1) * stride + 1:stride]
+    sc, sh, sw, sn = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (cin, k, k, oh, ow, n),
+        (sc, sh, sw, sh * stride, sw * stride, sn), writeable=False).copy()
     cols = win.reshape(cin * k * k, oh * ow * n).T
     w2 = dw.reshape(cout, cin * k * k)
     out = cols @ w2.T
@@ -620,8 +619,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
         gb = g.sum(axis=(0, 2, 3)) if need_b else None
         if not need_x:
             return (None, gw, gb)
-        # col2im: the forward's slab copies, reversed into adds, and the
-        # replicated border folded back onto the edge rows and columns
+        # col2im: the forward's window copy, reversed into k*k slab adds
+        # (the windows overlap), and the replicated border folded back onto
+        # the edge rows and columns
         gcols = (w2.T @ g2).reshape(cin, k, k, oh, ow, n)
         gxp = np.zeros((cin, bottom + ph, right + pw, n), np.float32)
         for i in range(k):
@@ -649,6 +649,7 @@ _GELU_H = tuple(map(np.float32, (
     1.84666427e-09, -1.35730531e-07, 4.01260195e-06, -5.56039558e-05,
     -3.17414597e-05, 3.63320634e-02, 7.97885299e-01)))
 _GELU_CLIP = np.float32(6.0)
+_GELU_PDF_CLIP = np.float32(20.0)
 # elements per pass: the block, its output slices and the work buffer stay
 # in cache (at the deploy shapes, blocks of 1 << 15 cost 7% more when Phi is
 # kept for a backward, and blocks of 1 << 17 cost 2-6% more)
@@ -704,8 +705,10 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(xb, pb, out=ob)
 
     def bwd(g):
-        # g * (phi + x * pdf(x)), in one buffer
-        t = np.multiply(dx, dx)
+        # g * (phi + x * pdf(x)), in one buffer; float32 exp(-x^2 / 2) is
+        # 0 beyond |x| = 14.4, so the clip keeps x^2 finite and moves no bit
+        t = dx.clip(-_GELU_PDF_CLIP, _GELU_PDF_CLIP)
+        t *= t
         t *= np.float32(-0.5)
         np.exp(t, out=t)
         t *= np.float32(_INV_SQRT_2PI)

@@ -131,11 +131,12 @@ def test_op_count_nano_pinned():
 
 
 def test_op_count_deploy_and_pooling_pinned():
-    # the deploy form folds layer_scale_1 into its norm at fuse time, so its
-    # count has no per-call term and is exactly linear in batch; its first
-    # sub-block is one residual norm at 8 FLOPs per element
+    # the deploy form folds layer_scale_1 into its norm and layer_scale_2
+    # into its MLP at fuse time, so its count has no per-call term and is
+    # exactly linear in batch; its first sub-block is one residual norm at 8
+    # FLOPs per element
     deploy = op_count(ModelSpec.nano("affine"), deploy=True)
-    assert deploy == 9_736_712
+    assert deploy == 9_726_984
     assert op_count(ModelSpec.nano("affine"), batch_size=4,
                     deploy=True) == 4 * deploy
     assert op_count(ModelSpec.nano("pooling")) == 9_824_264

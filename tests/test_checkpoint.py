@@ -143,16 +143,18 @@ def test_truncated_header_rejected(tmp_path):
             load_checkpoint(cut)
 
 
-def _old_deploy_layout(model, path):
-    """Write `model` (train form, affine) as a deploy checkpoint of the
-    layout that kept layer_scale_1 next to the fused norm."""
+def _old_deploy_layout(model, path, drop=(".mixer.",)):
+    """Write `model` (train form, affine) as a deploy checkpoint of an old
+    layout: by default the one that kept both layer scales next to the fused
+    norm; with ".layer_scale_1" in `drop`, the one that kept layer_scale_2."""
     save_checkpoint(model, path)
 
     def mutate(h):
         h["deploy"] = True
         h["manifest"] = [dict(e, name=e["name"].replace(".norm1.",
                                                         ".norm_reparam."))
-                         for e in h["manifest"] if ".mixer." not in e["name"]]
+                         for e in h["manifest"]
+                         if not any(d in e["name"] for d in drop)]
     _rewrite_header(path, mutate)
 
 
@@ -165,6 +167,35 @@ def test_old_deploy_layout_rejected(tmp_path, capsys):
             read(path)
     for argv in (["inspect-ckpt", "--ckpt", path],
                  ["dump-affine", "--ckpt", path]):
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "re-fuse" in out.err
+
+
+def test_old_deploy_layout_with_layer_scale_2_rejected(tmp_path, capsys):
+    # the layout that folded layer_scale_1 into the norm but kept
+    # layer_scale_2 next to the MLP
+    from riformer.cli import main
+    model = build_model(tiny_spec("affine"), seed=0)
+    train = str(tmp_path / "train.ckpt")
+    save_checkpoint(model, train)
+    path = str(tmp_path / "old.ckpt")
+    _old_deploy_layout(model, path, drop=(".mixer.", ".layer_scale_1"))
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    names = [e["name"] for e in json.loads(raw[12:12 + hlen])["manifest"]]
+    assert any(n.endswith(".layer_scale_2") for n in names)
+    assert not any(n.endswith(".layer_scale_1") for n in names)
+    for read in (read_header, load_checkpoint):
+        with pytest.raises(CheckpointError,
+                           match="old deploy layout with layer_scale_2; "
+                                 "re-fuse it from its train checkpoint"):
+            read(path)
+    for argv in (["inspect-ckpt", "--ckpt", path],
+                 ["verify", "--train", train, "--deploy", path,
+                  "--probes", "1"]):
         assert main(argv) == 3
         out = capsys.readouterr()
         assert out.out == ""

@@ -1,5 +1,6 @@
 """Branch fusion: symbolic identity, end-to-end equivalence, error contracts."""
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -81,16 +82,17 @@ def test_fusion_is_parameter_local():
     deploy = switch_to_deploy(model)
     train_params = dict(model.named_parameters())
     for name, p in deploy.named_parameters():
-        if "norm_reparam" in name or ".mixer." in name:
+        if "norm_reparam" in name or name.endswith((".mlp.w2", ".mlp.b2")):
             continue
         assert np.array_equal(p.data, train_params[name].data), name
 
 
-def test_deploy_param_count_drops_by_two_dim_per_block():
-    # the affine s and t, and layer_scale_1 folded into the norm: 3 dim each
+def test_deploy_param_count_drops_by_four_dim_per_block():
+    # the affine s and t, layer_scale_1 folded into the norm and
+    # layer_scale_2 into the MLP's output projection: dim each
     model = build_model(tiny_spec("affine"), seed=0)
     deploy = switch_to_deploy(model)
-    expect = sum(st.depth * 3 * st.dim for st in model.spec.stages)
+    expect = sum(st.depth * 4 * st.dim for st in model.spec.stages)
     assert (sum(p.size for p in model.params.values())
             - sum(p.size for p in deploy.params.values())) == expect
 
@@ -108,8 +110,13 @@ def test_deploy_norm_folds_layer_scale_bitwise():
                     == (fused.gamma_prime * ls1).tobytes())
             assert (db.norm1_beta.data.tobytes()
                     == (fused.beta_prime * ls1).tobytes())
+            ls2 = tb.layer_scale_2.data
+            assert (db.mlp_w2.data.tobytes()
+                    == (ls2[:, None] * tb.mlp_w2.data).tobytes())
+            assert db.mlp_b2.data.tobytes() == (ls2 * tb.mlp_b2.data).tobytes()
             assert db.layer_scale_1 is None and db.affine_s is None
-    assert not any("layer_scale_1" in name
+            assert db.layer_scale_2 is None
+    assert not any("layer_scale" in name
                    for name, _ in deploy.named_parameters())
     with pytest.raises(AttributeError):
         deploy.deploy = False
@@ -133,7 +140,8 @@ def kernel_names(monkeypatch):
 def test_deploy_first_subblock_is_one_kernel_captured_or_not(kernel_names):
     # the identity form's first sub-block runs no kernel and the deploy
     # form's one residual norm per block, captured or not, so verify
-    # certifies the kernels that inference runs
+    # certifies the kernels that inference runs; the deploy form also runs
+    # no layer_scale_2 kernel, which it holds in its MLP weights
     spec = tiny_spec("affine")
     deploy = switch_to_deploy(build_model(spec, seed=0))
     identity = build_model(tiny_spec("identity"), seed=0)
@@ -144,25 +152,22 @@ def test_deploy_first_subblock_is_one_kernel_captured_or_not(kernel_names):
         forward(model, x, capture=capture)
         return list(kernel_names)
 
-    def extra(model, base, capture=None):
-        names = kernels(model, capture)
-        for name in kernels(base, capture):
-            names.remove(name)
-        return names
-
     n = spec.total_blocks
-    assert extra(deploy, identity) == ["group_norm_1"] * n
-    everything = CaptureSet.for_layers(range(n))
-    assert extra(deploy, identity, everything) == ["group_norm_1"] * n
+    for capture in (None, CaptureSet.for_layers(range(n))):
+        ran = Counter(kernels(deploy, capture))
+        base = Counter(kernels(identity, capture))
+        assert ran - base == Counter(group_norm_1=n)
+        assert base - ran == Counter(channel_affine=n)
 
 
 def test_block_kernel_sequence_per_form(kernel_names):
     # each per-channel vector (affine s and t, the layer scales) is one
-    # channel_affine kernel, with no reshape or broadcasting around it
+    # channel_affine kernel, with no reshape or broadcasting around it; the
+    # deploy block holds its layer scales in its norm and MLP weights
     mlp = ["group_norm_1", "channel_linear", "gelu", "channel_linear",
            "channel_affine", "add"]
     expect = {
-        "deploy": ["group_norm_1"] + mlp,
+        "deploy": ["group_norm_1"] + [k for k in mlp if k != "channel_affine"],
         "affine": ["group_norm_1", "channel_affine", "sub", "channel_affine",
                    "add"] + mlp,
         "pooling": ["group_norm_1", "avg_pool_same", "sub", "channel_affine",

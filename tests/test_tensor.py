@@ -255,6 +255,18 @@ def test_gelu_no_input_warns():
     assert np.isfinite(out).all()
 
 
+def test_gelu_backward_no_input_warns():
+    # x^2 overflows float32 beyond about 1.8e19; the gradient is Phi(x) +
+    # x pdf(x), exactly 1 on the far right and 0 on the far left
+    x = np.array([1e20, 3.4e38], np.float32)
+    x = Tensor(np.concatenate([x, -x]), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            tape.backward(T.tsum(T.gelu(x)))
+    np.testing.assert_array_equal(x.grad, [1.0, 1.0, 0.0, 0.0])
+
+
 def test_gelu_polynomial_is_positive_on_the_clip_range():
     # h > 0 on [0, clip^2] gives u h(u^2) the sign of x; evaluated in
     # float64 from the shipped float32 coefficients, on a grid and by its

@@ -133,6 +133,26 @@ def test_determinism_identical_checkpoints(tmp_path):
             == open(tmp_path / "b.ckpt", "rb").read())
 
 
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    from riformer import bench
+    blas = bench._openblas()  # numpy's wheels bundle OpenBLAS
+    tr, va = small_data()
+    before = blas.get_threads()
+    ckpts = []
+    try:
+        for threads in (1, 2):
+            blas.set_threads(threads)
+            assert blas.get_threads() == threads
+            model = build_model(tiny_spec("affine"), seed=7)
+            result = train(model, tr, va, quick_cfg("ce", epochs=2, seed=7))
+            path = tmp_path / f"threads{threads}.ckpt"
+            save_checkpoint(result.model, str(path))
+            ckpts.append(path.read_bytes())
+    finally:
+        blas.set_threads(before)  # later tests time forwards at this count
+    assert ckpts[0] == ckpts[1]
+
+
 def test_loss_decreases_over_training():
     model = build_model(tiny_spec("identity"), seed=0)
     tr, va = small_data(per_class=6)
