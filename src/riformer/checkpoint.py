@@ -39,10 +39,10 @@ class ManifestEntry:
 
 @dataclass
 class CheckpointHeader:
-    spec: dict
+    spec: ModelSpec
     deploy: bool
     meta: dict
-    manifest: list[dict]
+    manifest: list[ManifestEntry]
 
 
 def save_checkpoint(model: ModelWeights, path: str,
@@ -51,11 +51,10 @@ def save_checkpoint(model: ModelWeights, path: str,
     payload = bytearray()
     for name, p in model.named_parameters():
         arr = np.ascontiguousarray(p.data, dtype="<f4")
-        manifest.append(asdict(ManifestEntry(name, list(arr.shape),
-                                             len(payload))))
+        manifest.append(ManifestEntry(name, list(arr.shape), len(payload)))
         payload += arr.tobytes()
     header = json.dumps(asdict(CheckpointHeader(
-        model.spec.to_dict(), model.deploy, meta or {}, manifest))).encode("utf-8")
+        model.spec, model.deploy, meta or {}, manifest))).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
@@ -63,10 +62,9 @@ def save_checkpoint(model: ModelWeights, path: str,
         f.write(bytes(payload))
 
 
-def _read_header(f) -> tuple[dict, ModelSpec]:
+def _read_header(f) -> CheckpointHeader:
     """Read and check the header of an open checkpoint; `f` is left at the
-    payload. Returns the header, whose spec echo is rewritten from the parsed
-    spec so that defaults are filled in, and the parsed spec."""
+    payload."""
     magic = f.read(len(MAGIC))
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}")
@@ -74,53 +72,53 @@ def _read_header(f) -> tuple[dict, ModelSpec]:
     if len(size) < 4:
         raise CheckpointError("truncated header length")
     (hlen,) = struct.unpack("<I", size)
+    drop_path_rate = 0
     try:
         # a cut header is never a whole JSON object, so it fails here too
         header = json.loads(f.read(hlen).decode("utf-8"))
-        _from_dict(CheckpointHeader, header)
         # headers written while the spec had stochastic depth echo its rate
-        drop_path_rate = header["spec"].pop("drop_path_rate", 0)
-        for entry in header["manifest"]:
-            _from_dict(ManifestEntry, entry)
-        spec = ModelSpec.from_dict(header["spec"])
-        header["spec"] = spec.to_dict()
+        if isinstance(header, dict) and isinstance(header.get("spec"), dict):
+            drop_path_rate = header["spec"].pop("drop_path_rate", 0)
+        header = _from_dict(CheckpointHeader, header)
     except ValueError as e:  # JSON and UTF-8 errors are ValueErrors too
         raise CheckpointError(f"corrupt header: {e}") from None
     if drop_path_rate != 0:
         raise CheckpointError(f"spec has drop_path_rate {drop_path_rate!r}; "
                               f"only a rate of 0 loads, as stochastic depth "
                               f"is gone")
-    if header["deploy"] and spec.mixer_kind != "affine":
-        raise CheckpointError(f"deploy header on a {spec.mixer_kind!r} spec")
-    for entry in header["manifest"]:
-        scale = entry["name"].rsplit(".", 1)[-1]
-        if header["deploy"] and scale in ("layer_scale_1", "layer_scale_2"):
+    if header.deploy and header.spec.mixer_kind != "affine":
+        raise CheckpointError(f"deploy header on a "
+                              f"{header.spec.mixer_kind!r} spec")
+    for entry in header.manifest:
+        scale = entry.name.rsplit(".", 1)[-1]
+        if header.deploy and scale in ("layer_scale_1", "layer_scale_2"):
             raise CheckpointError(f"old deploy layout with {scale}; re-fuse "
                                   f"it from its train checkpoint")
-    return header, spec
+    return header
 
 
 def read_header(path: str) -> dict:
+    """The checked header as a dict, its spec echo with defaults filled in."""
     with open(path, "rb") as f:
-        return _read_header(f)[0]
+        return asdict(_read_header(f))
 
 
 def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
     """Rebuild the model; returns (model, meta). Round-trips bit-exactly. The
     first manifest entry that is not the spec's layout entry fails the load."""
     with open(path, "rb") as f:
-        header, spec = _read_header(f)
+        header = _read_header(f)
         payload = f.read()
 
-    manifest = header["manifest"]
-    layout = models.param_layout(spec, header["deploy"])
+    manifest = header.manifest
+    layout = models.param_layout(header.spec, header.deploy)
     spans = []
     for entry, (name, shape, _) in zip(manifest, layout):
-        if (entry["name"], tuple(entry["shape"])) != (name, shape):
-            raise CheckpointError(f"manifest entry {len(spans)}, {entry['name']} "
-                                  f"{tuple(entry['shape'])}, is not the spec's "
+        if (entry.name, tuple(entry.shape)) != (name, shape):
+            raise CheckpointError(f"manifest entry {len(spans)}, {entry.name} "
+                                  f"{tuple(entry.shape)}, is not the spec's "
                                   f"{name} {shape}")
-        start, end = entry["offset"], entry["offset"] + 4 * math.prod(shape)
+        start, end = entry.offset, entry.offset + 4 * math.prod(shape)
         if start < 0 or end > len(payload):
             raise CheckpointError(f"{name}: offset out of bounds")
         spans.append((start, end, name, shape))
@@ -138,4 +136,4 @@ def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
             params[name] = Tensor(arr.reshape(shape).copy(), requires_grad=True)
         except NumericsError:
             raise CheckpointError(f"{name}: non-finite payload") from None
-    return ModelWeights(spec, params, header["deploy"]), header["meta"]
+    return ModelWeights(header.spec, params, header.deploy), header.meta

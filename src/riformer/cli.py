@@ -100,13 +100,12 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
     mblock, dblock, tblock, bblock = (dict(cfg.get(key, {})) for key in
                                       ("model", "data", "train", "bench"))
 
-    if "stages" in mblock:
-        spec = ModelSpec.from_dict(mblock)
-    else:
+    if "stages" not in mblock:
         preset = mblock.pop("preset", "nano")
         if preset != "nano":
             raise ValueError(f"model.preset must be 'nano', got {preset!r}")
-        spec = _from_dict(ModelSpec, mblock, ModelSpec.nano)
+        mblock["stages"] = ModelSpec.nano().stages
+    spec = _from_dict(ModelSpec, mblock)
 
     if "imitation" in cfg:
         if "imitation" in tblock:
@@ -121,7 +120,7 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
     _override(tblock, "batch_size", batch, "batch")
     if recipe:
         tblock.setdefault("recipe", recipe)
-    tc = TrainConfig.from_dict(tblock)
+    tc = _from_dict(TrainConfig, tblock)
     mi, total = tc.imitation, spec.total_blocks
     if mi is not None and not all(0 <= i < total for i in mi.layers or ()):
         raise ValueError(f"imitation.layers must lie in [0, {total - 1}], "
@@ -146,12 +145,9 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
         data = (_from_dict(SynthSpec, dict(dblock, stream="train")),
                 _from_dict(SynthSpec, dict(dblock, stream="val",
                                            samples_per_class=val_per_class)))
-        for synth in data:
-            synth.validate()
 
     _override(bblock, "batch_size", bench_batch, "batch")
     proto = _from_dict(bench.BenchProtocol, bblock)
-    proto.validate()
     return Config(spec, data, bool(cfg.get("data")), tc, teacher_ckpt, proto)
 
 

@@ -16,7 +16,7 @@ from math import ceil, inf
 import numpy as np
 
 from . import tensor as T
-from .models import ModelSpec, ModelWeights, _from_dict
+from .models import ModelSpec, ModelWeights
 from .tensor import Tensor
 
 # The module-imitation terms, in the order a step records them: name (the
@@ -65,14 +65,6 @@ class ImitationConfig:
                  "rel" if epoch < self.feat_epochs + self.rel_epochs else None)
         return frozenset(["soft"] + [name for name, _, _, p in MI_TERMS
                                      if p == phase])
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImitationConfig":
-        cfg = _from_dict(cls, d)
-        if cfg.layers is not None:
-            cfg.layers = tuple(cfg.layers)
-        cfg.validate()
-        return cfg
 
 
 @dataclass

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, make_dataclass
-from typing import Callable, Iterator, Optional
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
+                         make_dataclass)
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,14 +36,17 @@ COMPONENTS = ("embedding", "norm", "mixer", "mlp", "head")
 
 def _fits(value, hint) -> bool:
     """Whether a config value fits a type hint; an int fits a float, a bool
-    only a bool, and a list a list or tuple hint if all its items fit. No
-    int past the float64 range fits, so the checks can mix ints and floats."""
+    only a bool, a dict a dataclass, and a list a list or tuple hint if all
+    its items fit. No int past the float64 range fits, so the checks can mix
+    ints and floats."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
     if origin in (list, tuple):
         return (isinstance(value, (list, tuple))
                 and all(_fits(v, args[0]) for v in value))
+    if is_dataclass(hint):
+        return isinstance(value, (dict, hint))
     if isinstance(value, bool) or hint is bool:
         return isinstance(value, bool) and hint is bool
     if isinstance(value, int) and abs(value) > sys.float_info.max:
@@ -51,11 +56,25 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _from_dict(cls, d, build: Optional[Callable] = None):
-    """`build(**d)` (by default `cls(**d)`) for the config dataclass `cls`,
-    after rejecting a `d` that is not a dict, has unknown keys, lacks a field
-    without default (when `build` is `cls`), or has a value that does not fit
-    its field's type."""
+def _read(value, hint):
+    """`value`, which fits `hint`, as that field holds it: a dict under a
+    dataclass hint is read by `_from_dict`, and so is each item of a list
+    of them; a list under a tuple hint becomes a tuple."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return _read(value, next(a for a in args if _fits(value, a)))
+    if origin in (list, tuple):
+        return origin(_read(v, args[0]) for v in value)
+    if is_dataclass(hint) and isinstance(value, dict):
+        return _from_dict(hint, value)
+    return value
+
+
+def _from_dict(cls, d):
+    """`cls(**d)` for the config dataclass `cls`, checked by its `validate()`
+    when it has one, after rejecting a `d` that is not a dict, has unknown
+    keys, lacks a field without default, or has a value that does not fit
+    its field's type. Nested dataclass fields are read the same way."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} config must be an object, "
                          f"got {type(d).__name__}")
@@ -63,7 +82,7 @@ def _from_dict(cls, d, build: Optional[Callable] = None):
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): "
                          f"{', '.join(map(repr, unknown))}")
-    missing = [f.name for f in fields(cls) if build is None and f.name not in d
+    missing = [f.name for f in fields(cls) if f.name not in d
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
@@ -71,11 +90,14 @@ def _from_dict(cls, d, build: Optional[Callable] = None):
     for key, value in d.items():
         hint = hints[key]
         if not _fits(value, hint):
-            want = (hint.__name__ if isinstance(hint, type)
-                    else str(hint).replace("typing.", ""))
+            want = (hint.__name__ if isinstance(hint, type)  # unqualified
+                    else re.sub(r"\b(\w+\.)+", "", str(hint)))
             raise ValueError(f"{cls.__name__}.{key} must be {want}, "
                              f"got {value!r}")
-    return (build or cls)(**d)
+    obj = cls(**{key: _read(value, hints[key]) for key, value in d.items()})
+    if hasattr(obj, "validate"):
+        obj.validate()
+    return obj
 
 
 @dataclass
@@ -142,17 +164,6 @@ class ModelSpec:
     @property
     def total_stride(self) -> int:
         return math.prod(s.stride for s in self.stages)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        if isinstance(d, dict) and isinstance(d.get("stages"), list):
-            d = dict(d, stages=[_from_dict(StageSpec, s) for s in d["stages"]])
-        spec = _from_dict(cls, d)
-        spec.validate()
-        return spec
 
     @classmethod
     def nano(cls, mixer_kind: str = "identity", num_classes: int = 8,

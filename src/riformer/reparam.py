@@ -95,7 +95,7 @@ def verify_equivalence(train_model: ModelWeights, deploy_model: ModelWeights,
         raise ValueError("train_model is in deploy form; pass the unfused model")
     if not deploy_model.deploy:
         raise ValueError("deploy_model is not in deploy form; fuse it first")
-    if train_model.spec.to_dict() != deploy_model.spec.to_dict():
+    if train_model.spec != deploy_model.spec:
         raise ValueError("models must share a spec")
     rng = np.random.default_rng(seed)
     res = train_model.spec.input_resolution

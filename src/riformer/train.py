@@ -21,7 +21,7 @@ from .data import Dataset
 from .imitation import (MI_TERMS, ImitationConfig, LossReport,
                         load_from_teacher, loss_soft, select_layers,
                         total_loss)
-from .models import CaptureSet, ModelWeights, _from_dict, forward
+from .models import CaptureSet, ModelWeights, forward
 from .optim import AdamW
 from .tensor import NumericsError, Tape, Tensor
 
@@ -98,14 +98,6 @@ class TrainConfig:
         span = max(self.epochs - self.warmup_epochs, 1)
         frac = (epoch - self.warmup_epochs) / span
         return base * (0.01 + 0.99 * 0.5 * (1.0 + cos(pi * frac)))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        if isinstance(d, dict) and d.get("imitation") is not None:
-            d = dict(d, imitation=ImitationConfig.from_dict(d["imitation"]))
-        cfg = _from_dict(cls, d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass

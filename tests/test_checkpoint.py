@@ -217,7 +217,7 @@ def test_legacy_zero_drop_path_rate_loads(tmp_path, capsys):
     model, path = _legacy_drop_path_checkpoint(tmp_path, 0.0)
     loaded, meta = load_checkpoint(path)
     assert meta == {"seed": 0}
-    assert loaded.spec.to_dict() == model.spec.to_dict()
+    assert loaded.spec == model.spec
     orig = dict(model.named_parameters())
     for name, p in loaded.named_parameters():
         assert p.data.tobytes() == orig[name].data.tobytes(), name

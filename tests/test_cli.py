@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ EXPECTED_FLAGS = {
 @pytest.fixture
 def tiny_config(tmp_path):
     cfg = {
-        "model": tiny_spec("affine").to_dict(),
+        "model": asdict(tiny_spec("affine")),
         "data": {"num_classes": 4, "samples_per_class": 2, "val_per_class": 2,
                  "resolution": 32, "seed": 0},
         "train": {"recipe": "ce", "epochs": 1, "batch_size": 8, "lr": 0.001,
@@ -389,13 +390,13 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys, monkeypatch):
 
 
 def _huge_mlp_ratio_model() -> dict:
-    model = tiny_spec().to_dict()
+    model = asdict(tiny_spec())
     model["stages"][0]["mlp_ratio"] = 1e308  # an MLP width past float range
     return model
 
 
 def _patch_below_stride_model() -> dict:
-    model = tiny_spec().to_dict()
+    model = asdict(tiny_spec())
     # (patch_size - stride + 1) // 2 = -1: the embedding would pad by -1
     model["stages"][0].update(patch_size=1, stride=4)
     return model
@@ -473,7 +474,7 @@ def test_gen_data_writes_the_data_train_reads(tmp_path, capsys, monkeypatch):
     import riformer.cli as cli
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "model": tiny_spec("affine").to_dict(),
+        "model": asdict(tiny_spec("affine")),
         "data": {"num_classes": 4, "samples_per_class": 2, "val_per_class": 2,
                  "resolution": 32},
         "train": {"epochs": 1, "batch_size": 8, "warmup_epochs": 1,

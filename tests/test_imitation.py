@@ -10,7 +10,7 @@ from riformer import (CaptureSet, ImitationConfig, Tape, Tensor, build_model,
                       forward, load_from_teacher, loss_in_prime, loss_out,
                       loss_rel, loss_soft, relation_matrix, select_layers,
                       total_loss)
-from riformer.models import ModelSpec
+from riformer.models import ModelSpec, _from_dict
 from helpers import check_gradients, tiny_spec
 
 
@@ -168,7 +168,7 @@ def test_config_validation():
 def test_config_dict_roundtrip():
     # through JSON, as a config file gives it: `layers` comes back a list
     cfg = ImitationConfig(layers=(0, 3), lambda1_x_batch=2.0)
-    again = ImitationConfig.from_dict(json.loads(json.dumps(asdict(cfg))))
+    again = _from_dict(ImitationConfig, json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 

@@ -1,6 +1,7 @@
 """Backbone structure: mixers, block wiring, capture transparency, counts."""
 import hashlib
 import pickle
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import riformer.tensor as T
 from riformer import (CaptureSet, ModelSpec, ShapeError, Tensor, build_model,
                       forward, switch_to_deploy)
-from riformer.models import (MIXER_KINDS, StageSpec, affine_mixer,
+from riformer.models import (MIXER_KINDS, StageSpec, _from_dict, affine_mixer,
                              forward_features, param_layout, pooling_mixer)
 from helpers import tiny_spec
 
@@ -61,11 +62,11 @@ def test_spec_rejects_even_pool_and_bad_mixer():
 def test_spec_rejects_patch_below_stride():
     # (patch_size - stride + 1) // 2 < 0 would pad the embedding negatively
     for patch, stride in [(1, 3), (1, 4), (2, 4), (3, 5)]:
-        model = tiny_spec().to_dict()
+        model = asdict(tiny_spec())
         model["stages"][1].update(patch_size=patch, stride=stride)
         with pytest.raises(ValueError, match=f"patch_size {patch}, "
                                              f"stride {stride}"):
-            ModelSpec.from_dict(model)
+            _from_dict(ModelSpec, model)
     for patch, stride in [(2, 3), (1, 2), (3, 4), (1, 1)]:
         assert StageSpec(1, 4, patch, stride).padding == 0
 
@@ -88,9 +89,9 @@ def test_random_stages_are_rejected_or_run(stages, mixer):
                   or int(s["dim"] * s["mlp_ratio"]) < 1 for s in stages)
     if invalid:
         with pytest.raises(ValueError):
-            ModelSpec.from_dict(d)
+            _from_dict(ModelSpec, d)
         return
-    spec = ModelSpec.from_dict(d)
+    spec = _from_dict(ModelSpec, d)
     logits = forward(build_model(spec, seed=0), rand_input(spec, n=1))
     assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits.data))
@@ -98,8 +99,8 @@ def test_random_stages_are_rejected_or_run(stages, mixer):
 
 def test_spec_roundtrips_through_dict():
     spec = tiny_spec("pooling")
-    again = ModelSpec.from_dict(spec.to_dict())
-    assert again.to_dict() == spec.to_dict()
+    again = _from_dict(ModelSpec, asdict(spec))
+    assert again == spec
 
 
 def test_nano_layout():
