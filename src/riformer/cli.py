@@ -121,6 +121,9 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
     if recipe:
         tblock.setdefault("recipe", recipe)
     tc = _from_dict(TrainConfig, tblock)
+    if tc.init_from_teacher and spec.mixer_kind != "affine":
+        raise ValueError(f"train.init_from_teacher needs an affine model, "
+                         f"got mixer_kind {spec.mixer_kind!r}")
     mi, total = tc.imitation, spec.total_blocks
     if mi is not None and not all(0 <= i < total for i in mi.layers or ()):
         raise ValueError(f"imitation.layers must lie in [0, {total - 1}], "
@@ -145,6 +148,14 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
         data = (_from_dict(SynthSpec, dict(dblock, stream="train")),
                 _from_dict(SynthSpec, dict(dblock, stream="val",
                                            samples_per_class=val_per_class)))
+        synth = data[0]
+        if synth.num_classes > spec.num_classes:
+            raise ValueError(f"data.num_classes {synth.num_classes} exceeds "
+                             f"model.num_classes {spec.num_classes}")
+        if synth.resolution % spec.total_stride:
+            raise ValueError(f"data.resolution must be a multiple of the "
+                             f"model's total stride {spec.total_stride}, "
+                             f"got {synth.resolution}")
 
     _override(bblock, "batch_size", bench_batch, "batch")
     proto = _from_dict(bench.BenchProtocol, bblock)

@@ -2,6 +2,7 @@
 the CIFAR-10 binary format (3073-byte records: label byte + 3x32x32 pixels)."""
 from __future__ import annotations
 
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -63,6 +64,12 @@ class SynthSpec:
             raise ValueError("samples_per_class must be >= 1")
         if self.resolution < 8:
             raise ValueError("resolution too small")
+        # written so that a NaN fails the range
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be >= 0 and finite, "
+                             f"got {self.noise_std}")
+        if self.max_shift < 0:
+            raise ValueError(f"max_shift must be >= 0, got {self.max_shift}")
 
 
 def _class_prototype(seed: int, cls: int, res: int):

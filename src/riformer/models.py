@@ -90,7 +90,8 @@ def _from_dict(cls, d):
     for key, value in d.items():
         hint = hints[key]
         if not _fits(value, hint):
-            want = (hint.__name__ if isinstance(hint, type)  # unqualified
+            # the hint's class names without their module paths
+            want = (hint.__name__ if isinstance(hint, type)
                     else re.sub(r"\b(\w+\.)+", "", str(hint)))
             raise ValueError(f"{cls.__name__}.{key} must be {want}, "
                              f"got {value!r}")

@@ -7,37 +7,33 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
+BETAS = (0.9, 0.999)  # the moments' decay rates
+EPS = 1e-8
+
 
 @dataclass
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter list.
 
-    Parameters for which `no_decay` holds, those with fewer than two
-    dimensions (norm scales/shifts, biases, layer scales, affine mixer
-    coefficients), are excluded from decay; the name is not consulted.
+    Parameters with fewer than two dimensions (norm scales/shifts, biases,
+    layer scales, affine mixer coefficients) are excluded from decay.
     Each `step` takes the learning rate, which the schedule sets.
     """
 
     params: list[tuple[str, Tensor]]
     weight_decay: float = 0.05
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     step_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         self._m = [np.zeros_like(p.data) for _, p in self.params]
         self._v = [np.zeros_like(p.data) for _, p in self.params]
 
-    @staticmethod
-    def no_decay(name: str, p: Tensor) -> bool:
-        return p.ndim < 2
-
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.zero_grad()
 
     def step(self, lr: float) -> None:
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - b1 ** t
@@ -49,11 +45,11 @@ class AdamW:
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} != param shape "
                                  f"{p.data.shape} for {name}")
-            if self.weight_decay and not self.no_decay(name, p):
+            if self.weight_decay and p.ndim >= 2:
                 p.data = (p.data * (1.0 - lr * self.weight_decay)).astype(np.float32)
             m = self._m[i]
             v = self._v[i]
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data = (p.data - lr * update).astype(np.float32)

@@ -399,7 +399,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _apply(out, (x, w, b), bwd, (2 * dx.shape[1] + 1) * out.size)
 
 
-def channel_linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-location channel map, i.e. 1x1 convolution: (N,C,H,W) -> (N,D,H,W)."""
     dx, dw = _coerce(x), _coerce(w)
     if dx.ndim != 4 or dw.ndim != 2 or dw.shape[1] != dx.shape[1]:
@@ -408,8 +408,7 @@ def channel_linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     d = dw.shape[0]
     x3 = dx.reshape(n, c, h * wdt)
     out = dw @ x3  # one (D, C) @ (C, HW) GEMM per sample
-    if b is not None:
-        out += _coerce(b)[None, :, None]
+    out += _coerce(b)[None, :, None]
     need_x, need_w, need_b = _needs_grad(x, w, b)
 
     def bwd(g):
@@ -420,7 +419,7 @@ def channel_linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         return (gx, gw, gb)
 
     return _apply(out.reshape(n, d, h, wdt), (x, w, b), bwd,
-                  (2 * c + (b is not None)) * out.size)
+                  (2 * c + 1) * out.size)
 
 
 # ---------------------------------------------------------------------------

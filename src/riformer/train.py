@@ -139,6 +139,12 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
         raise ValueError("train needs the train form; fuse after training")
     if cfg.needs_teacher and teacher is None:
         raise ValueError(f"recipe {cfg.recipe!r} requires a teacher model")
+    k = model.spec.num_classes
+    for split, data in (("train", train_data), ("val", val_data)):
+        if np.any((data.labels < 0) | (data.labels >= k)):
+            raise ValueError(f"{split} labels must lie in [0, {k}) "
+                             f"(model.num_classes), got {data.labels.min()} "
+                             f"to {data.labels.max()}")
     if cfg.init_from_teacher:
         load_from_teacher(model, teacher)
 

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips and corruption handling."""
 import contextlib
+import hashlib
 import io
 import json
 import struct
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from riformer import (CheckpointError, build_model, load_checkpoint,
-                      read_header, save_checkpoint, switch_to_deploy)
+from riformer import (CheckpointError, ModelSpec, build_model,
+                      load_checkpoint, read_header, save_checkpoint,
+                      switch_to_deploy)
 from riformer.checkpoint import MAGIC
 from helpers import tiny_spec
 
@@ -36,6 +38,23 @@ def test_deploy_round_trip(tmp_path):
     orig = dict(deploy.named_parameters())
     for name, p in loaded.named_parameters():
         assert np.array_equal(p.data, orig[name].data)
+
+
+# sha256 of the saved nano affine model at seed 0, without meta, in train
+# and deploy form: the header's JSON and the payload are both pinned
+NANO_SHA256 = {
+    "train": "e2a3b7aa49dfc7fc04845c2ac379b70985d40ff79ca75f00f4319cf3f7bff87a",
+    "deploy": "9fdad4a77c5e495eeb17c5852a20076ea3e4d1a7dac682c90f8b7b4493baa720",
+}
+
+
+def test_nano_checkpoint_bytes_are_pinned(tmp_path):
+    model = build_model(ModelSpec.nano("affine"), seed=0)
+    for form, m in (("train", model), ("deploy", switch_to_deploy(model))):
+        path = tmp_path / f"{form}.ckpt"
+        save_checkpoint(m, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == NANO_SHA256[form], form
 
 
 def test_save_is_deterministic(tmp_path):

@@ -439,6 +439,17 @@ def _patch_below_stride_model() -> dict:
     ("train", {"train": {"recipe": "soft_kd"},
                "data": {"source": "cifar10_binary", "path": "cif"}},
      "requires a teacher"),
+    ("train", {"model": {"num_classes": 4}, "data": {"num_classes": 8}},
+     "data.num_classes 8 exceeds model.num_classes 4"),
+    ("bench", {"model": {"num_classes": 4}, "data": {"num_classes": 8}},
+     "data.num_classes 8 exceeds model.num_classes 4"),
+    ("bench", {"data": {"resolution": 48}}, "data.resolution"),
+    ("train", {"train": {"init_from_teacher": True, "teacher_ckpt": "t.ckpt"},
+               "model": {"mixer_kind": "pooling"}}, "init_from_teacher"),
+    ("gen-data", {"data": {"noise_std": -1}}, "noise_std"),
+    ("gen-data", {"data": {"noise_std": float("nan")}}, "noise_std"),
+    ("bench", {"data": {"noise_std": float("inf")}}, "noise_std"),
+    ("gen-data", {"data": {"max_shift": -1}}, "max_shift"),
 ], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
         "cifar_missing_path", "cifar_int_path", "layer_scale_nan",
         "layer_scale_inf", "mlp_ratio_huge", "patch_below_stride",
@@ -446,7 +457,10 @@ def _patch_below_stride_model() -> dict:
         "source_int", "root_not_object", "train_source_before_teacher",
         "bench_data_stream", "erf_preset", "gen_data_recipe", "root_typo",
         "two_imitation_blocks", "layers_out_of_range", "data_seed_negative",
-        "teacher_missing"])
+        "teacher_missing", "classes_above_model", "bench_classes_above_model",
+        "data_resolution_off_stride", "init_from_teacher_pooling",
+        "noise_std_negative", "noise_std_nan", "noise_std_inf",
+        "max_shift_negative"])
 def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
                                                         tmp_path, capsys,
                                                         monkeypatch):
@@ -467,6 +481,23 @@ def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert key in out.err
+
+
+def test_cifar_label_past_num_classes_is_runtime_error(tmp_path, capsys):
+    # CIFAR labels run to 9; the nano preset has 8 classes
+    path = tmp_path / "batch.bin"
+    records = np.zeros((2, 3073), np.uint8)
+    records[:, 0] = (0, 9)
+    records.tofile(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": {"source": "cifar10_binary", "path": str(path)},
+        "train": {"epochs": 1, "batch_size": 2}}))
+    assert main(["train", "--config", str(cfg)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: train labels must lie in [0, 8) "
+                       "(model.num_classes), got 0 to 9\n")
 
 
 def test_gen_data_writes_the_data_train_reads(tmp_path, capsys, monkeypatch):

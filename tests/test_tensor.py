@@ -733,11 +733,9 @@ def test_kernel_flop_counts():
     x = Tensor(rng.normal(size=(2, 3, 4, 5)))
     w = Tensor(rng.normal(size=(6, 3)))
     b = Tensor(np.zeros(6))
-    # 2*6*20 outputs, each 3 multiply-adds, plus the bias add when given
+    # 2*6*20 outputs, each 3 multiply-adds plus the bias add
     assert _profiled_flops(lambda: T.channel_linear(x, w, b)) \
         == 2 * 6 * 20 * (2 * 3 + 1)
-    assert _profiled_flops(lambda: T.channel_linear(x, w)) \
-        == 2 * 6 * 20 * (2 * 3)
     # C < P: three 3x3 Grams over 5 tokens, each entry squared and summed,
     # and both sides' 30 elements normalized
     a = Tensor(rng.normal(size=(2, 3, 1, 5)))

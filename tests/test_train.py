@@ -28,6 +28,19 @@ def quick_cfg(recipe="ce", epochs=2, **kw):
     return TrainConfig(recipe=recipe, epochs=epochs, **kw)
 
 
+def test_labels_outside_the_model_classes_rejected():
+    # tiny_spec has 4 classes
+    images = np.zeros((2, 3, 32, 32), np.float32)
+    good = Dataset(images, np.array([0, 3]))
+    for labels in ([0, 4], [-1, 0]):
+        bad = Dataset(images, np.array(labels))
+        for split, data in (("train", (bad, good)), ("val", (good, bad))):
+            with pytest.raises(ValueError, match=rf"^{split} labels must lie "
+                                                 rf"in \[0, 4\)"):
+                train(build_model(tiny_spec(), seed=0), *data,
+                      quick_cfg(epochs=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(recipe="mse").validate()
