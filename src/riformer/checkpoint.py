@@ -105,7 +105,9 @@ def read_header(path: str) -> dict:
 
 def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
     """Rebuild the model; returns (model, meta). Round-trips bit-exactly. The
-    first manifest entry that is not the spec's layout entry fails the load."""
+    first manifest entry that is not the spec's layout entry fails the load.
+    A train model's parameters require gradients and a deploy model's do
+    not, as `switch_to_deploy` builds them."""
     with open(path, "rb") as f:
         header = _read_header(f)
         payload = f.read()
@@ -133,7 +135,8 @@ def load_checkpoint(path: str) -> tuple[ModelWeights, dict]:
     for start, end, name, shape in spans:
         arr = np.frombuffer(payload, "<f4", (end - start) // 4, start)
         try:
-            params[name] = Tensor(arr.reshape(shape).copy(), requires_grad=True)
+            params[name] = Tensor(arr.reshape(shape).copy(),
+                                  requires_grad=not header.deploy)
         except NumericsError:
             raise CheckpointError(f"{name}: non-finite payload") from None
     return ModelWeights(header.spec, params, header.deploy), header.meta

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -136,6 +136,17 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
     source = dblock.pop("source", "synthetic")
     if source == "cifar10_binary":
         data = _from_dict(Cifar10Binary, dblock)
+        # CIFAR-10 images are 3x32x32, in 10 classes
+        if spec.in_channels != 3:
+            raise ValueError(f"cifar10_binary images have 3 channels, got "
+                             f"model.in_channels {spec.in_channels}")
+        if 32 % spec.total_stride:
+            raise ValueError(f"cifar10_binary images are 32x32, not a "
+                             f"multiple of the model's total stride "
+                             f"{spec.total_stride}")
+        if spec.num_classes < 10:
+            raise ValueError(f"cifar10_binary has 10 classes, more than "
+                             f"model.num_classes {spec.num_classes}")
     elif source != "synthetic":
         raise ValueError(f"data.source must be 'synthetic' or "
                          f"'cifar10_binary', got {source!r}")
@@ -207,7 +218,7 @@ def _cmd_verify(args) -> int:
     report = reparam.verify_equivalence(train_model, deploy_model,
                                         n_probes=args.probes, tol=args.tol,
                                         seed=args.seed or 0)
-    text = report.to_json()
+    text = json.dumps(asdict(report), indent=2)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")

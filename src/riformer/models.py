@@ -8,7 +8,10 @@ Four stages of residual blocks; each block is
 where the mixer is one of: valid-count average pooling minus its input,
 a per-channel affine scale-and-shift minus its input, or identity (which
 under the minus-input convention is exactly zero, so the first sub-block
-is skipped). Patch embeddings use edge-replicate padding so that a
+is skipped). The fused deploy form of an affine model has no mixer and no
+layer scales, and runs each block as one `deploy_block` kernel,
+x + norm1(x) followed by the MLP sub-block, with ls1 folded into norm1
+and ls2 into the MLP. Patch embeddings use edge-replicate padding so that a
 spatially constant input stays constant through every stage; this keeps
 the "pooling mixer vanishes on constant input" property exact at borders.
 """
@@ -319,23 +322,16 @@ def _mark(component: str) -> None:
         T._PROFILE.component = component
 
 
-def _mlp(x: Tensor, bw: BlockWeights) -> Tensor:
-    h = T.channel_linear(x, bw.mlp_w1, bw.mlp_b1)
-    h = T.gelu(h)
-    return T.channel_linear(h, bw.mlp_w2, bw.mlp_b2)
-
-
 def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
                   capture: Optional[CaptureSet] = None,
                   index: int = -1) -> Tensor:
+    """One block of a train form (`deploy_block_forward` runs the fused
+    form's); capture records its mixer branch and output."""
     grab = capture is not None and index in capture.layers
-    # The first sub-block: a deploy block (layer_scale_1 folded into its
-    # norm) runs x + norm1(x) as one kernel, captured or not; an identity
-    # block adds exactly zero and runs none.
+    # an identity block's first sub-block adds exactly zero and runs no
+    # kernel
     _mark("norm")
-    if bw.layer_scale_1 is None:
-        x = T.group_norm_1(x, bw.norm1_gamma, bw.norm1_beta, residual=True)
-    elif spec.mixer_kind == "identity":
+    if spec.mixer_kind == "identity":
         if grab:
             capture.mixer_out[index] = Tensor(np.zeros_like(x.data))
     else:
@@ -347,15 +343,30 @@ def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,
         if grab:
             capture.mixer_out[index] = branch
         x = T.add(x, T.channel_affine(branch, bw.layer_scale_1))
-
     _mark("norm")
-    h2 = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta)
+    h = T.group_norm_1(x, bw.norm2_gamma, bw.norm2_beta)
     _mark("mlp")
-    branch = _mlp(h2, bw)
-    if bw.layer_scale_2 is not None:  # a deploy block's is in mlp_w2, mlp_b2
-        branch = T.channel_affine(branch, bw.layer_scale_2)
-    x = T.add(x, branch)
+    h = T.gelu(T.channel_linear(h, bw.mlp_w1, bw.mlp_b1))
+    h = T.channel_linear(h, bw.mlp_w2, bw.mlp_b2)
+    x = T.add(x, T.channel_affine(h, bw.layer_scale_2))
     if grab:
+        capture.block_out[index] = x
+    return x
+
+
+def deploy_block_forward(x: Tensor, bw: BlockWeights, *,
+                         capture: Optional[CaptureSet] = None,
+                         index: int = -1) -> Tensor:
+    """One block of the fused deploy form, whose layer scales are folded
+    into its weights: the whole block is one `deploy_block` kernel,
+    captured or not, so verify_equivalence certifies the kernel that
+    inference runs. It has no mixer branch, and capture records only its
+    output."""
+    _mark("mlp")
+    x = T.deploy_block(x, bw.norm1_gamma, bw.norm1_beta, bw.norm2_gamma,
+                       bw.norm2_beta, bw.mlp_w1, bw.mlp_b1, bw.mlp_w2,
+                       bw.mlp_b2)
+    if capture is not None and index in capture.layers:
         capture.block_out[index] = x
     return x
 
@@ -377,7 +388,9 @@ def forward_features(model: ModelWeights, x: Tensor, *,
         _mark("embedding")
         x = T.conv2d(x, ew, eb, st.stride, st.padding)
         for bw in model.blocks[si]:
-            x = block_forward(x, bw, spec, capture=capture, index=gi)
+            x = (deploy_block_forward(x, bw, capture=capture, index=gi)
+                 if model.deploy
+                 else block_forward(x, bw, spec, capture=capture, index=gi))
             gi += 1
         if capture is not None:
             capture.stage_out[si + 1] = x

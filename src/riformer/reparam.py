@@ -18,8 +18,7 @@ on random probes.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import chain
 from math import inf
 
@@ -47,9 +46,6 @@ class EquivalenceReport:
     tolerance: float
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def fuse_affine(gamma, beta, s, t) -> FusedNorm:
     gamma, beta, s, t = (np.asarray(v, dtype=np.float32) for v in (gamma, beta, s, t))
@@ -60,7 +56,12 @@ def fuse_affine(gamma, beta, s, t) -> FusedNorm:
 
 
 def switch_to_deploy(model: ModelWeights) -> ModelWeights:
-    """Return the deploy-form model; the source model is left untouched."""
+    """Return the deploy-form model; the source model is left untouched.
+
+    Deploy weights are for inference and input gradients only (an ERF map
+    differentiates the input), so none requires a gradient: `train()`
+    rejects a deploy model, and its blocks' kernel raises TapeError on a
+    weight that asks for one while a tape records."""
     if model.spec.mixer_kind != "affine":
         raise ValueError(f"only affine models can be fused, "
                          f"got {model.spec.mixer_kind!r}")
@@ -68,7 +69,7 @@ def switch_to_deploy(model: ModelWeights) -> ModelWeights:
         raise ValueError("model is already in deploy form")
     out = ModelWeights(model.spec, {
         name: Tensor(model.params[name].data.copy() if name in model.params
-                     else np.zeros(shape, np.float32), requires_grad=True)
+                     else np.zeros(shape, np.float32))
         for name, shape, _ in param_layout(model.spec, deploy=True)}, True)
     for tb, db in zip(chain(*model.blocks), chain(*out.blocks)):
         fused = fuse_affine(tb.norm1_gamma.data, tb.norm1_beta.data,

@@ -4,11 +4,12 @@ Only the kernels the backbone, its losses and the analysis tools call are
 provided: elementwise add, subtract and multiply, a per-channel scale and
 shift (`channel_affine`), per-sample group normalization (one group),
 valid-count average pooling, strided convolution for patch embedding,
-channel-wise and head linear maps, GELU, log-softmax and KL divergence, the
-sum of all elements, spatial means, MSE, and the MSE of two batches of token
-relation matrices. Kernels are called as functions; a Tensor has no operator
-overloads. No broadcasting beyond a plain scalar, no higher-order gradients,
-no devices other than CPU.
+channel-wise and head linear maps, GELU, a whole block of the fused deploy
+form (`deploy_block`: both norms, the MLP and the residual), log-softmax
+and KL divergence, the sum of all elements, spatial means, MSE, and the MSE
+of two batches of token relation matrices. Kernels are called as functions;
+a Tensor has no operator overloads. No broadcasting beyond a plain scalar,
+no higher-order gradients, no devices other than CPU.
 """
 from __future__ import annotations
 
@@ -425,20 +426,48 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Normalization
 
-def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor,
-                 residual: bool = False) -> Tensor:
+def _inv_std(var: np.ndarray) -> np.ndarray:
+    """1 / sqrt(var + 1e-5) of float64 variances, negative rounding clipped
+    to 0."""
+    return (np.maximum(var, 0.0) + 1e-5) ** -0.5
+
+
+def _norm_input_grad(g3, x3, mu, istd, gamma, a):
+    """The input gradient of a single-group norm on the (N, C, P) float32
+    x3, whose output is x * a + b per (n, c) with a = gamma * istd, or
+    that plus anything linear in x that folds into the (N, C, 1) float32
+    `a` (a residual adds 1). Returns it with the per-(n, c) float64 sums
+    K = istd * (sum g x - mu sum g) and G = sum g, from which gamma's and
+    beta's gradients follow.
+
+    With them the gradient is g * a + x * p[n] + q[n]. Sums accumulate in
+    float64, as the forward's statistics do.
+    """
+    m = x3.shape[1] * x3.shape[2]
+    gs = g3.sum(axis=2, dtype=np.float64)
+    tmp = np.multiply(g3, x3)
+    k = istd[:, None] * (tmp.sum(axis=2, dtype=np.float64) - mu[:, None] * gs)
+    mean_dxhat, mean_dxhat_xhat = gs @ gamma / m, k @ gamma / m
+    p = -istd * istd * mean_dxhat_xhat
+    q = -istd * mean_dxhat - p * mu
+    np.multiply(x3, p.astype(np.float32)[:, None, None], out=tmp)
+    tmp += q.astype(np.float32)[:, None, None]
+    gx = np.multiply(g3, a)
+    gx += tmp
+    return gx, k, gs
+
+
+def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-sample normalization over all C*H*W elements, per-channel affine.
 
     Matches GroupNorm with a single group: statistics are computed per sample
     across channels and spatial positions, then each channel is scaled by
     gamma and shifted by beta. The statistics accumulate in float64; the
     output is one multiply-add per element, x * a[n, c] + b[n, c] with
-    a = gamma * istd and b = beta - gamma * mu * istd. `residual=True` returns
-    x + the norm instead, x * (1 + a) + b: a block's whole first sub-block
-    when its branch is the norm itself (the fused deploy form). A sample
-    whose float32 squares overflow (|x| beyond about 1.8e19) has no finite
+    a = gamma * istd and b = beta - gamma * mu * istd. A sample whose
+    float32 squares overflow (|x| from 2^64, about 1.8e19) has no finite
     statistics and raises NumericsError instead of returning beta. Counted
-    as 8 FLOPs per element, with or without the residual.
+    as 8 FLOPs per element.
     """
     dx, dg, dbeta = _coerce(x), _coerce(gamma), _coerce(beta)
     if dx.ndim != 4:
@@ -451,33 +480,19 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor,
     m = dx.size // n
     out = np.multiply(x3, x3)  # x^2 for the statistics, then the output
     mu = x3.reshape(n, m).sum(axis=1, dtype=np.float64) / m
-    var = out.reshape(n, m).sum(axis=1, dtype=np.float64) / m - mu * mu
-    istd = (np.maximum(var, 0.0) + 1e-5) ** -0.5
+    istd = _inv_std(out.reshape(n, m).sum(axis=1, dtype=np.float64) / m
+                    - mu * mu)
     if not istd.all():  # var = inf: a float32 square overflowed
         raise NumericsError("group_norm_1: non-finite statistics (the input's "
                             "squares overflow float32)")
     a = istd[:, None] * dg
     b = (dbeta - mu[:, None] * a).astype(np.float32)[:, :, None]
-    a = (a + 1.0 if residual else a).astype(np.float32)[:, :, None]
+    a = a.astype(np.float32)[:, :, None]
     np.multiply(x3, a, out=out)
     out += b
 
     def bwd(g):
-        # With G = sum(g) and K = sum(g * xhat) over each (n, c) plane, the
-        # GroupNorm gradient is g * a + x * p[n] + q[n]; the residual's g
-        # rides in a. Sums accumulate in float64, as in the forward.
-        g3 = g.reshape(n, c, -1)
-        gs = g3.sum(axis=2, dtype=np.float64)
-        tmp = np.multiply(g3, x3)
-        k = istd[:, None] * (tmp.sum(axis=2, dtype=np.float64)
-                             - mu[:, None] * gs)
-        mean_dxhat, mean_dxhat_xhat = gs @ dg / m, k @ dg / m
-        p = -istd * istd * mean_dxhat_xhat
-        q = -istd * mean_dxhat - p * mu
-        np.multiply(x3, p.astype(np.float32)[:, None, None], out=tmp)
-        tmp += q.astype(np.float32)[:, None, None]
-        gx = np.multiply(g3, a)
-        gx += tmp
+        gx, k, gs = _norm_input_grad(g.reshape(n, c, -1), x3, mu, istd, dg, a)
         return (gx.reshape(dx.shape), k.sum(axis=0).astype(np.float32),
                 gs.sum(axis=0).astype(np.float32))
 
@@ -655,15 +670,58 @@ _GELU_PDF_CLIP = np.float32(20.0)
 _GELU_BLOCK = 1 << 16
 
 
+def _gelu_into(flat: np.ndarray, out: np.ndarray,
+               keep_phi: bool) -> Optional[np.ndarray]:
+    """gelu's forward loop: x * Phi(x) of the flat float32 array `flat`
+    into `out` (not `flat` itself), block by block. Returns Phi, in a
+    full-size array, when `keep_phi`; else it lives in a block buffer and
+    the result is None."""
+    w = np.empty(min(flat.size, _GELU_BLOCK), np.float32)
+    phi = np.empty_like(flat) if keep_phi else np.empty_like(w)
+    for i in range(0, flat.size, _GELU_BLOCK):
+        xb, ob = flat[i:i + _GELU_BLOCK], out[i:i + _GELU_BLOCK]
+        m = xb.size
+        pb = phi[i:i + m] if keep_phi else phi[:m]
+        h = w[:m]
+        u = xb.clip(-_GELU_CLIP, _GELU_CLIP, out=ob)
+        s = np.square(u, out=pb)
+        np.multiply(s, _GELU_H[0], out=h)
+        for c in _GELU_H[1:-1]:
+            h += c
+            h *= s
+        h += _GELU_H[-1]
+        h *= u
+        np.tanh(h, out=h)
+        np.multiply(h, np.float32(0.5), out=pb)
+        pb += np.float32(0.5)
+        np.multiply(xb, pb, out=ob)
+    return phi if keep_phi else None
+
+
+def _gelu_grad(x: np.ndarray, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (Phi(x) + x pdf(x)), the adjoint of gelu at x, from the Phi its
+    forward kept, in one buffer. float32 exp(-x^2 / 2) is 0 beyond
+    |x| = 14.4, so a clip keeps x^2 finite and moves no bit."""
+    t = x.clip(-_GELU_PDF_CLIP, _GELU_PDF_CLIP)
+    t *= t
+    t *= np.float32(-0.5)
+    np.exp(t, out=t)
+    t *= np.float32(_INV_SQRT_2PI)
+    t *= x
+    t += phi.reshape(t.shape)
+    t *= g
+    return t
+
+
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x), the exact (erf) form, in float32.
 
     Phi(x) is 1/2 + 1/2 tanh(u h(u^2)) with u = clip(x, -6, 6) and h the
     degree-6 polynomial _GELU_H, evaluated in blocks of _GELU_BLOCK
-    elements: one clip, a Horner chain in u^2 (13 in-place multiplies and
-    adds, the final multiply by u included), one `np.tanh` and three
-    multiply or add passes. Phi goes to a full-size array, kept for the
-    backward, when x needs a gradient, and to a second block buffer
+    elements (`_gelu_into`): one clip, a Horner chain in u^2 (13 in-place
+    multiplies and adds, the final multiply by u included), one `np.tanh`
+    and three multiply or add passes. Phi goes to a full-size array, kept
+    for the backward, when x needs a gradient, and to a second block buffer
     otherwise.
 
     The fit: h(s), s = x^2, approximates (1/2) logit Phi(x) / x, fitted in
@@ -680,43 +738,114 @@ def gelu(x: Tensor) -> Tensor:
     x <= -6 and x itself for x >= 6, and no finite input overflows.
     """
     dx = _coerce(x)
-    flat = dx.reshape(-1)
     need_x, = _needs_grad(x)
-    out = np.empty_like(flat)
-    w = np.empty(min(flat.size, _GELU_BLOCK), np.float32)
-    phi = np.empty_like(flat) if need_x else np.empty_like(w)
-    for i in range(0, flat.size, _GELU_BLOCK):
-        xb, ob = flat[i:i + _GELU_BLOCK], out[i:i + _GELU_BLOCK]
-        m = xb.size
-        pb = phi[i:i + m] if need_x else phi[:m]
-        h = w[:m]
-        u = xb.clip(-_GELU_CLIP, _GELU_CLIP, out=ob)
-        s = np.square(u, out=pb)
-        np.multiply(s, _GELU_H[0], out=h)
-        for c in _GELU_H[1:-1]:
-            h += c
-            h *= s
-        h += _GELU_H[-1]
-        h *= u
-        np.tanh(h, out=h)
-        np.multiply(h, np.float32(0.5), out=pb)
-        pb += np.float32(0.5)
-        np.multiply(xb, pb, out=ob)
+    out = np.empty_like(dx)
+    phi = _gelu_into(dx.reshape(-1), out.reshape(-1), need_x)
+    return _apply(out, (x,), lambda g: (_gelu_grad(dx, phi, g),),
+                  6 * dx.size)  # by convention
+
+
+# ---------------------------------------------------------------------------
+# The fused deploy block
+
+# the least |x| whose float32 square overflows: (2^64)^2 = 2^128 rounds to
+# inf, the float32 below 2^64 squares to under the float32 maximum
+_SQUARE_OVERFLOW = 2.0 ** 64
+
+
+def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
+                 norm2_gamma: Tensor, norm2_beta: Tensor, w1: Tensor,
+                 b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A whole block of the fused deploy form, y + w2 gelu(w1 norm2(y) + b1)
+    + b2 with y = x + norm1(x), as one kernel: norm1 and norm2 are
+    group_norm_1's single-group norms, w1 and w2 channel_linear's maps.
+
+    Both norms' statistics come from one pass over x: the per-(n, c) sums
+    S1 = sum x and S2 = sum x^2 over the HW positions, in float64. norm1 is
+    x a1 + c1 per (n, c), so y = x A + c1 with A = 1 + a1, and y's sums
+    follow without forming it: sum y = A S1 + HW c1 and sum y^2 =
+    A^2 S2 + 2 A c1 S1 + HW c1^2. norm2(y) is then x (A a2) + (c1 a2 + c2),
+    one float32 scale-and-shift pass that is the first GEMM's input. The
+    hidden activation runs gelu's blocked loop (`_gelu_into`), and an
+    epilogue adds x A, then c1 + b2, to the second GEMM's output. The
+    squares are float64, so a large mean loses nothing to float32
+    cancellation; an input one of whose float32 squares overflows (|x| from
+    2^64), where the train form's group_norm_1 has no finite statistics,
+    raises NumericsError all the same.
+
+    Only x gets a gradient, through group_norm_1's adjoint
+    (`_norm_input_grad`) for each norm and gelu's (`_gelu_grad`); Phi is
+    kept for it only then. Deploy weights are fixed, so a weight that
+    requires a gradient while a tape records raises TapeError. Counted by
+    the kernels it replaces: 8 FLOPs per element for the statistics and the
+    scale-and-shift (one norm), each GEMM as channel_linear counts it with
+    its bias (c1 rides with b2), 6 per hidden element for the GELU and 2
+    per element for the residual x A.
+    """
+    weights = (norm1_gamma, norm1_beta, norm2_gamma, norm2_beta, w1, b1, w2, b2)
+    dx = _coerce(x)
+    g1, be1, g2, be2, dw1, db1, dw2, db2 = map(_coerce, weights)
+    if dx.ndim != 4 or dw1.ndim != 2:
+        raise ShapeError(f"deploy_block: x {dx.shape}, w1 {dw1.shape}")
+    n, c, h, wdt = dx.shape
+    hidden = dw1.shape[0]
+    if [v.shape for v in (g1, be1, g2, be2, dw1, db1, dw2, db2)] != [
+            (c,)] * 4 + [(hidden, c), (hidden,), (c, hidden), (c,)]:
+        raise ShapeError(f"deploy_block: x {dx.shape} needs ({c},) norm "
+                         f"vectors and b2, w1 ({hidden}, {c}), b1 "
+                         f"({hidden},) and w2 ({c}, {hidden})")
+    tape = _tape()
+    if tape is not None and any(_needs_grad(*weights)):
+        raise TapeError("deploy_block gives its weights no gradient; a deploy "
+                        "weight that requires one cannot be trained")
+    need_x = tape is not None and _needs_grad(x)[0]
+
+    hw, m = h * wdt, dx.size // n
+    x3 = dx.reshape(n, c, hw)
+    x64 = x3.astype(np.float64)
+    s1 = x64 @ np.ones(hw)  # faster than a sum over the short last axis
+    s2 = np.einsum("ncp,ncp->nc", x64, x64)
+    if s2.max() >= _SQUARE_OVERFLOW ** 2 and (
+            np.abs(x3).max() >= _SQUARE_OVERFLOW):
+        raise NumericsError("deploy_block: the input's squares overflow "
+                            "float32, where the norms have no finite "
+                            "statistics")
+    mu1 = s1.sum(axis=1) / m
+    istd1 = _inv_std(s2.sum(axis=1) / m - mu1 * mu1)
+    a1 = istd1[:, None] * g1
+    c1 = be1 - mu1[:, None] * a1
+    big_a = a1 + 1.0
+    mu2 = (big_a * s1 + hw * c1).sum(axis=1) / m
+    istd2 = _inv_std((big_a * big_a * s2 + 2.0 * big_a * c1 * s1
+                      + hw * c1 * c1).sum(axis=1) / m - mu2 * mu2)
+    a2 = istd2[:, None] * g2
+    c2 = be2 - mu2[:, None] * a2
+
+    z = np.multiply(x3, (big_a * a2).astype(np.float32)[:, :, None])
+    z += (c1 * a2 + c2).astype(np.float32)[:, :, None]
+    pre = dw1 @ z  # one (hidden, C) @ (C, HW) GEMM per sample
+    pre += db1[:, None]
+    act = np.empty_like(pre)
+    phi = _gelu_into(pre.reshape(-1), act.reshape(-1), need_x)
+    out = dw2 @ act
+    a32 = big_a.astype(np.float32)[:, :, None]
+    out += np.multiply(x3, a32, out=z)
+    out += (c1 + db2).astype(np.float32)[:, :, None]
 
     def bwd(g):
-        # g * (phi + x * pdf(x)), in one buffer; float32 exp(-x^2 / 2) is
-        # 0 beyond |x| = 14.4, so the clip keeps x^2 finite and moves no bit
-        t = dx.clip(-_GELU_PDF_CLIP, _GELU_PDF_CLIP)
-        t *= t
-        t *= np.float32(-0.5)
-        np.exp(t, out=t)
-        t *= np.float32(_INV_SQRT_2PI)
-        t *= dx
-        t += phi.reshape(t.shape)
-        t *= g
-        return (t,)
+        g3 = g.reshape(n, c, hw)
+        gz = dw1.T @ _gelu_grad(pre, phi, dw2.T @ g3)
+        y3 = np.multiply(x3, a32)
+        y3 += c1.astype(np.float32)[:, :, None]
+        gy, _, _ = _norm_input_grad(gz, y3, mu2, istd2, g2,
+                                    a2.astype(np.float32)[:, :, None])
+        gy += g3
+        gx, _, _ = _norm_input_grad(gy, x3, mu1, istd1, g1, a32)
+        return (gx.reshape(dx.shape),) + (None,) * len(weights)
 
-    return _apply(out.reshape(dx.shape), (x,), bwd, 6 * dx.size)  # by convention
+    flops = ((2 * c + 1) * hidden + 6 * hidden + (2 * hidden + 1) * c) * n * hw
+    return _apply(out.reshape(dx.shape), (x, *weights), bwd,
+                  flops + 10 * dx.size)
 
 
 def log_softmax(x: Tensor) -> Tensor:

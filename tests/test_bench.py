@@ -133,10 +133,10 @@ def test_op_count_nano_pinned():
 def test_op_count_deploy_and_pooling_pinned():
     # the deploy form folds layer_scale_1 into its norm and layer_scale_2
     # into its MLP at fuse time, so its count has no per-call term and is
-    # exactly linear in batch; its first sub-block is one residual norm at 8
-    # FLOPs per element
+    # exactly linear in batch; each block is one deploy_block kernel, which
+    # counts both norms as one at 8 FLOPs per element and its residual at 2
     deploy = op_count(ModelSpec.nano("affine"), deploy=True)
-    assert deploy == 9_726_984
+    assert deploy == 9_658_888
     assert op_count(ModelSpec.nano("affine"), batch_size=4,
                     deploy=True) == 4 * deploy
     assert op_count(ModelSpec.nano("pooling")) == 9_824_264

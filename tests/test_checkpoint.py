@@ -40,6 +40,21 @@ def test_deploy_round_trip(tmp_path):
         assert np.array_equal(p.data, orig[name].data)
 
 
+def test_loaded_deploy_weights_require_no_gradient(tmp_path):
+    # as switch_to_deploy builds them; a train checkpoint's parameters
+    # still do, and neither flag is in the bytes
+    model = build_model(tiny_spec("affine"), seed=0)
+    for m in (model, switch_to_deploy(model)):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, str(path))
+        loaded, _ = load_checkpoint(str(path))
+        assert {p.requires_grad for _, p in loaded.named_parameters()} \
+            == {not m.deploy}
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+
 # sha256 of the saved nano affine model at seed 0, without meta, in train
 # and deploy form: the header's JSON and the payload are both pinned
 NANO_SHA256 = {

@@ -128,6 +128,30 @@ def test_fuse_verify_round_trip(tiny_config, tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_verify_prints_the_report_bytes(tmp_path, capsys):
+    # the report as indented JSON in field order, on stdout and in --out
+    from riformer import (build_model, save_checkpoint, switch_to_deploy,
+                          verify_equivalence)
+    model = build_model(tiny_spec("affine"), seed=3)
+    deploy = switch_to_deploy(model)
+    train_ckpt, deploy_ckpt = tmp_path / "train.ckpt", tmp_path / "deploy.ckpt"
+    save_checkpoint(model, str(train_ckpt))
+    save_checkpoint(deploy, str(deploy_ckpt))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--train", str(train_ckpt), "--deploy",
+                 str(deploy_ckpt), "--probes", "3", "--out", str(out)]) == 0
+    report = verify_equivalence(model, deploy, n_probes=3)
+    expected = ('{\n'
+                '  "samples": 3,\n'
+                f'  "max_abs_diff": {report.max_abs_diff!r},\n'
+                f'  "mean_abs_diff": {report.mean_abs_diff!r},\n'
+                '  "tolerance": 1e-05,\n'
+                '  "passed": true\n'
+                '}\n')
+    assert capsys.readouterr().out == expected
+    assert out.read_text() == expected
+
+
 def test_verify_perturbed_deploy_fails_with_exit_2(tiny_config, tmp_path,
                                                    capsys):
     from riformer import load_checkpoint, save_checkpoint
@@ -436,7 +460,7 @@ def _patch_below_stride_model() -> dict:
                  "imitation": {"layers": [99]}}, "imitation.layers"),
     ("train", {"train": {"teacher_ckpt": "t.ckpt", "recipe": "soft_kd"},
                "data": {"seed": -1}}, "seed must be >= 0"),
-    ("train", {"train": {"recipe": "soft_kd"},
+    ("train", {"train": {"recipe": "soft_kd"}, "model": {"num_classes": 10},
                "data": {"source": "cifar10_binary", "path": "cif"}},
      "requires a teacher"),
     ("train", {"model": {"num_classes": 4}, "data": {"num_classes": 8}},
@@ -483,21 +507,33 @@ def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
     assert key in out.err
 
 
-def test_cifar_label_past_num_classes_is_runtime_error(tmp_path, capsys):
-    # CIFAR labels run to 9; the nano preset has 8 classes
-    path = tmp_path / "batch.bin"
-    records = np.zeros((2, 3073), np.uint8)
-    records[:, 0] = (0, 9)
-    records.tofile(path)
+def _strided_model(stride: int) -> dict:
+    model = asdict(tiny_spec(num_classes=10, input_resolution=64))
+    model["stages"][0].update(stride=stride, patch_size=stride)
+    return model
+
+
+@pytest.mark.parametrize("cmd", ["train", "bench"])
+@pytest.mark.parametrize("model,message", [
+    ({}, "cifar10_binary has 10 classes, more than model.num_classes 8"),
+    ({"num_classes": 10, "in_channels": 1},
+     "cifar10_binary images have 3 channels, got model.in_channels 1"),
+    (_strided_model(8), "cifar10_binary images are 32x32, not a multiple of "
+                        "the model's total stride 64"),
+], ids=["num_classes", "in_channels", "total_stride"])
+def test_cifar_block_checked_against_the_model_before_any_file_is_read(
+        cmd, model, message, tmp_path, capsys):
+    # CIFAR-10 images are 3x32x32 in 10 classes; the data path does not
+    # exist, so a command that read it would fail with another message
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "data": {"source": "cifar10_binary", "path": str(path)},
-        "train": {"epochs": 1, "batch_size": 2}}))
-    assert main(["train", "--config", str(cfg)]) == 3
+        "model": model, "train": {"epochs": 1, "batch_size": 2},
+        "data": {"source": "cifar10_binary",
+                 "path": str(tmp_path / "missing.bin")}}))
+    assert main([cmd, "--config", str(cfg)]) == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: train labels must lie in [0, 8) "
-                       "(model.num_classes), got 0 to 9\n")
+    assert out.err == f"error: {message}\n"
 
 
 def test_gen_data_writes_the_data_train_reads(tmp_path, capsys, monkeypatch):

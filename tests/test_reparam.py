@@ -8,7 +8,8 @@ import pytest
 import riformer.tensor as T
 from riformer import (Tensor, build_model, forward, fuse_affine,
                       switch_to_deploy, verify_equivalence)
-from riformer.models import CaptureSet, affine_mixer, block_forward
+from riformer.models import (CaptureSet, affine_mixer, block_forward,
+                             deploy_block_forward)
 from helpers import tiny_spec
 
 
@@ -122,6 +123,23 @@ def test_deploy_norm_folds_layer_scale_bitwise():
         deploy.deploy = False
 
 
+def test_deploy_weights_require_no_gradient():
+    # deploy weights serve inference and input gradients only; a weight
+    # that asks for a gradient anyway fails the forward under a tape
+    # instead of getting none
+    model = randomized_affine_model(6)
+    deploy = switch_to_deploy(model)
+    assert all(p.requires_grad for _, p in model.named_parameters())
+    assert not any(p.requires_grad for _, p in deploy.named_parameters())
+    x = Tensor(np.ones((1, 3, 32, 32), np.float32), requires_grad=True)
+    with T.Tape():
+        forward(deploy, x)
+    deploy.blocks[1][0].mlp_w1.requires_grad = True
+    forward(deploy, x)
+    with T.Tape(), pytest.raises(T.TapeError, match="no gradient"):
+        forward(deploy, x)
+
+
 @pytest.fixture
 def kernel_names(monkeypatch):
     """The name of every kernel run while the test runs, in order."""
@@ -138,10 +156,10 @@ def kernel_names(monkeypatch):
 
 
 def test_deploy_first_subblock_is_one_kernel_captured_or_not(kernel_names):
-    # the identity form's first sub-block runs no kernel and the deploy
-    # form's one residual norm per block, captured or not, so verify
-    # certifies the kernels that inference runs; the deploy form also runs
-    # no layer_scale_2 kernel, which it holds in its MLP weights
+    # a deploy block, its first sub-block included, is one deploy_block
+    # kernel, captured or not, so verify certifies the kernel that
+    # inference runs; the identity form's first sub-block runs no kernel and
+    # its second the six of the train form's MLP sub-block
     spec = tiny_spec("affine")
     deploy = switch_to_deploy(build_model(spec, seed=0))
     identity = build_model(tiny_spec("identity"), seed=0)
@@ -156,18 +174,20 @@ def test_deploy_first_subblock_is_one_kernel_captured_or_not(kernel_names):
     for capture in (None, CaptureSet.for_layers(range(n))):
         ran = Counter(kernels(deploy, capture))
         base = Counter(kernels(identity, capture))
-        assert ran - base == Counter(group_norm_1=n)
-        assert base - ran == Counter(channel_affine=n)
+        assert ran - base == Counter(deploy_block=n)
+        assert base - ran == Counter(group_norm_1=n, channel_linear=2 * n,
+                                     gelu=n, channel_affine=n, add=n)
 
 
 def test_block_kernel_sequence_per_form(kernel_names):
     # each per-channel vector (affine s and t, the layer scales) is one
     # channel_affine kernel, with no reshape or broadcasting around it; the
-    # deploy block holds its layer scales in its norm and MLP weights
+    # deploy block, which holds its layer scales in its norm and MLP
+    # weights, is one kernel
     mlp = ["group_norm_1", "channel_linear", "gelu", "channel_linear",
            "channel_affine", "add"]
     expect = {
-        "deploy": ["group_norm_1"] + [k for k in mlp if k != "channel_affine"],
+        "deploy": ["deploy_block"],
         "affine": ["group_norm_1", "channel_affine", "sub", "channel_affine",
                    "add"] + mlp,
         "pooling": ["group_norm_1", "avg_pool_same", "sub", "channel_affine",
@@ -178,10 +198,11 @@ def test_block_kernel_sequence_per_form(kernel_names):
     for form, names in expect.items():
         model = build_model(tiny_spec("affine" if form == "deploy" else form),
                             seed=0)
-        if form == "deploy":
-            model = switch_to_deploy(model)
         kernel_names.clear()
-        block_forward(x, model.blocks[2][0], model.spec)
+        if form == "deploy":
+            deploy_block_forward(x, switch_to_deploy(model).blocks[2][0])
+        else:
+            block_forward(x, model.blocks[2][0], model.spec)
         assert kernel_names == names, form
 
 

@@ -132,8 +132,26 @@ def test_grad_group_norm(seed):
     b = param(rng, 3, scale=0.2)
     wseed = seed + 1
     check_gradients(lambda: T.group_norm_1(x, g, b), [x, g, b], rng, wseed=wseed)
-    check_gradients(lambda: T.group_norm_1(x, g, b, residual=True), [x, g, b],
-                    rng, wseed=wseed)
+
+
+def _deploy_weights(rng, c, hidden):
+    """A deploy block's eight weights, as constants: norm1's and norm2's
+    gamma and beta, w1, b1, w2, b2."""
+    shapes = [(c,)] * 4 + [(hidden, c), (hidden,), (c, hidden), (c,)]
+    scales = [1.0, 0.5, 1.0, 0.5, c ** -0.5, 0.5, hidden ** -0.5, 0.5]
+    return [Tensor(rng.normal(0.0, sc, sh).astype(np.float32))
+            for sh, sc in zip(shapes, scales)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_deploy_block(seed):
+    # only the input gets a gradient; the 1x1 map normalizes 3 elements
+    rng = np.random.default_rng(seed)
+    for shape in [(2, 3, 4, 4), (2, 3, 1, 1)]:
+        x = param(rng, *shape, offset=0.5)
+        ws = _deploy_weights(rng, shape[1], 5)
+        check_gradients(lambda: T.deploy_block(x, *ws), [x], rng,
+                        wseed=seed + 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -279,8 +297,7 @@ def test_gelu_polynomial_is_positive_on_the_clip_range():
     assert not ((real >= 0) & (real <= clip2)).any()
 
 
-@pytest.mark.parametrize("residual", [False, True])
-def test_group_norm_matches_four_pass_reference(residual):
+def test_group_norm_matches_four_pass_reference():
     # the one multiply-add output against gamma * (x - mu) * istd + beta,
     # evaluated in float64 from the same float32 inputs
     rng = np.random.default_rng(3)
@@ -292,9 +309,8 @@ def test_group_norm_matches_four_pass_reference(residual):
         mu = x64.mean(axis=(1, 2, 3), keepdims=True)
         var = x64.var(axis=(1, 2, 3), keepdims=True)
         ref = (g[None, :, None, None] * (x64 - mu) / np.sqrt(var + 1e-5)
-               + b[None, :, None, None] + (x64 if residual else 0.0))
-        out = T.group_norm_1(Tensor(x), Tensor(g), Tensor(b),
-                             residual=residual).data
+               + b[None, :, None, None])
+        out = T.group_norm_1(Tensor(x), Tensor(g), Tensor(b)).data
         np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-6)
 
 
@@ -421,6 +437,9 @@ MASKED_KERNELS = {
                      [(2, 3, 2, 3), (2, 3, 2, 3)]),
     "relation_mse_p_le_c": (lambda a: T.relation_mse(*a),
                             [(2, 5, 1, 3), (2, 5, 1, 3)]),
+    # deploy weights are constants, so only x is listed
+    "deploy_block": (lambda a: T.deploy_block(
+        *a, *_deploy_weights(np.random.default_rng(4), 3, 5)), [(2, 3, 4, 4)]),
 }
 
 
@@ -435,10 +454,10 @@ def test_needs_grad_mask_is_exact(kernel):
         ts = [Tensor(a, requires_grad=i in trained) for i, a in enumerate(arrays)]
         with Tape() as tape:
             tape.backward(T.tsum(T.mul(fn(ts), Tensor(weight))))
-        # the kernel's own backward skips the constants
+        # the kernel's own backward skips the constants, listed or not
         _, _, kernel_bwd = tape._nodes[0]
         skipped = [g is None for g in kernel_bwd(np.ones_like(weight))]
-        assert skipped == [i not in trained for i in range(len(ts))]
+        assert skipped == [i not in trained for i in range(len(skipped))]
         return [t.grad for t in ts]
 
     every = grads(set(range(len(arrays))))
@@ -577,6 +596,126 @@ def test_group_norm_overflowing_statistics_raise():
             pytest.raises(NumericsError, match="group_norm_1"):
         T.group_norm_1(Tensor(x), g, b)
     T.group_norm_1(Tensor(x[:1]), g, b)  # the finite sample alone is fine
+
+
+def _norm64(v, gamma, beta):
+    """group_norm_1 in float64, and its per-(n, c) scale and shift."""
+    mu = v.mean(axis=(1, 2, 3))
+    a = gamma / np.sqrt(v.var(axis=(1, 2, 3)) + 1e-5)[:, None]
+    shift = beta - mu[:, None] * a
+    return v * a[:, :, None, None] + shift[:, :, None, None], a, shift
+
+
+def _gelu64(v):
+    phi = [math.erfc(t) / 2 for t in (-v.ravel() / math.sqrt(2)).tolist()]
+    return v * np.reshape(phi, v.shape)
+
+
+def _deploy_block_reference(x, g1, be1, g2, be2, w1, b1, w2, b2):
+    """The six kernels a deploy block ran before it was one kernel (the
+    residual norm, the norm, both linear maps, GELU and the add), in
+    float64; and the magnitude of what float32 sums into each output: the
+    terms of the norm2 scale-and-shift x (A a2) + (c1 a2 + c2) of the
+    first map's input, through both maps' absolute weights, plus those
+    of the residual x A + c1 + b2."""
+    x, g1, be1, g2, be2, w1, b1, w2, b2 = (
+        v.astype(np.float64) for v in (x, g1, be1, g2, be2, w1, b1, w2, b2))
+    norm1, a1, c1 = _norm64(x, g1, be1)
+    y = x + norm1
+    z, a2, c2 = _norm64(y, g2, be2)
+    pre = np.einsum("kc,nchw->nkhw", w1, z) + b1[:, None, None]
+    out = y + np.einsum("ck,nkhw->nchw", w2, _gelu64(pre)) + b2[:, None, None]
+    big_a = 1.0 + a1
+
+    def col(v):
+        return v[:, :, None, None]
+
+    zmag = np.abs(x * col(big_a * a2)) + np.abs(col(c1 * a2 + c2))
+    hmag = np.einsum("kc,nchw->nkhw", np.abs(w1), zmag) + np.abs(b1)[:, None, None]
+    omag = (np.einsum("ck,nkhw->nchw", np.abs(w2), hmag)
+            + np.abs(x * col(big_a)) + np.abs(col(c1) + b2[:, None, None]))
+    return out, omag
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6),
+       st.sampled_from([(1, 1), (2, 2), (1, 3), (4, 4)]), st.integers(1, 8),
+       st.floats(0.0, 1e3), st.integers(0, 2 ** 31 - 1))
+def test_deploy_block_matches_six_kernel_float64_reference(n, c, hw, hidden,
+                                                           offset, seed):
+    # per-sample means up to 1e3 and spreads from 0.01 to 10: norm2's
+    # statistics expand sum y^2 from sums of x and x^2, where cancellation
+    # would show. The bound is a few float32 roundings of the magnitudes
+    # summed into each output
+    rng = np.random.default_rng(seed)
+    spread = np.exp(rng.uniform(np.log(0.01), np.log(10.0), (n, 1, 1, 1)))
+    x = (rng.uniform(-offset, offset, (n, 1, 1, 1))
+         + spread * rng.normal(0.0, 1.0, (n, c, *hw))).astype(np.float32)
+    ws = _deploy_weights(rng, c, hidden)
+    out = T.deploy_block(Tensor(x), *ws).data
+    ref, omag = _deploy_block_reference(x, *(w.data for w in ws))
+    err = np.abs(out - ref) / (1.0 + omag)
+    assert err.max() <= 1e-6, f"scaled error {err.max():.3g}"
+
+
+def test_deploy_block_overflowing_squares_raise():
+    # |x| from 2^64 squares past float32: the train form's group_norm_1 has
+    # no finite statistics there, and the fused kernel raises as it does;
+    # the float32 just below 2^64 is fine for both
+    rng = np.random.default_rng(0)
+    ws = _deploy_weights(rng, 3, 4)
+    for edge, raises in [(np.float32(2.0 ** 64), True),
+                         (np.nextafter(np.float32(2.0 ** 64), 0), False)]:
+        x = rng.normal(0, 1, (2, 3, 2, 2)).astype(np.float32)
+        x[1, 2, 1, 0] = -edge
+        with np.errstate(over="ignore"):
+            for kernel in (lambda: T.deploy_block(Tensor(x), *ws),
+                           lambda: T.group_norm_1(Tensor(x), *ws[:2])):
+                if raises:
+                    with pytest.raises(NumericsError, match="statistics"):
+                        kernel()
+                else:
+                    kernel()
+
+
+def test_deploy_block_overflowing_hidden_activation_raises():
+    # a w1 that sends the hidden activation past float32: inf and NaN run
+    # through GELU and the second map, and the output check catches them
+    rng = np.random.default_rng(1)
+    ws = _deploy_weights(rng, 3, 4)
+    ws[4] = Tensor(np.full((4, 3), 3e38, np.float32))
+    x = Tensor(rng.normal(0, 1, (2, 3, 4, 4)).astype(np.float32))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericsError, match="kernel output"):
+        T.deploy_block(x, *ws)
+
+
+def test_deploy_block_weights_take_no_gradient():
+    # a deploy weight that asks for a gradient under a tape is an error, not
+    # a gradient of None; outside a tape it is only read
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(0, 1, (1, 3, 2, 2)).astype(np.float32),
+               requires_grad=True)
+    for i in range(8):
+        ws = _deploy_weights(rng, 3, 4)
+        ws[i].requires_grad = True
+        T.deploy_block(x, *ws)
+        with Tape(), pytest.raises(TapeError, match="no gradient"):
+            T.deploy_block(x, *ws)
+
+
+def test_deploy_block_shapes_checked():
+    rng = np.random.default_rng(3)
+    x = Tensor(np.zeros((1, 3, 2, 2), np.float32))
+    ws = _deploy_weights(rng, 3, 4)
+    for i, shape in enumerate([(4,), (2,), (1,), (3, 1), (4, 2), (3,),
+                               (4, 4), (4,)]):
+        bad = list(ws)
+        bad[i] = Tensor(np.zeros(shape, np.float32))
+        with pytest.raises(ShapeError):
+            T.deploy_block(x, *bad)
+    with pytest.raises(ShapeError):
+        T.deploy_block(Tensor(np.zeros((3, 2, 2), np.float32)), *ws)
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +892,11 @@ def test_kernel_flop_counts():
         T.channel_affine(x, s)
     assert profile.flops == {"": 120}
     assert _profiled_flops(lambda: T.channel_affine(x, s, s)) == 240
+    # a deploy block as the kernels it replaces count it, one norm for both
+    # and 2 per element for its residual: 2*3*20 elements, 5 hidden
+    ws = _deploy_weights(rng, 3, 5)
+    assert _profiled_flops(lambda: T.deploy_block(x, *ws)) \
+        == 2 * 20 * (5 * (2 * 3 + 1) + 6 * 5 + 3 * (2 * 5 + 1)) + 10 * 120
 
 
 # ---------------------------------------------------------------------------
