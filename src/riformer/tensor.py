@@ -761,12 +761,16 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
     group_norm_1's single-group norms, w1 and w2 channel_linear's maps.
 
     Both norms' statistics come from one pass over x: the per-(n, c) sums
-    S1 = sum x and S2 = sum x^2 over the HW positions, in float64. norm1 is
-    x a1 + c1 per (n, c), so y = x A + c1 with A = 1 + a1, and y's sums
-    follow without forming it: sum y = A S1 + HW c1 and sum y^2 =
-    A^2 S2 + 2 A c1 S1 + HW c1^2. norm2(y) is then x (A a2) + (c1 a2 + c2),
-    one float32 scale-and-shift pass that is the first GEMM's input. The
-    hidden activation runs gelu's blocked loop (`_gelu_into`), and an
+    S1 = sum x and S2 = sum x^2 over the HW positions, in float64. With k1
+    and mu1 a sample's inverse std and mean, norm1 is x a1 + c1 per (n, c),
+    a1 = k1 g and c1 = b - mu1 k1 g for norm1's gamma g and beta b. So
+    y = x A + c1 with A = 1 + a1, and y's sums follow without forming it:
+    sum y = sum_c (A S1 + HW c1) and sum y^2 = sum_c (A^2 S2 + 2 A c1 S1
+    + HW c1^2). Expanded in k1 and mu1 k1, both are dot products of S1 and
+    S2 with g, g^2, b, g b and b^2, so each sample's four statistics are
+    a few float64 scalar operations. norm2(y) is then x (A a2) + (c1 a2 +
+    c2), one float32 scale-and-shift pass that is the first GEMM's input.
+    The hidden activation runs gelu's blocked loop (`_gelu_into`), and an
     epilogue adds x A, then c1 + b2, to the second GEMM's output. The
     squares are float64, so a large mean loses nothing to float32
     cancellation; an input one of whose float32 squares overflows (|x| from
@@ -802,35 +806,50 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
 
     hw, m = h * wdt, dx.size // n
     x3 = dx.reshape(n, c, hw)
+    sums = np.empty((2, n, c))  # S1 and S2
     x64 = x3.astype(np.float64)
-    s1 = x64 @ np.ones(hw)  # faster than a sum over the short last axis
-    s2 = np.einsum("ncp,ncp->nc", x64, x64)
-    if s2.max() >= _SQUARE_OVERFLOW ** 2 and (
-            np.abs(x3).max() >= _SQUARE_OVERFLOW):
-        raise NumericsError("deploy_block: the input's squares overflow "
-                            "float32, where the norms have no finite "
-                            "statistics")
-    mu1 = s1.sum(axis=1) / m
-    istd1 = _inv_std(s2.sum(axis=1) / m - mu1 * mu1)
+    x64.sum(axis=2, out=sums[0])
+    np.square(x64, out=x64).sum(axis=2, out=sums[1])
+    # g, g^2, b, g b, b^2 for norm1's gamma g and beta b, products in float64
+    vec = np.array((g1, g1, be1, g1, be1), np.float64)
+    vec[1] *= vec[0]
+    vec[3:] *= vec[2]
+    sg, sgg, sb, sgb, sbb = vec.sum(axis=1).tolist()
+    stats = []  # mu1, k1, mu2, k2 of each sample, as Python floats
+    for i, (t1, t2, (s1g, s1gg, s1b, s1gb, _), (s2g, s2gg, *_)) in enumerate(
+            zip(*sums.sum(axis=2).tolist(), *(sums @ vec.T).tolist())):
+        if t2 >= _SQUARE_OVERFLOW ** 2 and (
+                np.abs(x3[i]).max() >= _SQUARE_OVERFLOW):
+            raise NumericsError("deploy_block: the input's squares overflow "
+                                "float32, where the norms have no finite "
+                                "statistics")
+        mu1 = t1 / m
+        k1 = (max(t2 / m - mu1 * mu1, 0.0) + 1e-5) ** -0.5
+        q = mu1 * k1
+        mu2 = (t1 + k1 * s1g + hw * (sb - q * sg)) / m
+        ey2 = (t2 + k1 * (2.0 * s2g + k1 * s2gg)
+               + 2.0 * (s1b - q * s1g + k1 * s1gb - q * k1 * s1gg)
+               + hw * (sbb - 2.0 * q * sgb + q * q * sgg)) / m
+        stats.append((mu1, k1, mu2, (max(ey2 - mu2 * mu2, 0.0) + 1e-5) ** -0.5))
+    mu1, istd1, mu2, istd2 = np.array(stats).T
     a1 = istd1[:, None] * g1
     c1 = be1 - mu1[:, None] * a1
     big_a = a1 + 1.0
-    mu2 = (big_a * s1 + hw * c1).sum(axis=1) / m
-    istd2 = _inv_std((big_a * big_a * s2 + 2.0 * big_a * c1 * s1
-                      + hw * c1 * c1).sum(axis=1) / m - mu2 * mu2)
     a2 = istd2[:, None] * g2
-    c2 = be2 - mu2[:, None] * a2
+    # float32 (N, C, 1): norm2's scale and shift of x, A, and c1 + b2
+    scale, shift, a32, shift_out = np.array((
+        big_a * a2, (c1 - mu2[:, None]) * a2 + be2, big_a, c1 + db2),
+        np.float32)[..., None]
 
-    z = np.multiply(x3, (big_a * a2).astype(np.float32)[:, :, None])
-    z += (c1 * a2 + c2).astype(np.float32)[:, :, None]
+    z = np.multiply(x3, scale)
+    z += shift
     pre = dw1 @ z  # one (hidden, C) @ (C, HW) GEMM per sample
     pre += db1[:, None]
     act = np.empty_like(pre)
     phi = _gelu_into(pre.reshape(-1), act.reshape(-1), need_x)
     out = dw2 @ act
-    a32 = big_a.astype(np.float32)[:, :, None]
     out += np.multiply(x3, a32, out=z)
-    out += (c1 + db2).astype(np.float32)[:, :, None]
+    out += shift_out
 
     def bwd(g):
         g3 = g.reshape(n, c, hw)
