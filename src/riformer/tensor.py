@@ -810,14 +810,20 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
     x64 = x3.astype(np.float64)
     x64.sum(axis=2, out=sums[0])
     np.square(x64, out=x64).sum(axis=2, out=sums[1])
-    # g, g^2, b, g b, b^2 for norm1's gamma g and beta b, products in float64
-    vec = np.array((g1, g1, be1, g1, be1), np.float64)
+    # rows g, g^2, b, g b, b^2 and 1 for norm1's gamma g and beta b, then
+    # norm2's gamma and beta and b2, all float64
+    vec = np.array((g1, g1, be1, g1, be1, g1, g2, be2, db2), np.float64)
     vec[1] *= vec[0]
-    vec[3:] *= vec[2]
-    sg, sgg, sb, sgb, sbb = vec.sum(axis=1).tolist()
-    stats = []  # mu1, k1, mu2, k2 of each sample, as Python floats
-    for i, (t1, t2, (s1g, s1gg, s1b, s1gb, _), (s2g, s2gg, *_)) in enumerate(
-            zip(*sums.sum(axis=2).tolist(), *(sums @ vec.T).tolist())):
+    vec[3:5] *= vec[2]
+    vec[5] = 1.0
+    # HW times each row's sum over channels: the c1 terms of y's sums
+    sg, sgg, sb, sgb, sbb, _ = (hw * vec[:6].sum(axis=1)).tolist()
+    # each sample's mu1, k1, mu2 and k2 (means and inverse stds) as Python
+    # floats, from the dot products of its S1 and S2 with the rows, q being
+    # mu1 k1: y's sums are polynomials in k1 and q
+    stats = []
+    for i, ((s1g, s1gg, s1b, s1gb, _, t1), (s2g, s2gg, *_, t2)) in enumerate(
+            zip(*(sums @ vec[:6].T).tolist())):
         if t2 >= _SQUARE_OVERFLOW ** 2 and (
                 np.abs(x3[i]).max() >= _SQUARE_OVERFLOW):
             raise NumericsError("deploy_block: the input's squares overflow "
@@ -826,19 +832,19 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
         mu1 = t1 / m
         k1 = (max(t2 / m - mu1 * mu1, 0.0) + 1e-5) ** -0.5
         q = mu1 * k1
-        mu2 = (t1 + k1 * s1g + hw * (sb - q * sg)) / m
-        ey2 = (t2 + k1 * (2.0 * s2g + k1 * s2gg)
-               + 2.0 * (s1b - q * s1g + k1 * s1gb - q * k1 * s1gg)
-               + hw * (sbb - 2.0 * q * sgb + q * q * sgg)) / m
+        mu2 = (t1 + k1 * s1g + sb - q * sg) / m
+        ey2 = (t2 + k1 * (2.0 * (s2g + s1gb) + k1 * s2gg)
+               + 2.0 * (s1b - q * (s1g + k1 * s1gg)) + sbb
+               - q * (2.0 * sgb - q * sgg)) / m
         stats.append((mu1, k1, mu2, (max(ey2 - mu2 * mu2, 0.0) + 1e-5) ** -0.5))
     mu1, istd1, mu2, istd2 = np.array(stats).T
-    a1 = istd1[:, None] * g1
-    c1 = be1 - mu1[:, None] * a1
+    a1 = istd1[:, None] * vec[0]
+    c1 = vec[2] - mu1[:, None] * a1
     big_a = a1 + 1.0
-    a2 = istd2[:, None] * g2
+    a2 = istd2[:, None] * vec[6]
     # float32 (N, C, 1): norm2's scale and shift of x, A, and c1 + b2
     scale, shift, a32, shift_out = np.array((
-        big_a * a2, (c1 - mu2[:, None]) * a2 + be2, big_a, c1 + db2),
+        big_a * a2, (c1 - mu2[:, None]) * a2 + vec[7], big_a, c1 + vec[8]),
         np.float32)[..., None]
 
     z = np.multiply(x3, scale)
