@@ -426,12 +426,6 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Normalization
 
-def _inv_std(var: np.ndarray) -> np.ndarray:
-    """1 / sqrt(var + 1e-5) of float64 variances, negative rounding clipped
-    to 0."""
-    return (np.maximum(var, 0.0) + 1e-5) ** -0.5
-
-
 def _norm_input_grad(g3, x3, mu, istd, gamma, a):
     """The input gradient of a single-group norm on the (N, C, P) float32
     x3, whose output is x * a + b per (n, c) with a = gamma * istd, or
@@ -480,8 +474,8 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     m = dx.size // n
     out = np.multiply(x3, x3)  # x^2 for the statistics, then the output
     mu = x3.reshape(n, m).sum(axis=1, dtype=np.float64) / m
-    istd = _inv_std(out.reshape(n, m).sum(axis=1, dtype=np.float64) / m
-                    - mu * mu)
+    var = out.reshape(n, m).sum(axis=1, dtype=np.float64) / m - mu * mu
+    istd = (np.maximum(var, 0.0) + 1e-5) ** -0.5
     if not istd.all():  # var = inf: a float32 square overflowed
         raise NumericsError("group_norm_1: non-finite statistics (the input's "
                             "squares overflow float32)")
@@ -836,7 +830,8 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
         ey2 = (t2 + k1 * (2.0 * (s2g + s1gb) + k1 * s2gg)
                + 2.0 * (s1b - q * (s1g + k1 * s1gg)) + sbb
                - q * (2.0 * sgb - q * sgg)) / m
-        stats.append((mu1, k1, mu2, (max(ey2 - mu2 * mu2, 0.0) + 1e-5) ** -0.5))
+        k2 = (max(ey2 - mu2 * mu2, 0.0) + 1e-5) ** -0.5
+        stats.append((mu1, k1, mu2, k2))
     mu1, istd1, mu2, istd2 = np.array(stats).T
     a1 = istd1[:, None] * vec[0]
     c1 = vec[2] - mu1[:, None] * a1

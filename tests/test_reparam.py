@@ -159,7 +159,7 @@ def test_deploy_first_subblock_is_one_kernel_captured_or_not(kernel_names):
     # a deploy block, its first sub-block included, is one deploy_block
     # kernel, captured or not, so verify certifies the kernel that
     # inference runs; the identity form's first sub-block runs no kernel and
-    # its second the six of the train form's MLP sub-block
+    # its second sub-block the train form's six
     spec = tiny_spec("affine")
     deploy = switch_to_deploy(build_model(spec, seed=0))
     identity = build_model(tiny_spec("identity"), seed=0)
