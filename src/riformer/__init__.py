@@ -6,8 +6,8 @@ from .tensor import Tape, Tensor, NumericsError, ShapeError, TapeError
 from .models import (ModelSpec, StageSpec, ModelWeights, CaptureSet,
                      build_model, forward, forward_features)
 from .optim import AdamW
-from .reparam import (FusedNorm, EquivalenceReport, fuse_affine,
-                      switch_to_deploy, verify_equivalence)
+from .reparam import (EquivalenceReport, fuse_affine, switch_to_deploy,
+                      verify_equivalence)
 from .imitation import (ImitationConfig, LossReport, loss_in_prime, loss_out,
                         loss_rel, loss_soft, relation_matrix, select_layers,
                         load_from_teacher, total_loss)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape", "Tensor", "NumericsError", "ShapeError", "TapeError",
     "ModelSpec", "StageSpec", "ModelWeights", "CaptureSet", "build_model",
-    "forward", "forward_features", "AdamW", "FusedNorm", "EquivalenceReport",
+    "forward", "forward_features", "AdamW", "EquivalenceReport",
     "fuse_affine", "switch_to_deploy", "verify_equivalence",
     "ImitationConfig", "LossReport", "loss_in_prime", "loss_out",
     "loss_rel", "loss_soft", "relation_matrix", "select_layers",

@@ -15,7 +15,7 @@ import glob
 import os
 import statistics
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -55,9 +55,6 @@ class BenchReport:
     blas: Optional[str]  # numpy's OpenBLAS build string, None without one
     notes: str = ""
     raw_timings: list[list[float]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

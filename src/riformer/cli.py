@@ -250,7 +250,7 @@ def _cmd_bench(args) -> int:
     report = bench.throughput(model, conf.bench,
                               model_id=args.ckpt or "from-config",
                               seed=conf.train.seed)
-    d = report.to_dict()
+    d = asdict(report)
     if not args.raw:
         d.pop("raw_timings")
     if args.out:
@@ -449,8 +449,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        # every kernel checks its output, so an overflow ends in one
-        # NumericsError line below rather than numpy's warning
+        # every kernel checks its output, so a value past the float32
+        # maximum (a weight of 3e38, say) ends in one NumericsError line
+        # below rather than numpy's overflow warning
         with np.errstate(over="ignore"):
             return args.fn(args)
     except ValidationFailure as e:

@@ -151,8 +151,10 @@ class ModelSpec:
         if self.mixer_kind == "pooling" and not (self.pool_size > 0
                                                  and self.pool_size % 2):
             raise ValueError(f"pool_size must be odd and >= 1, got {self.pool_size}")
-        if not math.isfinite(self.layer_scale_init):
-            raise ValueError(f"layer_scale_init must be finite, "
+        with np.errstate(over="ignore"):  # 1e39 rounds to inf
+            finite = np.isfinite(np.float32(self.layer_scale_init))
+        if not finite:
+            raise ValueError(f"layer_scale_init must be finite in float32, "
                              f"got {self.layer_scale_init}")
         if self.num_classes < 1 or self.in_channels < 1:
             raise ValueError(f"num_classes and in_channels must be >= 1, got "

@@ -33,12 +33,6 @@ VERIFY_CHUNK = 16
 
 
 @dataclass
-class FusedNorm:
-    gamma_prime: np.ndarray
-    beta_prime: np.ndarray
-
-
-@dataclass
 class EquivalenceReport:
     samples: int
     max_abs_diff: float
@@ -47,12 +41,12 @@ class EquivalenceReport:
     passed: bool
 
 
-def fuse_affine(gamma, beta, s, t) -> FusedNorm:
+def fuse_affine(gamma, beta, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """The fused norm's (gamma', beta') as float32 vectors."""
     gamma, beta, s, t = (np.asarray(v, dtype=np.float32) for v in (gamma, beta, s, t))
     if not (gamma.shape == beta.shape == s.shape == t.shape) or gamma.ndim != 1:
         raise T.ShapeError("fuse_affine expects equal-length per-channel vectors")
-    return FusedNorm(gamma_prime=gamma * (s - 1.0),
-                     beta_prime=beta * (s - 1.0) + t)
+    return gamma * (s - 1.0), beta * (s - 1.0) + t
 
 
 def switch_to_deploy(model: ModelWeights) -> ModelWeights:
@@ -72,10 +66,11 @@ def switch_to_deploy(model: ModelWeights) -> ModelWeights:
                      else np.zeros(shape, np.float32))
         for name, shape, _ in param_layout(model.spec, deploy=True)}, True)
     for tb, db in zip(chain(*model.blocks), chain(*out.blocks)):
-        fused = fuse_affine(tb.norm1_gamma.data, tb.norm1_beta.data,
-                            tb.affine_s.data, tb.affine_t.data)
-        db.norm1_gamma.data = fused.gamma_prime * tb.layer_scale_1.data
-        db.norm1_beta.data = fused.beta_prime * tb.layer_scale_1.data
+        gamma_prime, beta_prime = fuse_affine(
+            tb.norm1_gamma.data, tb.norm1_beta.data,
+            tb.affine_s.data, tb.affine_t.data)
+        db.norm1_gamma.data = gamma_prime * tb.layer_scale_1.data
+        db.norm1_beta.data = beta_prime * tb.layer_scale_1.data
         ls2 = tb.layer_scale_2.data
         db.mlp_w2.data = ls2[:, None] * tb.mlp_w2.data
         db.mlp_b2.data = ls2 * tb.mlp_b2.data

@@ -128,12 +128,12 @@ def test_criterion_01_fusion_equivalence_100_random_models():
 
 
 def test_criterion_02_symbolic_fusion_tabulated_values():
-    fused = fuse_affine([2.0], [0.5], [3.0], [0.1])
-    assert float(fused.gamma_prime[0]) == 4.0
-    assert abs(float(fused.beta_prime[0]) - 1.1) < 1e-7
-    ident = fuse_affine([1.0], [0.0], [1.0], [0.0])
-    assert float(ident.gamma_prime[0]) == 0.0
-    assert float(ident.beta_prime[0]) == 0.0
+    gamma_prime, beta_prime = fuse_affine([2.0], [0.5], [3.0], [0.1])
+    assert float(gamma_prime[0]) == 4.0
+    assert abs(float(beta_prime[0]) - 1.1) < 1e-7
+    ident_gamma, ident_beta = fuse_affine([1.0], [0.0], [1.0], [0.0])
+    assert float(ident_gamma[0]) == 0.0
+    assert float(ident_beta[0]) == 0.0
 
 
 def test_criterion_03_gradient_suite_10_seeds():

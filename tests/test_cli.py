@@ -439,6 +439,8 @@ def _patch_below_stride_model() -> dict:
                          "layer_scale_init": float("nan")}}, "layer_scale_init"),
     ("bench", {"model": {"mixer_kind": "affine",
                          "layer_scale_init": float("inf")}}, "layer_scale_init"),
+    ("bench", {"model": {"mixer_kind": "affine",
+                         "layer_scale_init": 1e39}}, "layer_scale_init"),
     ("bench", {"model": _huge_mlp_ratio_model()}, "mlp_ratio"),
     ("bench", {"model": _patch_below_stride_model()}, "patch_size 1, stride 4"),
     ("bench", {"model": {"preset": "s12", "mixer_kind": "affine"}}, "preset"),
@@ -476,8 +478,9 @@ def _patch_below_stride_model() -> dict:
     ("gen-data", {"data": {"max_shift": -1}}, "max_shift"),
 ], ids=["teacher_ckpt_int", "teacher_ckpt_list", "cifar_unknown_key",
         "cifar_missing_path", "cifar_int_path", "layer_scale_nan",
-        "layer_scale_inf", "mlp_ratio_huge", "patch_below_stride",
-        "preset_unknown", "preset_int", "data_stream", "source_unknown",
+        "layer_scale_inf", "layer_scale_above_float32", "mlp_ratio_huge",
+        "patch_below_stride", "preset_unknown", "preset_int", "data_stream",
+        "source_unknown",
         "source_int", "root_not_object", "train_source_before_teacher",
         "bench_data_stream", "erf_preset", "gen_data_recipe", "root_typo",
         "two_imitation_blocks", "layers_out_of_range", "data_seed_negative",
@@ -680,16 +683,18 @@ def test_oversized_config_is_runtime_error(tmp_path, capsys):
 
 
 def test_overflowing_activations_are_runtime_error(tmp_path, capsys):
-    # layer scale 1e20 makes the next norm's float32 squares overflow; the
-    # norm must raise instead of returning its beta
-    path = tmp_path / "huge_scale.json"
-    path.write_text(json.dumps({"model": {"mixer_kind": "affine",
-                                          "layer_scale_init": 1e20}}))
-    assert main(["bench", "--config", str(path)]) == 3
+    # a first MLP weight of 3e38 sends the hidden activation past float32;
+    # the kernel's output check raises, and main turns that into one line
+    from riformer import build_model, save_checkpoint
+    model = build_model(tiny_spec("affine"), seed=0)
+    w1 = model.blocks[0][0].mlp_w1
+    w1.data = np.full_like(w1.data, 3e38)
+    ckpt = str(tmp_path / "huge_w1.ckpt")
+    save_checkpoint(model, ckpt)
+    assert main(["bench", "--ckpt", ckpt]) == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: ") and out.err.count("\n") == 1
-    assert "non-finite" in out.err
+    assert out.err == "error: non-finite values in kernel output\n"
 
 
 def test_inspect_ckpt_total_params_exact(tiny_config, tmp_path, capsys):

@@ -14,21 +14,22 @@ from helpers import tiny_spec
 
 
 def test_fuse_tabulated_values():
-    fused = fuse_affine([2.0], [0.5], [3.0], [0.1])
-    assert fused.gamma_prime[0] == pytest.approx(4.0, abs=0)
-    assert fused.beta_prime[0] == pytest.approx(1.1, abs=1e-7)
+    gamma_prime, beta_prime = fuse_affine([2.0], [0.5], [3.0], [0.1])
+    assert gamma_prime[0] == pytest.approx(4.0, abs=0)
+    assert beta_prime[0] == pytest.approx(1.1, abs=1e-7)
 
 
 def test_fuse_identity_init_gives_zero_branch():
-    fused = fuse_affine([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-    np.testing.assert_array_equal(fused.gamma_prime, [0.0, 0.0])
-    np.testing.assert_array_equal(fused.beta_prime, [0.0, 0.0])
+    gamma_prime, beta_prime = fuse_affine([1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
+                                          [0.0, 0.0])
+    np.testing.assert_array_equal(gamma_prime, [0.0, 0.0])
+    np.testing.assert_array_equal(beta_prime, [0.0, 0.0])
 
 
 def test_fuse_s_zero_negates_norm():
-    fused = fuse_affine([1.0], [0.0], [0.0], [0.0])
-    np.testing.assert_array_equal(fused.gamma_prime, [-1.0])
-    np.testing.assert_array_equal(fused.beta_prime, [0.0])
+    gamma_prime, beta_prime = fuse_affine([1.0], [0.0], [0.0], [0.0])
+    np.testing.assert_array_equal(gamma_prime, [-1.0])
+    np.testing.assert_array_equal(beta_prime, [0.0])
 
 
 def test_fuse_shape_mismatch_rejected():
@@ -49,9 +50,9 @@ def test_symbolic_identity_on_random_vectors(seed):
 
     normed = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
     branch = affine_mixer(Tensor(normed), Tensor(s), Tensor(t)).data
-    fused = fuse_affine(gamma, beta, s, t)
-    expect = (fused.gamma_prime[None, :, None, None] * xhat
-              + fused.beta_prime[None, :, None, None])
+    gamma_prime, beta_prime = fuse_affine(gamma, beta, s, t)
+    expect = (gamma_prime[None, :, None, None] * xhat
+              + beta_prime[None, :, None, None])
     np.testing.assert_allclose(branch, expect, atol=1e-5)
 
 
@@ -104,13 +105,14 @@ def test_deploy_norm_folds_layer_scale_bitwise():
     assert deploy.deploy and not model.deploy
     for train_stage, deploy_stage in zip(model.blocks, deploy.blocks):
         for tb, db in zip(train_stage, deploy_stage):
-            fused = fuse_affine(tb.norm1_gamma.data, tb.norm1_beta.data,
-                                tb.affine_s.data, tb.affine_t.data)
+            gamma_prime, beta_prime = fuse_affine(
+                tb.norm1_gamma.data, tb.norm1_beta.data,
+                tb.affine_s.data, tb.affine_t.data)
             ls1 = tb.layer_scale_1.data
             assert (db.norm1_gamma.data.tobytes()
-                    == (fused.gamma_prime * ls1).tobytes())
+                    == (gamma_prime * ls1).tobytes())
             assert (db.norm1_beta.data.tobytes()
-                    == (fused.beta_prime * ls1).tobytes())
+                    == (beta_prime * ls1).tobytes())
             ls2 = tb.layer_scale_2.data
             assert (db.mlp_w2.data.tobytes()
                     == (ls2[:, None] * tb.mlp_w2.data).tobytes())
@@ -261,8 +263,8 @@ def test_scalar_case_exact_at_tol_zero():
                          for v in (1.25, 0.5, 2.0, 0.25))
     normed = gamma * xhat + beta
     branch = (s * normed + t) - normed
-    fused = fuse_affine(gamma, beta, s, t)
-    expect = fused.gamma_prime * xhat + fused.beta_prime
+    gamma_prime, beta_prime = fuse_affine(gamma, beta, s, t)
+    expect = gamma_prime * xhat + beta_prime
     assert float(np.abs(branch - expect).max()) == 0.0
 
 
