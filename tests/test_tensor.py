@@ -647,34 +647,43 @@ def test_deploy_block_matches_six_kernel_float64_reference(n, c, hw, hidden,
     assert err.max() <= 1e-6, f"scaled error {err.max():.3g}"
 
 
-def test_norm_statistics_match_float64_at_extreme_magnitudes():
-    # both kernels take a sample's statistics from exact float64 squares: a
-    # sample holding +-2^64, whose float32 squares would overflow, one
+def _extreme_magnitude_samples():
+    # a sample holding +-2^64, whose float32 squares would overflow, one
     # scaled to 1e30, and one with mean 1e3 and spread 0.01, where float32
-    # squares would cancel. No kernel warns, and the bound is the deploy
-    # reference test's: a few float32 roundings of the magnitudes summed
-    # into each output
+    # squares would cancel
     rng = np.random.default_rng(0)
     x = rng.normal(0.0, 1.0, (3, 3, 4, 4))
     x[0, 2, 1, 0], x[0, 0, 3, 2] = -2.0 ** 64, 2.0 ** 64
     x[1] *= 1e30
     x[2] = 1e3 + 0.01 * x[2]
-    x = x.astype(np.float32)
-    ws = _deploy_weights(rng, 3, 4)
+    return x.astype(np.float32), _deploy_weights(rng, 3, 4)
+
+
+def test_group_norm_statistics_match_float64_at_extreme_magnitudes():
+    # group_norm_1 takes a sample's statistics from exact float64 squares:
+    # it does not warn, and the bound is the deploy reference test's, a few
+    # float32 roundings of the magnitudes summed into each output
+    x, ws = _extreme_magnitude_samples()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norm = T.group_norm_1(Tensor(x), *ws[:2]).data
-        block = T.deploy_block(Tensor(x), *ws).data
+        out = T.group_norm_1(Tensor(x), *ws[:2]).data
     x64 = x.astype(np.float64)
-    norm_ref, a, shift = _norm64(x64, *(w.data.astype(np.float64)
-                                        for w in ws[:2]))
-    norm_mag = (np.abs(x64 * a[:, :, None, None])
-                + np.abs(shift[:, :, None, None]))
-    block_ref, block_mag = _deploy_block_reference(x, *(w.data for w in ws))
-    for out, ref, mag in ((norm, norm_ref, norm_mag),
-                          (block, block_ref, block_mag)):
-        err = np.abs(out - ref) / (1.0 + mag)
-        assert err.max() <= 1e-6, f"scaled error {err.max():.3g}"
+    ref, a, shift = _norm64(x64, *(w.data.astype(np.float64)
+                                   for w in ws[:2]))
+    mag = np.abs(x64 * a[:, :, None, None]) + np.abs(shift[:, :, None, None])
+    err = np.abs(out - ref) / (1.0 + mag)
+    assert err.max() <= 1e-6, f"scaled error {err.max():.3g}"
+
+
+def test_deploy_block_statistics_match_float64_at_extreme_magnitudes():
+    # deploy_block on the same samples, against its float64 reference
+    x, ws = _extreme_magnitude_samples()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.deploy_block(Tensor(x), *ws).data
+    ref, mag = _deploy_block_reference(x, *(w.data for w in ws))
+    err = np.abs(out - ref) / (1.0 + mag)
+    assert err.max() <= 1e-6, f"scaled error {err.max():.3g}"
 
 
 def test_deploy_block_overflowing_hidden_activation_raises():
