@@ -17,9 +17,14 @@ def erf_map(model_or_fn, images: np.ndarray) -> np.ndarray:
     differentiated with respect to the input; absolute gradients are summed
     over channels and batch and normalized to a maximum of 1. Accepts either a
     model (features = backbone output) or any Tensor -> Tensor feature callable.
+    A model runs on constant views of its weights, so no weight gradient is
+    computed and no parameter's `.grad` changes.
     """
     if isinstance(model_or_fn, ModelWeights):
-        fn: Callable[[Tensor], Tensor] = lambda t: forward_features(model_or_fn, t)
+        frozen = ModelWeights(model_or_fn.spec, {
+            name: Tensor(p.data)
+            for name, p in model_or_fn.named_parameters()}, model_or_fn.deploy)
+        fn: Callable[[Tensor], Tensor] = lambda t: forward_features(frozen, t)
     else:
         fn = model_or_fn
     if len(images) == 0:

@@ -185,6 +185,7 @@ def _config(args) -> Config:
 
 
 def _cmd_train(args) -> int:
+    _limit_threads()
     conf = _config(args)
     tc = conf.train
     teacher_ckpt = args.teacher or conf.teacher_ckpt
@@ -231,7 +232,8 @@ def _cmd_verify(args) -> int:
 
 def _limit_threads() -> None:
     """Set numpy's bundled OpenBLAS to RIFORMER_THREADS threads, if both
-    exist; a malformed value is an error either way."""
+    exist; a malformed value is an error either way. At 1 thread a backward
+    computes weight gradients on a second thread (`tensor.Tape`)."""
     threads, blas = bench._env_threads(), bench._openblas()
     if threads is not None and blas is not None:
         blas.set_threads(threads)
@@ -287,6 +289,7 @@ def _probe_images(args, conf: Config, spec: ModelSpec) -> np.ndarray:
 
 
 def _cmd_erf(args) -> int:
+    _limit_threads()
     conf = _config(args)
     model, _ = load_checkpoint(args.ckpt)
     images = _probe_images(args, conf, model.spec)

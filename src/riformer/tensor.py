@@ -13,6 +13,9 @@ no higher-order gradients, no devices other than CPU.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -79,6 +82,18 @@ class Tape:
     Recording order equals forward execution order; `backward` runs once per
     tape, and a second call raises TapeError. Tensors created while no tape
     is active are constants as far as autodiff is concerned.
+
+    A backward closure returns, per input, None, the gradient, or a job: a
+    zero-argument callable that returns the gradient. Kernels return jobs
+    for the weight-position inputs whose gradient nothing before the end of
+    the pass reads (conv and channel-linear weights and biases, per-channel
+    scales and shifts). A job calls numpy only, never a kernel or `_apply`,
+    and reads only arrays that no backward closure writes in place: its
+    closure's forward operands and incoming gradient. So `backward` may run
+    it on the backward worker (`_backward_worker`), in a copy of the
+    caller's context, which holds numpy's error state, while the
+    input-gradient chain goes on; a job's result holds the bytes an inline
+    call gives, and it warns or raises as an inline call would.
     """
 
     def __init__(self):
@@ -110,27 +125,88 @@ class Tape:
         self._consumed = True
 
         # gradients stay float32, the forward's precision; kernels that need
-        # wider accumulation widen internally and cast on return
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        # wider accumulation widen internally and cast on return. A slot
+        # holds a job's Future until a node, a second contribution or the
+        # leaf pass reads it.
+        grads: dict[int, np.ndarray | Future] = {
+            id(loss): np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
-        for out, inputs, backward_fn in reversed(self._nodes):
-            g = grads.pop(id(out), None)
-            if g is None:
-                continue
-            for inp, gi in zip(inputs, backward_fn(g)):
-                if inp is None or gi is None:
+        worker = _backward_worker()
+        jobs: list[Future] = []
+
+        def start(gi):
+            if not callable(gi):
+                return gi
+            if worker is None:
+                return gi()
+            jobs.append(worker.submit(contextvars.copy_context().run, gi))
+            return jobs[-1]
+
+        def value(g) -> np.ndarray:
+            return g.result() if isinstance(g, Future) else g
+
+        try:
+            for out, inputs, backward_fn in reversed(self._nodes):
+                g = grads.pop(id(out), None)
+                if g is None:
                     continue
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
-                if inp.requires_grad and key not in produced:
-                    leaves[key] = inp
+                for inp, gi in zip(inputs, backward_fn(value(g))):
+                    if inp is None or gi is None:
+                        continue
+                    gi = start(gi)
+                    key = id(inp)
+                    if key in grads:
+                        grads[key] = value(grads[key]) + value(gi)
+                    else:
+                        grads[key] = gi
+                    if inp.requires_grad and key not in produced:
+                        leaves[key] = inp
+            done = [(leaf, value(grads[key])) for key, leaf in leaves.items()]
+        finally:
+            # no job outlives the pass, whether it returns or raises
+            wait(jobs)
         # Leaves accumulate into the persistent buffer; intermediates are dropped.
-        for key, leaf in leaves.items():
-            acc = grads[key].astype(np.float32)
+        for leaf, g in done:
+            acc = g.astype(np.float32)
             leaf.grad = acc if leaf.grad is None else leaf.grad + acc
+
+
+_WORKER: Optional[ThreadPoolExecutor] = None
+
+
+def _drop_worker() -> None:
+    global _WORKER
+    _WORKER = None
+
+
+# a forked child inherits the pool but not its thread, so a job sent to it
+# would never run; the child starts its own on first use
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _backward_worker() -> Optional[ThreadPoolExecutor]:
+    """The one thread that runs a backward's jobs beside its input-gradient
+    chain, started on first use; None, so that jobs run inline, unless
+    numpy's bundled OpenBLAS reports one live thread and the process may
+    run on two CPUs or more. numpy releases the GIL inside BLAS calls and
+    ufunc loops, so the two threads compute at once; more BLAS threads
+    would compete with the worker for the cores."""
+    from . import bench  # bench imports this module
+    blas = bench._openblas()
+    if blas is None or blas.get_threads() != 1 or _cpus() < 2:
+        return None
+    global _WORKER
+    if _WORKER is None:
+        _WORKER = ThreadPoolExecutor(1, thread_name_prefix="riformer-backward")
+    return _WORKER
 
 
 _ACTIVE_TAPES: list[Tape] = []
@@ -245,7 +321,8 @@ def channel_affine(x: Tensor, s: Tensor, t: Optional[Tensor] = None) -> Tensor:
 
     The multiply and the add round to float32 one after the other. A
     vector's gradient sums in float32 over the samples, then the rows, then
-    the columns. Counted as 1 FLOP per element, 2 with the shift.
+    the columns, in a backward job (`Tape`). Counted as 1 FLOP per element,
+    2 with the shift.
     """
     dx, ds = _coerce(x), _coerce(s)
     if (dx.ndim != 4 or ds.shape != (dx.shape[1],)
@@ -263,8 +340,8 @@ def channel_affine(x: Tensor, s: Tensor, t: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g):
         return (g * s3 if need_x else None,
-                per_channel(g * dx) if need_s else None,
-                per_channel(g) if need_t else None)
+                (lambda: per_channel(g * dx)) if need_s else None,
+                (lambda: per_channel(g)) if need_t else None)
 
     return _apply(out, (x, s, t), bwd, (1 + (t is not None)) * dx.size)
 
@@ -401,7 +478,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-location channel map, i.e. 1x1 convolution: (N,C,H,W) -> (N,D,H,W)."""
+    """Per-location channel map, i.e. 1x1 convolution: (N,C,H,W) -> (N,D,H,W).
+
+    The weight and bias gradients are backward jobs (`Tape`)."""
     dx, dw = _coerce(x), _coerce(w)
     if dx.ndim != 4 or dw.ndim != 2 or dw.shape[1] != dx.shape[1]:
         raise ShapeError(f"channel_linear: x {dx.shape}, w {dw.shape}")
@@ -415,8 +494,9 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         g3 = g.reshape(n, d, h * wdt)
         gx = (dw.T @ g3).reshape(dx.shape) if need_x else None
-        gw = np.tensordot(g3, x3, axes=([0, 2], [0, 2])) if need_w else None
-        gb = g.sum(axis=(0, 2, 3)) if need_b else None
+        gw = ((lambda: np.tensordot(g3, x3, axes=([0, 2], [0, 2])))
+              if need_w else None)
+        gb = (lambda: g.sum(axis=(0, 2, 3))) if need_b else None
         return (gx, gw, gb)
 
     return _apply(out.reshape(n, d, h, wdt), (x, w, b), bwd,
@@ -571,7 +651,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     of the grid fills a (C, k, k, OH, OW, N) column buffer. Read as its
     transpose, with a row per (output position, sample), that buffer is the
     column matrix, so the forward and the weight gradient are each one GEMM
-    against the (D, C*k*k) weight matrix. col2im, the input gradient, is the
+    against the (D, C*k*k) weight matrix; the weight and bias gradients are
+    backward jobs (`Tape`). col2im, the input gradient, is the
     adjoint: k*k strided slab adds into the grid (the windows overlap, so
     they cannot be one add), then the border folded back onto the edge rows
     and columns.
@@ -620,8 +701,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
 
     def bwd(g):
         g2 = g.transpose(1, 2, 3, 0).reshape(cout, oh * ow * n)
-        gw = (g2 @ cols).reshape(dw.shape) if need_w else None
-        gb = g.sum(axis=(0, 2, 3)) if need_b else None
+        gw = (lambda: (g2 @ cols).reshape(dw.shape)) if need_w else None
+        gb = (lambda: g.sum(axis=(0, 2, 3))) if need_b else None
         if not need_x:
             return (None, gw, gb)
         # col2im: the forward's window copy, reversed into k*k slab adds

@@ -167,6 +167,7 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
     if cfg.recipe == "soft_kd_mi":
         logged += [name for name, *_ in MI_TERMS]
     log_rows: list[dict] = []
+    opt.zero_grad()  # a .grad left by an earlier backward is not this run's
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
         if cache is not None:

@@ -1,8 +1,12 @@
-"""Shared test utilities: finite-difference gradient checking and tiny specs."""
+"""Shared test utilities: finite-difference gradient checking, tiny specs,
+and control and observation of the backward worker."""
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 import riformer.tensor as T
-from riformer import Tape, Tensor
+from riformer import Tape, Tensor, bench
 from riformer.models import ModelSpec, StageSpec
 
 
@@ -19,6 +23,48 @@ def tiny_spec(mixer_kind="affine", **overrides):
     spec = ModelSpec(stages=stages, mixer_kind=mixer_kind, **overrides)
     spec.validate()
     return spec
+
+
+@contextmanager
+def blas_threads(n):
+    """numpy's bundled OpenBLAS at n threads for the body, then back."""
+    blas = bench._openblas()  # numpy's wheels bundle OpenBLAS
+    before = blas.get_threads()
+    blas.set_threads(n)
+    try:
+        assert blas.get_threads() == n
+        yield
+    finally:
+        blas.set_threads(before)  # later tests time forwards at this count
+
+
+def spy_gradients(monkeypatch):
+    """A list that receives (thread name, dtype) for each gradient a
+    backward closure returns from here on; a job's entry comes from the
+    thread that ran it. The process counts as able to run on two CPUs, so
+    whether the worker runs turns on the BLAS thread count alone."""
+    seen = []
+    record = Tape._record
+
+    def note(gi):
+        seen.append((threading.current_thread().name, gi.dtype))
+        return gi
+
+    def spy(self, out, inputs, backward_fn):
+        def noted(g):
+            return tuple(gi if gi is None
+                         else (lambda job=gi: note(job())) if callable(gi)
+                         else note(gi) for gi in backward_fn(g))
+        record(self, out, inputs, noted)
+
+    monkeypatch.setattr(Tape, "_record", spy)
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    return seen
+
+
+def on_worker(seen):
+    """How many of `spy_gradients`' entries the backward worker made."""
+    return sum(name.startswith("riformer-backward") for name, _ in seen)
 
 
 def check_gradients(make_loss, params, rng, h=1e-3, tol=1e-3, samples=6,

@@ -4,6 +4,7 @@ import pytest
 
 import riformer.tensor as T
 from riformer import (Tensor, build_model, dump_affine_coefficients,
+                      forward_features,
                       erf_active_area, erf_map, feature_distance,
                       feature_histogram, switch_to_deploy, wasserstein_binned)
 from helpers import tiny_spec
@@ -46,6 +47,19 @@ def test_erf_matches_between_train_and_deploy_forms():
     a = erf_map(model, imgs)
     b = erf_map(deploy, imgs)
     np.testing.assert_allclose(a, b, atol=1e-4)
+
+
+@pytest.mark.parametrize("mixer", ["pooling", "affine", "deploy"])
+def test_erf_of_a_model_leaves_its_weights_without_gradients(mixer):
+    model = build_model(tiny_spec("pooling" if mixer == "pooling"
+                                  else "affine"), seed=2)
+    if mixer == "deploy":
+        model = switch_to_deploy(model)
+    imgs = probe_images(seed=4)
+    erf = erf_map(model, imgs)
+    assert all(p.grad is None for _, p in model.named_parameters())
+    assert np.array_equal(erf, erf_map(lambda t: forward_features(model, t),
+                                       imgs))
 
 
 def test_erf_active_area_threshold():

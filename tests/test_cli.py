@@ -90,11 +90,14 @@ def test_bad_flag_value_is_usage_error(capsys):
 @pytest.mark.parametrize("threads", ["0", "x"])
 def test_bad_thread_variable_is_runtime_error(threads, capsys, monkeypatch):
     monkeypatch.setenv("RIFORMER_THREADS", threads)
-    assert main(["bench"]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: ") and out.err.count("\n") == 1
-    assert "RIFORMER_THREADS" in out.err
+    # read before any config or file
+    for command in (["bench"], ["breakdown"], ["train"], ["distill"],
+                    ["erf", "--ckpt", "x"]):
+        assert main(command) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "RIFORMER_THREADS" in out.err
 
 
 def test_missing_config_file_is_runtime_error(capsys):

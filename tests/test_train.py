@@ -5,12 +5,12 @@ import importlib
 import numpy as np
 import pytest
 
-from riformer import (LOG_COLUMNS, ImitationConfig, SynthSpec, Tape, Tensor,
+from riformer import (LOG_COLUMNS, ImitationConfig, SynthSpec, Tensor,
                       TrainConfig, build_model, evaluate, save_checkpoint,
                       switch_to_deploy, synth_dataset, train)
 from riformer.data import Dataset
 from riformer.train import write_log
-from helpers import tiny_spec
+from helpers import blas_threads, on_worker, spy_gradients, tiny_spec
 
 
 def small_data(seed=0, per_class=4, classes=4):
@@ -146,24 +146,39 @@ def test_determinism_identical_checkpoints(tmp_path):
             == open(tmp_path / "b.ckpt", "rb").read())
 
 
-def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
-    from riformer import bench
-    blas = bench._openblas()  # numpy's wheels bundle OpenBLAS
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    # at 1 BLAS thread the weight gradients run on the backward worker, at 2
+    # inline; the bytes are the same either way
+    seen = spy_gradients(monkeypatch)
     tr, va = small_data()
-    before = blas.get_threads()
-    ckpts = []
-    try:
-        for threads in (1, 2):
-            blas.set_threads(threads)
-            assert blas.get_threads() == threads
+    ckpts, worker_jobs = [], []
+    for threads in (1, 2):
+        seen.clear()
+        with blas_threads(threads):
             model = build_model(tiny_spec("affine"), seed=7)
             result = train(model, tr, va, quick_cfg("ce", epochs=2, seed=7))
-            path = tmp_path / f"threads{threads}.ckpt"
-            save_checkpoint(result.model, str(path))
-            ckpts.append(path.read_bytes())
-    finally:
-        blas.set_threads(before)  # later tests time forwards at this count
+        path = tmp_path / f"threads{threads}.ckpt"
+        save_checkpoint(result.model, str(path))
+        ckpts.append(path.read_bytes())
+        worker_jobs.append(on_worker(seen))
+    assert worker_jobs[0] > 0 and worker_jobs[1] == 0
     assert ckpts[0] == ckpts[1]
+
+
+def test_gradients_left_on_the_model_do_not_move_training():
+    tr, va = small_data()
+
+    def trained(stale):
+        model = build_model(tiny_spec("affine"), seed=7)
+        if stale:
+            rng = np.random.default_rng(1)
+            for _, p in model.named_parameters():
+                p.grad = rng.normal(0, 1, p.shape).astype(np.float32)
+        train(model, tr, va, quick_cfg("ce", epochs=1, seed=7))
+        return [p.data for _, p in model.named_parameters()]
+
+    clean, stale = trained(False), trained(True)
+    assert all(np.array_equal(a, b) for a, b in zip(clean, stale))
 
 
 def test_loss_decreases_over_training():
@@ -383,29 +398,26 @@ def test_single_epoch_keeps_no_teacher_cache(monkeypatch):
 
 
 def test_backward_is_float32(monkeypatch):
-    dtypes = []
-    record = Tape._record
-
-    def spy(self, out, inputs, backward_fn):
-        def checked(g):
-            grads = backward_fn(g)
-            dtypes.extend(gi.dtype for gi in grads if gi is not None)
-            return grads
-        record(self, out, inputs, checked)
-
-    monkeypatch.setattr(Tape, "_record", spy)
+    seen = spy_gradients(monkeypatch)
     tr, va = small_data()
-    # one step per epoch: a ce step, then a feat and a rel soft_kd_mi step
-    student = build_model(tiny_spec("affine"), seed=4)
-    train(student, tr, va, quick_cfg("ce", epochs=1, batch_size=len(tr)))
-    teacher = build_model(tiny_spec("pooling"), seed=3)
-    train(student, tr, va, quick_cfg("soft_kd_mi", epochs=2,
-                                     imitation=_mi_config(1, 1, 2),
-                                     batch_size=len(tr)), teacher=teacher)
-    assert len(dtypes) > 100
-    assert set(dtypes) == {np.dtype(np.float32)}
-    assert all(p.grad is None or p.grad.dtype == np.float32
-               for _, p in student.named_parameters())
+    # at 1 BLAS thread jobs run on the worker, at 2 inline
+    for threads in (1, 2):
+        seen.clear()
+        # one step per epoch: a ce step, then a feat and a rel soft_kd_mi step
+        student = build_model(tiny_spec("affine"), seed=4)
+        teacher = build_model(tiny_spec("pooling"), seed=3)
+        with blas_threads(threads):
+            train(student, tr, va, quick_cfg("ce", epochs=1,
+                                             batch_size=len(tr)))
+            train(student, tr, va, quick_cfg("soft_kd_mi", epochs=2,
+                                             imitation=_mi_config(1, 1, 2),
+                                             batch_size=len(tr)),
+                  teacher=teacher)
+        assert len(seen) > 100
+        assert (on_worker(seen) > 0) == (threads == 1)
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+        assert all(p.grad is None or p.grad.dtype == np.float32
+                   for _, p in student.named_parameters())
 
 
 def test_imitation_losses_are_looked_up_when_called(monkeypatch):
