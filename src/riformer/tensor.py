@@ -14,6 +14,7 @@ no higher-order gradients, no devices other than CPU.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from time import perf_counter
@@ -44,15 +45,19 @@ def _check_finite(arr: np.ndarray, what: str = "kernel output") -> None:
 
 
 class Tensor:
-    """A dense float32 array, optionally participating in gradient recording."""
+    """A dense float32 array, optionally participating in gradient recording.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    A kernel output recorded on a tape carries `(tape serial, node index)`
+    as `_node`: two ints, so the output never keeps its tape alive."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _f32(data)
         _check_finite(self.data, "tensor data")
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self._node: Optional[tuple[int, int]] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,12 +81,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_SERIALS = itertools.count()
+
+
 class Tape:
     """Records kernel applications for one reverse pass.
 
     Recording order equals forward execution order; `backward` runs once per
     tape, and a second call raises TapeError. Tensors created while no tape
     is active are constants as far as autodiff is concerned.
+
+    A node holds a backward closure and one entry per input: None for a
+    constant, the index of the node that produced the input on this tape,
+    or a leaf Tensor. The tape holds no output, so an output that no
+    closure captured is freed with its last reference, and `backward` pops
+    each node before running it, so the arrays its closure saved go right
+    after; after `backward` the tape holds no node.
 
     A backward closure returns, per input, None, the gradient, or a job: a
     zero-argument callable that returns the gradient. Kernels return jobs
@@ -97,8 +112,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Optional[Tensor], ...],
-                                Callable]] = []
+        self._serial = next(_SERIALS)
+        self._nodes: list[tuple[Callable, tuple[int | Tensor | None, ...]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -111,7 +126,13 @@ class Tape:
 
     def _record(self, out: Tensor, inputs: tuple[Optional[Tensor], ...],
                 backward_fn: Callable) -> None:
-        self._nodes.append((out, inputs, backward_fn))
+        entries = tuple(
+            None if t is None
+            else t._node[1] if t._node is not None and t._node[0] == self._serial
+            else t if t.requires_grad else None
+            for t in inputs)
+        out._node = (self._serial, len(self._nodes))
+        self._nodes.append((backward_fn, entries))
 
     def backward(self, loss: Tensor) -> None:
         """Populate `.grad` on every recorded tensor with requires_grad set."""
@@ -119,18 +140,21 @@ class Tape:
             raise TapeError("tape already consumed by a backward pass")
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        produced = {id(out) for out, _, _ in self._nodes}
-        if id(loss) not in produced:
+        if loss._node is None or loss._node[0] != self._serial:
             raise TapeError("loss was not produced under this tape")
         self._consumed = True
 
         # gradients stay float32, the forward's precision; kernels that need
-        # wider accumulation widen internally and cast on return. A slot
-        # holds a job's Future until a node, a second contribution or the
-        # leaf pass reads it.
+        # wider accumulation widen internally and cast on return. Nodes'
+        # gradients are keyed by node index, leaves' by identity, each leaf
+        # in the order of its first contribution. A slot holds a job's
+        # Future until a node, a second contribution or the leaf pass
+        # reads it.
         grads: dict[int, np.ndarray | Future] = {
-            id(loss): np.ones_like(loss.data)}
+            loss._node[1]: np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
+        leaf_grads: dict[int, np.ndarray | Future] = {}
+        nodes = self._nodes
         worker = _backward_worker()
         jobs: list[Future] = []
 
@@ -145,24 +169,30 @@ class Tape:
         def value(g) -> np.ndarray:
             return g.result() if isinstance(g, Future) else g
 
+        def accumulate(slots, key, gi) -> None:
+            slots[key] = value(slots[key]) + value(gi) if key in slots else gi
+
         try:
-            for out, inputs, backward_fn in reversed(self._nodes):
-                g = grads.pop(id(out), None)
+            while nodes:
+                # popped, so its closure and the arrays it saved are freed
+                # before the next node runs
+                backward_fn, entries = nodes.pop()
+                g = grads.pop(len(nodes), None)
                 if g is None:
                     continue
-                for inp, gi in zip(inputs, backward_fn(value(g))):
-                    if inp is None or gi is None:
+                for entry, gi in zip(entries, backward_fn(value(g))):
+                    if entry is None or gi is None:
                         continue
                     gi = start(gi)
-                    key = id(inp)
-                    if key in grads:
-                        grads[key] = value(grads[key]) + value(gi)
+                    if isinstance(entry, Tensor):
+                        leaves.setdefault(id(entry), entry)
+                        accumulate(leaf_grads, id(entry), gi)
                     else:
-                        grads[key] = gi
-                    if inp.requires_grad and key not in produced:
-                        leaves[key] = inp
-            done = [(leaf, value(grads[key])) for key, leaf in leaves.items()]
+                        accumulate(grads, entry, gi)
+            done = [(leaf, value(leaf_grads[key]))
+                    for key, leaf in leaves.items()]
         finally:
+            nodes.clear()
             # no job outlives the pass, whether it returns or raises
             wait(jobs)
         # Leaves accumulate into the persistent buffer; intermediates are dropped.
@@ -257,6 +287,7 @@ def _apply(out_data: np.ndarray,
     out.data = _f32(out_data)
     out.grad = None
     out.requires_grad = False
+    out._node = None
     tape = _tape()
     if tape is not None:
         # constants stay in place as None so each input lines up with its
@@ -737,24 +768,27 @@ _GELU_H = tuple(map(np.float32, (
 _GELU_CLIP = np.float32(6.0)
 _GELU_PDF_CLIP = np.float32(20.0)
 # elements per pass: the block, its output slices and the work buffer stay
-# in cache (at the deploy shapes, blocks of 1 << 15 cost 7% more when Phi is
-# kept for a backward, and blocks of 1 << 17 cost 2-6% more)
+# in cache (with the derivative kept for a backward, blocks of 1 << 15 and
+# 1 << 17 cost 4-16% and 3-5% more at the six batch-32 nano shapes; at the
+# deploy shapes blocks of 1 << 17 cost 2-6% more)
 _GELU_BLOCK = 1 << 16
 
 
 def _gelu_into(flat: np.ndarray, out: np.ndarray,
-               keep_phi: bool) -> Optional[np.ndarray]:
+               keep_deriv: bool) -> Optional[np.ndarray]:
     """gelu's forward loop: x * Phi(x) of the flat float32 array `flat`
-    into `out` (not `flat` itself), block by block. Returns Phi, in a
-    full-size array, when `keep_phi`; else it lives in a block buffer and
-    the result is None."""
+    into `out` (not `flat` itself), block by block. When `keep_deriv`, each
+    block also forms gelu's derivative Phi(x) + x pdf(x) from its Phi, and
+    the result is the derivative in a full-size array; else None. float32
+    exp(-x^2 / 2) is 0 beyond |x| = 14.4, so a clip keeps x^2 finite and
+    moves no bit."""
     w = np.empty(min(flat.size, _GELU_BLOCK), np.float32)
-    phi = np.empty_like(flat) if keep_phi else np.empty_like(w)
+    phi = np.empty_like(w)
+    deriv = np.empty_like(flat) if keep_deriv else None
     for i in range(0, flat.size, _GELU_BLOCK):
         xb, ob = flat[i:i + _GELU_BLOCK], out[i:i + _GELU_BLOCK]
         m = xb.size
-        pb = phi[i:i + m] if keep_phi else phi[:m]
-        h = w[:m]
+        pb, h = phi[:m], w[:m]
         u = xb.clip(-_GELU_CLIP, _GELU_CLIP, out=ob)
         s = np.square(u, out=pb)
         np.multiply(s, _GELU_H[0], out=h)
@@ -767,22 +801,15 @@ def _gelu_into(flat: np.ndarray, out: np.ndarray,
         np.multiply(h, np.float32(0.5), out=pb)
         pb += np.float32(0.5)
         np.multiply(xb, pb, out=ob)
-    return phi if keep_phi else None
-
-
-def _gelu_grad(x: np.ndarray, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * (Phi(x) + x pdf(x)), the adjoint of gelu at x, from the Phi its
-    forward kept, in one buffer. float32 exp(-x^2 / 2) is 0 beyond
-    |x| = 14.4, so a clip keeps x^2 finite and moves no bit."""
-    t = x.clip(-_GELU_PDF_CLIP, _GELU_PDF_CLIP)
-    t *= t
-    t *= np.float32(-0.5)
-    np.exp(t, out=t)
-    t *= np.float32(_INV_SQRT_2PI)
-    t *= x
-    t += phi.reshape(t.shape)
-    t *= g
-    return t
+        if keep_deriv:
+            t = xb.clip(-_GELU_PDF_CLIP, _GELU_PDF_CLIP, out=deriv[i:i + m])
+            t *= t
+            t *= np.float32(-0.5)
+            np.exp(t, out=t)
+            t *= np.float32(_INV_SQRT_2PI)
+            t *= xb
+            t += pb
+    return deriv
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -792,9 +819,11 @@ def gelu(x: Tensor) -> Tensor:
     degree-6 polynomial _GELU_H, evaluated in blocks of _GELU_BLOCK
     elements (`_gelu_into`): one clip, a Horner chain in u^2 (13 in-place
     multiplies and adds, the final multiply by u included), one `np.tanh`
-    and three multiply or add passes. Phi goes to a full-size array, kept
-    for the backward, when x needs a gradient, and to a second block buffer
-    otherwise.
+    and three multiply or add passes; Phi lives in a second block buffer.
+    While a tape records and x needs a gradient, each block also forms the
+    derivative Phi(x) + x pdf(x) from its Phi (an exp pass and five
+    multiply or add passes), and the backward keeps that array alone, not
+    x or Phi: it is one out-of-place multiply by the incoming gradient.
 
     The fit: h(s), s = x^2, approximates (1/2) logit Phi(x) / x, fitted in
     float64 by iteratively reweighted least squares on x in (0, 5.3] with
@@ -810,10 +839,12 @@ def gelu(x: Tensor) -> Tensor:
     x <= -6 and x itself for x >= 6, and no finite input overflows.
     """
     dx = _coerce(x)
-    need_x, = _needs_grad(x)
+    keep = _tape() is not None and _needs_grad(x)[0]
     out = np.empty_like(dx)
-    phi = _gelu_into(dx.reshape(-1), out.reshape(-1), need_x)
-    return _apply(out, (x,), lambda g: (_gelu_grad(dx, phi, g),),
+    dgelu = _gelu_into(dx.reshape(-1), out.reshape(-1), keep)
+    if keep:
+        dgelu = dgelu.reshape(dx.shape)
+    return _apply(out, (x,), lambda g: (dgelu * g,),
                   6 * dx.size)  # by convention
 
 
@@ -843,8 +874,9 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
     finite statistics.
 
     Only x gets a gradient, through group_norm_1's adjoint
-    (`_norm_input_grad`) for each norm and gelu's (`_gelu_grad`); Phi is
-    kept for it only then. Deploy weights are fixed, so a weight that
+    (`_norm_input_grad`) for each norm and gelu's: the backward reads the
+    GELU derivative that `_gelu_into` kept, which it forms only then, and
+    not the hidden pre-activation. Deploy weights are fixed, so a weight that
     requires a gradient while a tape records raises TapeError. Counted by
     the kernels it replaces: 8 FLOPs per element for the statistics and the
     scale-and-shift (one norm), each GEMM as channel_linear counts it with
@@ -913,14 +945,16 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
     pre = dw1 @ z  # one (hidden, C) @ (C, HW) GEMM per sample
     pre += db1[:, None]
     act = np.empty_like(pre)
-    phi = _gelu_into(pre.reshape(-1), act.reshape(-1), need_x)
+    dgelu = _gelu_into(pre.reshape(-1), act.reshape(-1), need_x)
+    if need_x:
+        dgelu = dgelu.reshape(pre.shape)
     out = dw2 @ act
     out += np.multiply(x3, a32, out=z)
     out += shift_out
 
     def bwd(g):
         g3 = g.reshape(n, c, hw)
-        gz = dw1.T @ _gelu_grad(pre, phi, dw2.T @ g3)
+        gz = dw1.T @ (dgelu * (dw2.T @ g3))
         y3 = np.multiply(x3, a32)
         y3 += c1.astype(np.float32)[:, :, None]
         gy, _, _ = _norm_input_grad(gz, y3, mu2, istd2, g2,

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, tiny specs,
-and control and observation of the backward worker."""
+control and observation of the backward worker, and a reference for
+gelu's derivative."""
 import threading
 from contextlib import contextmanager
 
@@ -65,6 +66,38 @@ def spy_gradients(monkeypatch):
 def on_worker(seen):
     """How many of `spy_gradients`' entries the backward worker made."""
     return sum(name.startswith("riformer-backward") for name, _ in seen)
+
+
+def gelu_phi(x):
+    """Phi(x) by gelu's forward operations, in one pass over the whole
+    float32 array x rather than in gelu's blocks."""
+    u = x.clip(-T._GELU_CLIP, T._GELU_CLIP)
+    s = np.square(u)
+    h = s * T._GELU_H[0]
+    for c in T._GELU_H[1:-1]:
+        h += c
+        h *= s
+    h += T._GELU_H[-1]
+    h *= u
+    np.tanh(h, out=h)
+    phi = h * np.float32(0.5)
+    phi += np.float32(0.5)
+    return phi
+
+
+def gelu_grad_reference(x, phi, g):
+    """g * (Phi(x) + x pdf(x)), gelu's adjoint at x from a Phi formed apart
+    (`gelu_phi`), in one buffer over the whole array: the reference for
+    the derivative that gelu's forward forms block by block."""
+    t = x.clip(-T._GELU_PDF_CLIP, T._GELU_PDF_CLIP)
+    t *= t
+    t *= np.float32(-0.5)
+    np.exp(t, out=t)
+    t *= np.float32(T._INV_SQRT_2PI)
+    t *= x
+    t += phi.reshape(t.shape)
+    t *= g
+    return t
 
 
 def check_gradients(make_loss, params, rng, h=1e-3, tol=1e-3, samples=6,

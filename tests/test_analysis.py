@@ -7,7 +7,7 @@ from riformer import (Tensor, build_model, dump_affine_coefficients,
                       forward_features,
                       erf_active_area, erf_map, feature_distance,
                       feature_histogram, switch_to_deploy, wasserstein_binned)
-from helpers import tiny_spec
+from helpers import gelu_grad_reference, gelu_phi, tiny_spec
 
 
 def probe_images(n=2, res=32, seed=0):
@@ -60,6 +60,32 @@ def test_erf_of_a_model_leaves_its_weights_without_gradients(mixer):
     assert all(p.grad is None for _, p in model.named_parameters())
     assert np.array_equal(erf, erf_map(lambda t: forward_features(model, t),
                                        imgs))
+
+
+@pytest.mark.parametrize("mixer", ["pooling", "affine", "deploy"])
+def test_erf_bytes_match_a_backward_on_the_one_pass_gelu_reference(
+        mixer, monkeypatch):
+    # each GELU's backward (inside deploy_block for the deploy form) reads
+    # the derivative its forward kept block by block; the map must be the
+    # bytes a backward on the one-pass reference derivative gives
+    model = build_model(tiny_spec("pooling" if mixer == "pooling"
+                                  else "affine"), seed=5)
+    if mixer == "deploy":
+        model = switch_to_deploy(model)
+    imgs = probe_images(seed=6)
+    got = erf_map(model, imgs)
+    real, kept = T._gelu_into, []
+
+    def one_pass(flat, out, keep_deriv):
+        real(flat, out, False)
+        kept.append(keep_deriv)
+        return (gelu_grad_reference(flat, gelu_phi(flat), np.float32(1.0))
+                if keep_deriv else None)
+
+    monkeypatch.setattr(T, "_gelu_into", one_pass)
+    want = erf_map(model, imgs)
+    assert len(kept) == 5 and all(kept)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_erf_active_area_threshold():

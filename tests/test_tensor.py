@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 import riformer.tensor as T
 from riformer import (ModelSpec, NumericsError, ShapeError, Tape, TapeError,
                       Tensor, bench, build_model, forward)
-from helpers import blas_threads, check_gradients, on_worker, spy_gradients
+from helpers import (blas_threads, check_gradients, gelu_grad_reference,
+                     gelu_phi, on_worker, spy_gradients, tiny_spec)
 
 SEEDS = list(range(10))
 
@@ -245,10 +247,14 @@ def test_gelu_matches_float64_reference():
     assert err.max() <= 3e-7, f"max scaled error {err.max():.3g}"
 
 
+# a dense grid over three GELU blocks and a partial one
+GELU_GRID = np.linspace(-10.0, 10.0, 3 * T._GELU_BLOCK + 7, dtype=np.float32)
+
+
 def test_gelu_gradient_matches_float64_reference_across_blocks():
-    # the backward reads Phi kept from every forward block: d/dx x Phi(x) =
-    # Phi(x) + x pdf(x) over several blocks
-    x = np.linspace(-10.0, 10.0, 3 * T._GELU_BLOCK + 7, dtype=np.float32)
+    # the backward reads the derivative kept from every forward block:
+    # d/dx x Phi(x) = Phi(x) + x pdf(x) over several blocks
+    x = GELU_GRID
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
         tape.backward(T.tsum(T.gelu(xt)))
@@ -256,6 +262,36 @@ def test_gelu_gradient_matches_float64_reference_across_blocks():
     phi = 0.5 * np.array([math.erfc(v) for v in (-x64 / math.sqrt(2)).tolist()])
     ref = phi + x64 * np.exp(-0.5 * x64 ** 2) / math.sqrt(2 * math.pi)
     assert np.abs(xt.grad - ref).max() <= 1e-6
+
+
+def test_gelu_gradient_bytes_match_the_one_pass_reference():
+    # the derivative formed block by block in the forward, times g, gives
+    # the bytes of Phi and the pdf term formed over the whole array
+    x = GELU_GRID
+    g = np.random.default_rng(0).normal(0, 1, x.shape).astype(np.float32)
+    phi = gelu_phi(x)
+    assert np.array_equal(T.gelu(Tensor(x)).data, x * phi)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(T.tsum(T.mul(T.gelu(xt), Tensor(g))))
+    assert xt.grad.tobytes() == gelu_grad_reference(x, phi, g).tobytes()
+
+
+def test_recorded_gelu_backward_is_pure():
+    # the closure multiplies the kept derivative out of place, so a second
+    # call reads the same array and returns the same bytes
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(0, 3, (2, 3, 5, 5)).astype(np.float32),
+               requires_grad=True)
+    g = rng.normal(0, 1, x.shape).astype(np.float32)
+    with Tape() as tape:
+        T.gelu(x)
+        bwd, _ = tape._nodes[-1]
+    first, = bwd(g)
+    second, = bwd(g)
+    assert first is not second and first.tobytes() == second.tobytes()
+    assert first.tobytes() == gelu_grad_reference(
+        x.data, gelu_phi(x.data), g).tobytes()
 
 
 def test_gelu_tails_are_exact_and_sign_correct():
@@ -460,10 +496,12 @@ def test_needs_grad_mask_is_exact(kernel, monkeypatch):
     def grads(trained, threads):
         ts = [Tensor(a, requires_grad=i in trained) for i, a in enumerate(arrays)]
         with blas_threads(threads), Tape() as tape:
-            tape.backward(T.tsum(T.mul(fn(ts), Tensor(weight))))
+            out = fn(ts)
+            # the kernel's node, taken before the backward drops it
+            kernel_bwd, _ = tape._nodes[0]
+            tape.backward(T.tsum(T.mul(out, Tensor(weight))))
         # the kernel's own backward skips the constants, listed or not, and
         # a job it returns for the others yields the input's shape
-        _, _, kernel_bwd = tape._nodes[0]
         got = [g() if callable(g) else g
                for g in kernel_bwd(np.ones_like(weight))]
         assert [g is None for g in got] == [i not in trained
@@ -787,6 +825,109 @@ def test_backward_on_unrecorded_tensor_rejected():
             tape.backward(x)
 
 
+def test_loss_made_under_another_tape_rejected():
+    # the other tape's loss sits at a node index this tape also has
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    with Tape() as first:
+        other = T.tsum(x)
+    with Tape() as tape:
+        loss = T.tsum(T.mul(x, 2.0))
+        with pytest.raises(TapeError, match="not produced under this tape"):
+            tape.backward(other)
+        tape.backward(loss)
+    with pytest.raises(TapeError, match="not produced under this tape"):
+        first.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("mixer,kernel", [("pooling", "avg_pool_same"),
+                                          ("affine", "channel_affine")])
+def test_outputs_no_closure_reads_are_freed_during_the_forward(
+        mixer, kernel, monkeypatch):
+    # the pooled map feeds only pooling_mixer's sub, and each channel_affine
+    # result (the affine mixer's, the layer scales') only a sub or an add,
+    # whose backward closures keep nothing: the tape keeps none of them
+    refs = []
+    real = getattr(T, kernel)
+
+    def spy(*args):
+        out = real(*args)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, kernel, spy)
+    model = build_model(tiny_spec(mixer), seed=0)
+    x = Tensor(np.random.default_rng(0).normal(0, 1, (2, 3, 32, 32)))
+    with Tape() as tape:
+        loss = T.tsum(forward(model, x))
+        assert len(refs) >= 5 and all(r() is None for r in refs)
+        tape.backward(loss)
+    assert all(p.grad is not None for _, p in model.named_parameters())
+
+
+def test_recorded_gelu_input_is_freed_once_dropped():
+    x = Tensor(np.linspace(-4.0, 4.0, 24, dtype=np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        h = T.mul(x, 2.0)
+        ref = weakref.ref(h.data)
+        y = T.gelu(h)
+        del h
+        assert ref() is None
+        tape.backward(T.tsum(y))
+    x2 = 2.0 * x.data
+    assert x.grad.tobytes() == (gelu_grad_reference(
+        x2, gelu_phi(x2), np.float32(1.0)) * np.float32(2.0)).tobytes()
+
+
+def test_backward_drops_every_node():
+    x = Tensor(np.linspace(-4.0, 4.0, 24, dtype=np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        loss = T.tsum(T.gelu(T.mul(x, 2.0)))
+        closures = [weakref.ref(fn) for fn, _ in tape._nodes]
+        tape.backward(loss)
+    assert not tape._nodes
+    assert len(closures) == 3 and all(r() is None for r in closures)
+    # also when a closure raises with nodes still to run
+    with Tape() as tape:
+        bad = T._apply(x.data, (T.mul(x, 2.0),), lambda g: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            tape.backward(T.tsum(bad))
+    assert not tape._nodes
+
+
+def test_backward_frees_each_node_before_the_next_runs():
+    # the second node's closure keeps `saved`; by the time the first node's
+    # closure runs, the second node and its arrays are gone
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    saved = np.full(3, 2.0, np.float32)
+    ref, alive = weakref.ref(saved), []
+    with Tape() as tape:
+        a = T._apply(x.data * 1.0, (x,),
+                     lambda g: (alive.append(ref() is not None) or g,))
+        b = T._apply(a.data * saved, (a,), lambda g, s=saved: (g * s,))
+        del saved
+        tape.backward(T.tsum(b))
+    assert alive == [False]
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_an_output_does_not_keep_its_tape_alive():
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    with Tape() as tape:
+        y = T.mul(x, 2.0)
+    ref = weakref.ref(tape)
+    del tape
+    assert ref() is None
+    # y's stamp names node 0 of a dead tape, not node 0 of the next one:
+    # there y is a leaf
+    with Tape() as again:
+        again.backward(T.tsum(T.mul(y, 3.0)))
+    np.testing.assert_array_equal(y.grad, [3.0, 3.0, 3.0])
+    assert x.grad is None
+
+
 def test_non_scalar_backward_rejected():
     x = Tensor(np.ones(3, np.float32), requires_grad=True)
     with Tape() as tape:
@@ -842,6 +983,7 @@ def test_a_failing_job_raises_from_backward_after_every_job_ends(monkeypatch):
             tape.backward(T.tsum(out))
     assert len(ran) == 1 and ran[0].startswith("riformer-backward")
     assert a.grad is None and b.grad is None
+    assert not tape._nodes
 
 
 def test_jobs_run_in_the_callers_numpy_error_state(monkeypatch):
