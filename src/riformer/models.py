@@ -320,8 +320,9 @@ def pooling_mixer(m: Tensor, k: int) -> Tensor:
 
 def _mark(component: str) -> None:
     """Charge the kernels that follow to `component` while a profile runs."""
-    if T._PROFILE is not None:
-        T._PROFILE.component = component
+    profile = T._profile()
+    if profile is not None:
+        profile.component = component
 
 
 def block_forward(x: Tensor, bw: BlockWeights, spec: ModelSpec, *,

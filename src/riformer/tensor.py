@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from time import perf_counter
 from typing import Callable, Optional, Sequence
@@ -105,10 +106,10 @@ class Tape:
     scales and shifts). A job calls numpy only, never a kernel or `_apply`,
     and reads only arrays that no backward closure writes in place: its
     closure's forward operands and incoming gradient. So `backward` may run
-    it on the backward worker (`_backward_worker`), in a copy of the
-    caller's context, which holds numpy's error state, while the
-    input-gradient chain goes on; a job's result holds the bytes an inline
-    call gives, and it warns or raises as an inline call would.
+    it on the worker thread (`_worker`), in a copy of the caller's context,
+    which holds numpy's error state, while the input-gradient chain goes
+    on; a job's result holds the bytes an inline call gives, and it warns
+    or raises as an inline call would.
     """
 
     def __init__(self):
@@ -117,11 +118,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _ACTIVE_TAPES.append(self)
+        _LOCAL.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _ACTIVE_TAPES.pop()
+        popped = _LOCAL.tapes.pop()
         assert popped is self
 
     def _record(self, out: Tensor, inputs: tuple[Optional[Tensor], ...],
@@ -155,7 +156,7 @@ class Tape:
         leaves: dict[int, Tensor] = {}
         leaf_grads: dict[int, np.ndarray | Future] = {}
         nodes = self._nodes
-        worker = _backward_worker()
+        worker = _worker()
         jobs: list[Future] = []
 
         def start(gi):
@@ -222,13 +223,14 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _backward_worker() -> Optional[ThreadPoolExecutor]:
-    """The one thread that runs a backward's jobs beside its input-gradient
-    chain, started on first use; None, so that jobs run inline, unless
-    numpy's bundled OpenBLAS reports one live thread and the process may
-    run on two CPUs or more. numpy releases the GIL inside BLAS calls and
-    ufunc loops, so the two threads compute at once; more BLAS threads
-    would compete with the worker for the cores."""
+def _worker() -> Optional[ThreadPoolExecutor]:
+    """The one thread beside the caller's: it runs a backward's jobs beside
+    its input-gradient chain (`Tape.backward`), and the second half of each
+    evaluation batch (`train.evaluate`). Started on first use; None, so that
+    both run inline, unless numpy's bundled OpenBLAS reports one live thread
+    and the process may run on two CPUs or more. numpy releases the GIL
+    inside BLAS calls and ufunc loops, so the two threads compute at once;
+    more BLAS threads would compete with the worker for the cores."""
     from . import bench  # bench imports this module
     blas = bench._openblas()
     if blas is None or blas.get_threads() != 1 or _cpus() < 2:
@@ -239,11 +241,28 @@ def _backward_worker() -> Optional[ThreadPoolExecutor]:
     return _WORKER
 
 
-_ACTIVE_TAPES: list[Tape] = []
+class _ThreadState(threading.local):
+    """Each thread's stack of recording tapes and active profile, so a
+    forward on the worker neither records onto the caller's tape nor
+    charges its profile. Thread-local rather than a ContextVar: the worker
+    runs in a copy of the caller's context, which would carry both."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+        self.profile: Optional[_Profile] = None
+
+
+_LOCAL = _ThreadState()
 
 
 def _tape() -> Optional[Tape]:
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+    tapes = _LOCAL.tapes
+    return tapes[-1] if tapes else None
+
+
+def _profile() -> Optional[_Profile]:
+    """This thread's active profile, if any."""
+    return _LOCAL.profile
 
 
 class _Profile:
@@ -257,23 +276,18 @@ class _Profile:
         self.seconds: dict[str, float] = {}
 
     def __enter__(self) -> "_Profile":
-        global _PROFILE
-        _PROFILE, self._last = self, perf_counter()
+        _LOCAL.profile, self._last = self, perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        global _PROFILE
         self.charge(0)
-        _PROFILE = None
+        _LOCAL.profile = None
 
     def charge(self, flops: int) -> None:
         now, c = perf_counter(), self.component
         self.flops[c] = self.flops.get(c, 0) + flops
         self.seconds[c] = self.seconds.get(c, 0.0) + now - self._last
         self._last = now
-
-
-_PROFILE: Optional[_Profile] = None
 
 
 def _apply(out_data: np.ndarray,
@@ -296,8 +310,9 @@ def _apply(out_data: np.ndarray,
         if any(t is not None and t.requires_grad for t in tensors):
             out.requires_grad = True
             tape._record(out, tensors, backward_fn)
-    if _PROFILE is not None:
-        _PROFILE.charge(out.data.size if flops is None else flops)
+    profile = _LOCAL.profile
+    if profile is not None:
+        profile.charge(out.data.size if flops is None else flops)
     return out
 
 

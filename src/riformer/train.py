@@ -8,7 +8,9 @@ Recipes:
 """
 from __future__ import annotations
 
+import contextvars
 import csv
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from math import cos, inf, pi
 from typing import Optional
@@ -107,14 +109,39 @@ class TrainResult:
     final_val_top1: float = 0.0
 
 
+def _hits(model: ModelWeights, xb: np.ndarray, yb: np.ndarray) -> int:
+    logits = forward(model, Tensor(xb))
+    return int((np.argmax(logits.data, axis=1) == yb).sum())
+
+
 def evaluate(model: ModelWeights, data: Dataset, batch_size: int = 64) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lower class index."""
+    """Top-1 accuracy; argmax ties resolve to the lower class index.
+
+    When the worker thread is on (`tensor._worker`), each batch of 2 or
+    more samples runs as two forwards: the worker takes the second half, in
+    a copy of the caller's context, while this thread takes the first. Both
+    end before the next batch is drawn, and before a failure of either
+    raises; this thread's failure wins when both fail. As with a short
+    trailing batch, a small half's logits may differ from the whole batch's
+    in the last bits (BLAS may sum a small product in another order), which
+    moves only an argmax that ties within rounding.
+    """
     if len(data) == 0:
         raise ValueError("empty dataset")
+    worker = T._worker()
     correct = 0
     for xb, yb, _ in data.batches(batch_size):
-        logits = forward(model, Tensor(xb))
-        correct += int((np.argmax(logits.data, axis=1) == yb).sum())
+        if worker is None or len(yb) < 2:
+            correct += _hits(model, xb, yb)
+            continue
+        h = len(yb) // 2
+        half = worker.submit(contextvars.copy_context().run,
+                             _hits, model, xb[h:], yb[h:])
+        try:
+            correct += _hits(model, xb[:h], yb[:h])
+        finally:
+            wait([half])
+        correct += half.result()
     return correct / len(data)
 
 
@@ -141,6 +168,8 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
         raise ValueError(f"recipe {cfg.recipe!r} requires a teacher model")
     k = model.spec.num_classes
     for split, data in (("train", train_data), ("val", val_data)):
+        if len(data) == 0:
+            raise ValueError(f"the {split} set is empty")
         if np.any((data.labels < 0) | (data.labels >= k)):
             raise ValueError(f"{split} labels must lie in [0, {k}) "
                              f"(model.num_classes), got {data.labels.min()} "

@@ -64,7 +64,7 @@ def spy_gradients(monkeypatch):
 
 
 def on_worker(seen):
-    """How many of `spy_gradients`' entries the backward worker made."""
+    """How many of `spy_gradients`' entries the worker thread made."""
     return sum(name.startswith("riformer-backward") for name, _ in seen)
 
 

@@ -1,6 +1,7 @@
 """Autodiff core: finite-difference gradient checks, hand-derived values,
 tape semantics, determinism, and the kernel set."""
 import ast
+import contextvars
 import inspect
 import math
 import os
@@ -1011,17 +1012,17 @@ def test_jobs_run_inline_at_two_blas_threads_or_on_one_cpu(monkeypatch):
     seen = spy_gradients(monkeypatch)
     with blas_threads(1):
         want = _linear_backward()
-        assert T._backward_worker() is not None and on_worker(seen) == 2
+        assert T._worker() is not None and on_worker(seen) == 2
         for target, name, value in ((T, "_cpus", lambda: 1),
                                     (bench, "_openblas", lambda: None)):
             with monkeypatch.context() as m:
                 m.setattr(target, name, value)
-                assert T._backward_worker() is None
+                assert T._worker() is None
                 seen.clear()
                 assert np.array_equal(_linear_backward(), want)
                 assert len(seen) == 4 and on_worker(seen) == 0
     with blas_threads(2):
-        assert T._backward_worker() is None
+        assert T._worker() is None
         seen.clear()
         assert np.array_equal(_linear_backward(), want)
         assert len(seen) == 4 and on_worker(seen) == 0
@@ -1080,6 +1081,24 @@ def test_backward_in_a_forked_child_finishes(monkeypatch):
             os.waitpid(pid, 0)
     assert done[0] == pid, "the child's backward did not finish in 60 s"
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_a_forward_on_the_worker_leaves_the_callers_tape_and_profile(
+        monkeypatch):
+    # the tape stack and the profile are per thread: the worker's context
+    # is a copy of the caller's, yet its forward records and charges nothing
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    model = build_model(ModelSpec.nano("pooling"), seed=0)
+    x = Tensor(np.random.default_rng(0).normal(0, 1, (2, 3, 64, 64)))
+    with blas_threads(1), Tape() as tape, T._Profile() as profile:
+        worker = T._worker()
+        assert worker is not None
+        out = worker.submit(contextvars.copy_context().run,
+                            forward, model, x).result()
+        assert not tape._nodes
+        assert profile.flops == {} and profile.seconds == {}
+        assert T._tape() is tape and T._profile() is profile
+    assert not out.requires_grad and out._node is None
 
 
 def test_non_finite_input_rejected():

@@ -1,13 +1,20 @@
 """Training loop: determinism, logging schema, recipes, evaluation."""
 import csv
 import importlib
+import os
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from riformer import (LOG_COLUMNS, ImitationConfig, SynthSpec, Tensor,
-                      TrainConfig, build_model, evaluate, save_checkpoint,
-                      switch_to_deploy, synth_dataset, train)
+import riformer.tensor as T
+from riformer import (LOG_COLUMNS, ImitationConfig, ModelSpec, NumericsError,
+                      SynthSpec, Tensor, TrainConfig, build_model, evaluate,
+                      forward, save_checkpoint, switch_to_deploy,
+                      synth_dataset, train)
 from riformer.data import Dataset
 from riformer.train import write_log
 from helpers import blas_threads, on_worker, spy_gradients, tiny_spec
@@ -257,7 +264,6 @@ def test_evaluate_perfect_and_constant_models():
     model = build_model(tiny_spec("identity"), seed=0)
     _, va = small_data()
     acc = evaluate(model, va)
-    from riformer import forward
     correct = 0
     for i in range(len(va)):
         logits = forward(model, Tensor(va.images[i:i + 1])).data[0]
@@ -276,12 +282,158 @@ def test_evaluate_tie_breaks_to_lower_index():
     assert evaluate(model, va) == pytest.approx(freq0)
 
 
+def test_empty_splits_rejected_before_the_first_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("train() took a step")
+
+    monkeypatch.setattr(importlib.import_module("riformer.train"), "_step",
+                        no_step)
+    tr, va = small_data()
+    empty = Dataset(images=np.zeros((0, 3, 32, 32), np.float32),
+                    labels=np.zeros(0, np.int64))
+    for split, data in (("train", (empty, va)), ("val", (tr, empty))):
+        with pytest.raises(ValueError, match=rf"^the {split} set is empty$"):
+            train(build_model(tiny_spec(), seed=0), *data, quick_cfg())
+
+
 def test_evaluate_empty_dataset_rejected():
     model = build_model(tiny_spec("identity"), seed=0)
     empty = Dataset(images=np.zeros((0, 3, 32, 32), np.float32),
                     labels=np.zeros(0, np.int64))
     with pytest.raises(ValueError):
         evaluate(model, empty)
+
+
+def _spy_halves(monkeypatch, fail=None):
+    """A list that receives (thread name, batch size, outcome) as each
+    evaluation forward ends. `fail` maps "main" or "worker" to the
+    (delay in s, exception or None) a forward on that thread meets
+    before it runs."""
+    train_mod = importlib.import_module("riformer.train")
+    real = train_mod.forward
+    ended = []
+
+    def spied(model, x, **kw):
+        name = threading.current_thread().name
+        outcome = "ok"
+        try:
+            side = "worker" if name.startswith("riformer-backward") else "main"
+            delay, error = (fail or {}).get(side, (0.0, None))
+            time.sleep(delay)
+            if error is not None:
+                raise error
+            return real(model, x, **kw)
+        except Exception as e:
+            outcome = type(e).__name__
+            raise
+        finally:
+            ended.append((name, x.shape[0], outcome))
+
+    monkeypatch.setattr(train_mod, "forward", spied)
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    return ended
+
+
+def _worker_sizes(ended):
+    return [n for name, n, _ in ended if name.startswith("riformer-backward")]
+
+
+def _nano(kind):
+    model = build_model(ModelSpec.nano("affine" if kind == "deploy" else kind),
+                        seed=0)
+    return switch_to_deploy(model) if kind == "deploy" else model
+
+
+@pytest.mark.parametrize("kind", ["pooling", "affine", "deploy"])
+def test_evaluate_on_the_worker_matches_inline(kind, monkeypatch):
+    # a third of the labels miss the inline prediction, so a sample dropped,
+    # counted twice or paired with another's label changes the result
+    model = _nano(kind)
+    rng = np.random.default_rng(1)
+    images = rng.normal(0, 1, (200, 3, 64, 64)).astype(np.float32)
+    pred = np.concatenate([
+        np.argmax(forward(model, Tensor(images[i:i + 64])).data, axis=1)
+        for i in range(0, 200, 64)])
+    classes = model.spec.num_classes
+    labels = np.where(np.arange(200) % 3 == 0, (pred + 1) % classes, pred)
+    ended = _spy_halves(monkeypatch)
+    # halves of batches: none for 1; 1 + 2; 32 + 32, then 1 alone; 32 + 32
+    # three times, then 4 + 4
+    for n, worker_sizes in ((1, []), (3, [2]), (65, [32]),
+                            (200, [32, 32, 32, 4])):
+        data = Dataset(images[:n], labels[:n])
+        want = (np.arange(n) % 3 != 0).sum() / n
+        with blas_threads(2):
+            assert evaluate(model, data) == want
+        assert _worker_sizes(ended) == []
+        with blas_threads(1):
+            assert evaluate(model, data) == want
+        assert _worker_sizes(ended) == worker_sizes
+        assert sum(size for _, size, _ in ended) == 2 * n
+        ended.clear()
+
+
+def test_evaluate_raises_a_failure_of_the_workers_half(monkeypatch):
+    # the first block's w1 overflows every nonzero hidden input; the zero
+    # images of the first half keep their hidden inputs zero
+    model = build_model(ModelSpec.nano("pooling"), seed=0)
+    model.blocks[0][0].mlp_w1.data[:] = 3e38
+    images = np.zeros((4, 3, 64, 64), np.float32)
+    images[2:] = np.random.default_rng(0).normal(0, 1, (2, 3, 64, 64))
+    data = Dataset(images, np.zeros(4, np.int64))
+    ended = _spy_halves(monkeypatch)
+    # the worker runs in the caller's numpy error state: an overflow warning
+    # there would raise RuntimeWarning, not NumericsError
+    with blas_threads(1), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            evaluate(model, data)
+    assert sorted((name.startswith("riformer-backward"), outcome)
+                  for name, _, outcome in ended) == [
+        (False, "ok"), (True, "NumericsError")]
+
+
+@pytest.mark.parametrize("worker_error", [None, RuntimeError("worker half")])
+def test_evaluate_raises_only_after_both_halves_end(worker_error, monkeypatch):
+    # the main thread's half fails at once while the worker's takes 0.2 s;
+    # the main thread's error wins whether or not the worker's half fails
+    ended = _spy_halves(monkeypatch, fail={
+        "main": (0.0, RuntimeError("main half")),
+        "worker": (0.2, worker_error)})
+    _, va = small_data()
+    with blas_threads(1), pytest.raises(RuntimeError, match="^main half$"):
+        evaluate(build_model(tiny_spec("identity"), seed=0), va)
+    assert len(ended) == 2 and len(_worker_sizes(ended)) == 1
+    assert {outcome for *_, outcome in ended} == {"RuntimeError", (
+        "ok" if worker_error is None else "RuntimeError")}
+
+
+def test_evaluate_in_a_forked_child_finishes(monkeypatch):
+    # a forked child inherits the parent's worker without its thread
+    _, va = small_data()
+    model = build_model(tiny_spec("pooling"), seed=0)
+    ended = _spy_halves(monkeypatch)
+    with blas_threads(1):
+        want = evaluate(model, va)
+        assert _worker_sizes(ended)  # the parent's worker exists
+        pid = os.fork()
+        if pid == 0:  # exits 0 only if a worker of its own ran a half
+            code = 1
+            try:
+                ended.clear()
+                code = 0 if (evaluate(model, va) == want
+                             and _worker_sizes(ended)) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while ((done := os.waitpid(pid, os.WNOHANG))[0] == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert done[0] == pid, "the child's evaluate did not finish in 60 s"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_write_log_schema(tmp_path):
