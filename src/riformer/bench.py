@@ -39,6 +39,8 @@ class BenchProtocol:
             raise ValueError("batch_size must be >= 1")
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
+        if self.warmup_runs < 0:
+            raise ValueError("warmup_runs must be >= 0")
         if self.timed_runs < 1:
             raise ValueError("timed_runs must be >= 1")
         if self.repeats < 1 or self.repeats % 2 == 0:

@@ -237,7 +237,7 @@ def _worker() -> Optional[ThreadPoolExecutor]:
         return None
     global _WORKER
     if _WORKER is None:
-        _WORKER = ThreadPoolExecutor(1, thread_name_prefix="riformer-backward")
+        _WORKER = ThreadPoolExecutor(1, thread_name_prefix="riformer-worker")
     return _WORKER
 
 
@@ -577,15 +577,25 @@ def _norm_input_grad(g3, x3, mu, istd, gamma, a):
     return gx, k, gs
 
 
+def _moments(x64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's mean and inverse std over all elements of the float64
+    (N, ...) x64: its sum, and E[x^2] as its dot product with itself, so
+    the squares are exact and every finite input has finite statistics."""
+    n = x64.shape[0]
+    m = x64.size // n
+    flat = x64.reshape(n, 1, m)
+    mu = flat.sum(axis=2)[:, 0] / m
+    var = (flat @ flat.transpose(0, 2, 1))[:, 0, 0] / m - mu * mu
+    return mu, (np.maximum(var, 0.0) + 1e-5) ** -0.5
+
+
 def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-sample normalization over all C*H*W elements, per-channel affine.
 
     Matches GroupNorm with a single group: statistics are computed per sample
     across channels and spatial positions, then each channel is scaled by
-    gamma and shifted by beta. The mean and E[x^2] come from the float64
-    copy of each sample, the latter as its dot product with itself, so the
-    squares are exact and every finite input has finite statistics. The
-    output is one multiply-add per element, x * a[n, c] + b[n, c] with
+    gamma and shifted by beta. The statistics come from `_moments` on the
+    float64 copy of x. The output is one multiply-add per element, x * a[n, c] + b[n, c] with
     a = gamma * istd and b = beta - gamma * mu * istd. Counted as 8 FLOPs
     per element.
     """
@@ -597,11 +607,7 @@ def group_norm_1(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(f"gamma/beta must have shape ({c},)")
 
     x3 = dx.reshape(n, c, -1)
-    m = dx.size // n
-    x64 = x3.reshape(n, 1, m).astype(np.float64)
-    mu = x64.sum(axis=2)[:, 0] / m
-    var = (x64 @ x64.transpose(0, 2, 1))[:, 0, 0] / m - mu * mu
-    istd = (np.maximum(var, 0.0) + 1e-5) ** -0.5
+    mu, istd = _moments(x3.astype(np.float64))
     a = istd[:, None] * dg
     b = (dbeta - mu[:, None] * a).astype(np.float32)[:, :, None]
     a = a.astype(np.float32)[:, :, None]
@@ -701,7 +707,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     backward jobs (`Tape`). col2im, the input gradient, is the
     adjoint: k*k strided slab adds into the grid (the windows overlap, so
     they cannot be one add), then the border folded back onto the edge rows
-    and columns.
+    and columns. The forward GEMM can give last-bit different rows when the
+    batch holds 1-3 samples, so a sample's output can depend on its batch
+    size, unlike `deploy_block`'s.
     """
     if pad < 0 or stride < 1:
         raise ShapeError(f"conv2d needs pad >= 0 and stride >= 1, "
@@ -873,20 +881,16 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
     + b2 with y = x + norm1(x), as one kernel: norm1 and norm2 are
     group_norm_1's single-group norms, w1 and w2 channel_linear's maps.
 
-    Both norms' statistics come from one pass over x: the per-(n, c) sums
-    S1 = sum x and S2 = sum x^2 over the HW positions, in float64. With k1
-    and mu1 a sample's inverse std and mean, norm1 is x a1 + c1 per (n, c),
-    a1 = k1 g and c1 = b - mu1 k1 g for norm1's gamma g and beta b. So
-    y = x A + c1 with A = 1 + a1, and y's sums follow without forming it:
-    sum y = sum_c (A S1 + HW c1) and sum y^2 = sum_c (A^2 S2 + 2 A c1 S1
-    + HW c1^2). Expanded in k1 and mu1 k1, both are dot products of S1 and
-    S2 with g, g^2, b, g b and b^2, so each sample's four statistics are
-    a few float64 scalar operations. norm2(y) is then x (A a2) + (c1 a2 +
-    c2), one float32 scale-and-shift pass that is the first GEMM's input.
-    The hidden activation runs gelu's blocked loop (`_gelu_into`), and an
-    epilogue adds x A, then c1 + b2, to the second GEMM's output. The
-    squares are float64, as in group_norm_1, so every finite input has
-    finite statistics.
+    With k1 and mu1 a sample's inverse std and mean, norm1 is x a1 + c1
+    per (n, c), a1 = k1 g and c1 = b - mu1 k1 g for norm1's gamma g and
+    beta b, so y = x A + c1 with A = 1 + a1. Both norms' statistics are
+    group_norm_1's (`_moments`): norm1's taken on x's float64 copy, norm2's
+    on y formed in float64 over that copy. norm2(y) is then x (A a2) +
+    (c1 a2 + c2), one float32 scale-and-shift pass that is the first
+    GEMM's input. The hidden activation runs gelu's blocked loop
+    (`_gelu_into`), and an epilogue adds x A, then c1 + b2, to the second
+    GEMM's output. No statistic mixes samples, so a sample's output does
+    not depend on its batch.
 
     Only x gets a gradient, through group_norm_1's adjoint
     (`_norm_input_grad`) for each norm and gelu's: the backward reads the
@@ -916,43 +920,21 @@ def deploy_block(x: Tensor, norm1_gamma: Tensor, norm1_beta: Tensor,
                         "weight that requires one cannot be trained")
     need_x = tape is not None and _needs_grad(x)[0]
 
-    hw, m = h * wdt, dx.size // n
+    hw = h * wdt
     x3 = dx.reshape(n, c, hw)
-    sums = np.empty((2, n, c))  # S1 and S2
     x64 = x3.astype(np.float64)
-    x64.sum(axis=2, out=sums[0])
-    np.square(x64, out=x64).sum(axis=2, out=sums[1])
-    # rows g, g^2, b, g b, b^2 and 1 for norm1's gamma g and beta b, then
-    # norm2's gamma and beta and b2, all float64
-    vec = np.array((g1, g1, be1, g1, be1, g1, g2, be2, db2), np.float64)
-    vec[1] *= vec[0]
-    vec[3:5] *= vec[2]
-    vec[5] = 1.0
-    # HW times each row's sum over channels: the c1 terms of y's sums
-    sg, sgg, sb, sgb, sbb, _ = (hw * vec[:6].sum(axis=1)).tolist()
-    # each sample's mu1, k1, mu2 and k2 (means and inverse stds) as Python
-    # floats, from the dot products of its S1 and S2 with the rows, q being
-    # mu1 k1: y's sums are polynomials in k1 and q
-    stats = []
-    for (s1g, s1gg, s1b, s1gb, _, t1), (s2g, s2gg, *_, t2) in zip(
-            *(sums @ vec[:6].T).tolist()):
-        mu1 = t1 / m
-        k1 = (max(t2 / m - mu1 * mu1, 0.0) + 1e-5) ** -0.5
-        q = mu1 * k1
-        mu2 = (t1 + k1 * s1g + sb - q * sg) / m
-        ey2 = (t2 + k1 * (2.0 * (s2g + s1gb) + k1 * s2gg)
-               + 2.0 * (s1b - q * (s1g + k1 * s1gg)) + sbb
-               - q * (2.0 * sgb - q * sgg)) / m
-        k2 = (max(ey2 - mu2 * mu2, 0.0) + 1e-5) ** -0.5
-        stats.append((mu1, k1, mu2, k2))
-    mu1, istd1, mu2, istd2 = np.array(stats).T
-    a1 = istd1[:, None] * vec[0]
-    c1 = vec[2] - mu1[:, None] * a1
+    mu1, istd1 = _moments(x64)
+    a1 = istd1[:, None] * g1
+    c1 = be1 - mu1[:, None] * a1
     big_a = a1 + 1.0
-    a2 = istd2[:, None] * vec[6]
+    # y = x A + c1 in float64, over x's copy, for norm2's statistics
+    x64 *= big_a[:, :, None]
+    x64 += c1[:, :, None]
+    mu2, istd2 = _moments(x64)
+    a2 = istd2[:, None] * g2
     # float32 (N, C, 1): norm2's scale and shift of x, A, and c1 + b2
     scale, shift, a32, shift_out = np.array((
-        big_a * a2, (c1 - mu2[:, None]) * a2 + vec[7], big_a, c1 + vec[8]),
+        big_a * a2, (c1 - mu2[:, None]) * a2 + be2, big_a, c1 + db2),
         np.float32)[..., None]
 
     z = np.multiply(x3, scale)

@@ -65,7 +65,7 @@ def spy_gradients(monkeypatch):
 
 def on_worker(seen):
     """How many of `spy_gradients`' entries the worker thread made."""
-    return sum(name.startswith("riformer-backward") for name, _ in seen)
+    return sum(name.startswith("riformer-worker") for name, _ in seen)
 
 
 def gelu_phi(x):

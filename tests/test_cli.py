@@ -357,10 +357,12 @@ def test_inspect_truncated_ckpt_is_runtime_error(tmp_path, capsys):
     ("breakdown", {"bench": {"repeats": 1.5}}),
     ("train", {"model": {"input_resolution": 48}}),
     ("bench", {"model": {"layer_scale_init": 10 ** 400}}),
+    ("breakdown", {"bench": {"warmup_runs": -1}}),
 ], ids=["train_block", "train_block_breakdown", "data_block", "bench_block",
         "model_block", "str_for_int", "bool_for_int", "imitation_block",
         "str_for_model_int", "stage_missing_keys", "float_for_int",
-        "resolution_off_stride", "int_past_float_range"])
+        "resolution_off_stride", "int_past_float_range",
+        "negative_warmup_runs"])
 def test_malformed_config_is_runtime_error(cmd, cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -629,7 +631,7 @@ _KEYS = {
                         st.integers(-1, 80))},
     "bench": {
         "batch_size": st.integers(0, 64), "resolution": st.integers(0, 64),
-        "warmup_runs": st.integers(0, 9), "timed_runs": st.integers(0, 9),
+        "warmup_runs": st.integers(-2, 9), "timed_runs": st.integers(0, 9),
         "repeats": st.integers(0, 5), "bogus": _JUNK},
 }
 

@@ -687,10 +687,9 @@ def _deploy_block_reference(x, g1, be1, g2, be2, w1, b1, w2, b2):
        st.floats(0.0, 1e3), st.integers(0, 2 ** 31 - 1))
 def test_deploy_block_matches_six_kernel_float64_reference(n, c, hw, hidden,
                                                            offset, seed):
-    # per-sample means up to 1e3 and spreads from 0.01 to 10: norm2's
-    # statistics expand sum y^2 from sums of x and x^2, where cancellation
-    # would show. The bound is a few float32 roundings of the magnitudes
-    # summed into each output
+    # per-sample means up to 1e3 and spreads from 0.01 to 10, where
+    # cancellation in E[y^2] - mu^2 would show. The bound is a few float32
+    # roundings of the magnitudes summed into each output
     rng = np.random.default_rng(seed)
     spread = np.exp(rng.uniform(np.log(0.01), np.log(10.0), (n, 1, 1, 1)))
     x = (rng.uniform(-offset, offset, (n, 1, 1, 1))
@@ -700,6 +699,25 @@ def test_deploy_block_matches_six_kernel_float64_reference(n, c, hw, hidden,
     ref, omag = _deploy_block_reference(x, *(w.data for w in ws))
     err = np.abs(out - ref) / (1.0 + omag)
     assert err.max() <= 1e-6, f"scaled error {err.max():.3g}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([3, 8, 16]),
+       st.sampled_from([(1, 1), (2, 2), (4, 4), (8, 8)]), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+def test_deploy_block_is_batch_invariant(n, c, hw, huge_mate, seed):
+    # no statistic mixes samples: each row of a batch's output holds the
+    # bytes of deploy_block on that sample alone, also beside a batch mate
+    # scaled by 1e30
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (n, c, *hw)).astype(np.float32)
+    if huge_mate:
+        x[rng.integers(n)] *= np.float32(1e30)
+    ws = _deploy_weights(rng, c, 4 * c)
+    out = T.deploy_block(Tensor(x), *ws).data
+    for i in range(n):
+        alone = T.deploy_block(Tensor(x[i:i + 1]), *ws).data
+        assert out[i:i + 1].tobytes() == alone.tobytes(), f"row {i}"
 
 
 def _extreme_magnitude_samples():
@@ -982,7 +1000,7 @@ def test_a_failing_job_raises_from_backward_after_every_job_ends(monkeypatch):
         out = T._apply(a.data + b.data, (a, b), lambda g: (failing, slow))
         with pytest.raises(RuntimeError, match="job failed"):
             tape.backward(T.tsum(out))
-    assert len(ran) == 1 and ran[0].startswith("riformer-backward")
+    assert len(ran) == 1 and ran[0].startswith("riformer-worker")
     assert a.grad is None and b.grad is None
     assert not tape._nodes
 

@@ -317,7 +317,7 @@ def _spy_halves(monkeypatch, fail=None):
         name = threading.current_thread().name
         outcome = "ok"
         try:
-            side = "worker" if name.startswith("riformer-backward") else "main"
+            side = "worker" if name.startswith("riformer-worker") else "main"
             delay, error = (fail or {}).get(side, (0.0, None))
             time.sleep(delay)
             if error is not None:
@@ -335,7 +335,7 @@ def _spy_halves(monkeypatch, fail=None):
 
 
 def _worker_sizes(ended):
-    return [n for name, n, _ in ended if name.startswith("riformer-backward")]
+    return [n for name, n, _ in ended if name.startswith("riformer-worker")]
 
 
 def _nano(kind):
@@ -388,7 +388,7 @@ def test_evaluate_raises_a_failure_of_the_workers_half(monkeypatch):
         warnings.simplefilter("error")
         with np.errstate(over="ignore"), pytest.raises(NumericsError):
             evaluate(model, data)
-    assert sorted((name.startswith("riformer-backward"), outcome)
+    assert sorted((name.startswith("riformer-worker"), outcome)
                   for name, _, outcome in ended) == [
         (False, "ok"), (True, "NumericsError")]
 
