@@ -17,9 +17,8 @@ from .checkpoint import (CheckpointError, save_checkpoint, load_checkpoint,
 from .train import (TrainConfig, TrainResult, TrainingDiverged, RECIPES,
                     LOG_COLUMNS, train, evaluate)
 from .bench import (BenchProtocol, BenchReport, BreakdownRow, throughput,
-                    latency_breakdown, reduce_timings, op_count, thread_count)
-from .analysis import (erf_map, erf_active_area, stage_activations,
-                       feature_histogram, wasserstein_binned,
+                    latency_breakdown, op_count, thread_count)
+from .analysis import (erf_map, erf_active_area, feature_histogram,
                        feature_distance, dump_affine_coefficients)
 
 __version__ = "0.1.0"
@@ -36,8 +35,7 @@ __all__ = [
     "save_checkpoint", "load_checkpoint", "read_header", "TrainConfig",
     "TrainResult", "TrainingDiverged", "RECIPES", "LOG_COLUMNS", "train",
     "evaluate", "BenchProtocol", "BenchReport", "BreakdownRow",
-    "throughput", "latency_breakdown", "reduce_timings", "op_count",
-    "thread_count", "erf_map", "erf_active_area", "stage_activations",
-    "feature_histogram", "wasserstein_binned", "feature_distance",
+    "throughput", "latency_breakdown", "op_count", "thread_count",
+    "erf_map", "erf_active_area", "feature_histogram", "feature_distance",
     "dump_affine_coefficients",
 ]

@@ -62,17 +62,26 @@ def stage_activations(model: ModelWeights, images: np.ndarray,
     return cap.stage_out[stage].data
 
 
+def _stage_bins(models: list[ModelWeights], images: np.ndarray, stage: int,
+                bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """`bins` equal float64 bins spanning the models' stage activations on
+    `images`, and each model's counts on them."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    acts = [stage_activations(m, images, stage) for m in models]
+    lo = min(float(a.min()) for a in acts)
+    hi = max(float(a.max()) for a in acts)
+    if lo == hi:
+        hi = lo + 1e-6
+    edges = np.linspace(lo, hi, bins + 1)
+    return edges, [np.histogram(a, bins=edges)[0] for a in acts]
+
+
 def feature_histogram(model: ModelWeights, images: np.ndarray, stage: int,
                       bins: int = 101) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of a stage's output activations over the probe batch, on
     `bins` equal bins spanning their range."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    acts = stage_activations(model, images, stage).ravel()
-    lo, hi = float(acts.min()), float(acts.max())
-    if lo == hi:
-        hi = lo + 1e-6
-    counts, edges = np.histogram(acts, bins=np.linspace(lo, hi, bins + 1))
+    edges, (counts,) = _stage_bins([model], images, stage, bins)
     return edges, counts
 
 
@@ -88,17 +97,7 @@ def wasserstein_binned(counts_a: np.ndarray, counts_b: np.ndarray,
 def feature_distance(model_a: ModelWeights, model_b: ModelWeights,
                      images: np.ndarray, stage: int, bins: int = 101) -> float:
     """Binned 1-Wasserstein distance between two models' stage activations."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    acts_a = stage_activations(model_a, images, stage).ravel()
-    acts_b = stage_activations(model_b, images, stage).ravel()
-    lo = min(acts_a.min(), acts_b.min())
-    hi = max(acts_a.max(), acts_b.max())
-    if lo == hi:
-        hi = lo + 1e-6
-    edges = np.linspace(lo, hi, bins + 1)
-    ca, _ = np.histogram(acts_a, bins=edges)
-    cb, _ = np.histogram(acts_b, bins=edges)
+    edges, (ca, cb) = _stage_bins([model_a, model_b], images, stage, bins)
     return wasserstein_binned(ca, cb, edges)
 
 

@@ -106,28 +106,11 @@ def blas_config() -> Optional[str]:
     return None if blas is None else blas.config
 
 
-def _env_threads() -> Optional[int]:
-    """RIFORMER_THREADS as a positive integer, or None when it is unset."""
-    env = os.environ.get("RIFORMER_THREADS")
-    if not env:
-        return None
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"RIFORMER_THREADS must be a positive integer, "
-                         f"got {env!r}")
-    return threads
-
-
 def thread_count() -> int:
-    """The live thread count of numpy's bundled OpenBLAS; without one,
-    RIFORMER_THREADS, else 1."""
+    """The live thread count of numpy's bundled OpenBLAS, which
+    OPENBLAS_NUM_THREADS sets before the process starts; 1 without one."""
     blas = _openblas()
-    if blas is not None:
-        return blas.get_threads()
-    return _env_threads() or 1
+    return 1 if blas is None else blas.get_threads()
 
 
 def reduce_timings(raw: list[list[float]], batch_size: int

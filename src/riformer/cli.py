@@ -185,7 +185,6 @@ def _config(args) -> Config:
 
 
 def _cmd_train(args) -> int:
-    _limit_threads()
     conf = _config(args)
     tc = conf.train
     teacher_ckpt = args.teacher or conf.teacher_ckpt
@@ -230,15 +229,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _limit_threads() -> None:
-    """Set numpy's bundled OpenBLAS to RIFORMER_THREADS threads, if both
-    exist; a malformed value is an error either way. At 1 thread a backward
-    computes weight gradients on a second thread (`tensor.Tape`)."""
-    threads, blas = bench._env_threads(), bench._openblas()
-    if threads is not None and blas is not None:
-        blas.set_threads(threads)
-
-
 def _bench_model(args, conf: Config):
     if args.ckpt:
         return load_checkpoint(args.ckpt)[0]
@@ -246,7 +236,6 @@ def _bench_model(args, conf: Config):
 
 
 def _cmd_bench(args) -> int:
-    _limit_threads()
     conf = _config(args)
     model = _bench_model(args, conf)
     report = bench.throughput(model, conf.bench,
@@ -264,7 +253,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_breakdown(args) -> int:
-    _limit_threads()
     conf = _config(args)
     rows = bench.latency_breakdown(_bench_model(args, conf), conf.bench,
                                    seed=conf.train.seed)
@@ -289,7 +277,6 @@ def _probe_images(args, conf: Config, spec: ModelSpec) -> np.ndarray:
 
 
 def _cmd_erf(args) -> int:
-    _limit_threads()
     conf = _config(args)
     model, _ = load_checkpoint(args.ckpt)
     images = _probe_images(args, conf, model.spec)
@@ -341,8 +328,9 @@ def _cmd_inspect_ckpt(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     train_ds, val_ds = _config(args).datasets()
-    np.savez(args.out, train_images=train_ds.images, train_labels=train_ds.labels,
-             val_images=val_ds.images, val_labels=val_ds.labels)
+    with open(args.out, "wb") as f:  # a path given to savez gains ".npz"
+        np.savez(f, train_images=train_ds.images, train_labels=train_ds.labels,
+                 val_images=val_ds.images, val_labels=val_ds.labels)
     print(f"wrote {len(train_ds)} train / {len(val_ds)} val samples to {args.out}")
     return 0
 

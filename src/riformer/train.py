@@ -191,7 +191,7 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
 
     # the LossReport fields this recipe logs, each as loss_{name}
     logged = ["total"]
-    if cfg.recipe != "ce":
+    if cfg.recipe in ("soft_kd", "soft_kd_mi"):
         logged.append("soft")
     if cfg.recipe == "soft_kd_mi":
         logged += [name for name, *_ in MI_TERMS]

@@ -6,7 +6,8 @@ import riformer.tensor as T
 from riformer import (Tensor, build_model, dump_affine_coefficients,
                       forward_features,
                       erf_active_area, erf_map, feature_distance,
-                      feature_histogram, switch_to_deploy, wasserstein_binned)
+                      feature_histogram, switch_to_deploy)
+from riformer.analysis import stage_activations, wasserstein_binned
 from helpers import gelu_grad_reference, gelu_phi, tiny_spec
 
 
@@ -115,7 +116,6 @@ def test_histogram_conserves_count():
     imgs = probe_images(n=3)
     for stage in range(1, 5):
         edges, counts = feature_histogram(model, imgs, stage)
-        from riformer import stage_activations
         acts = stage_activations(model, imgs, stage)
         assert counts.sum() == acts.size
 
@@ -163,6 +163,23 @@ def test_feature_distance_positive_for_different_models():
     a = build_model(tiny_spec("pooling"), seed=0)
     b = build_model(tiny_spec("pooling"), seed=1)
     assert feature_distance(a, b, probe_images(), stage=4) > 0.0
+
+
+def test_feature_distance_bins_on_float64_edges():
+    # the float32 activations' range spans float64 edges, as in
+    # feature_histogram, not edges rounded to float32
+    a = build_model(tiny_spec("pooling"), seed=0)
+    b = build_model(tiny_spec("pooling"), seed=1)
+    imgs, bins = probe_images(), 101
+    for stage in range(1, 5):
+        acts_a = stage_activations(a, imgs, stage)
+        acts_b = stage_activations(b, imgs, stage)
+        lo = min(acts_a.min(), acts_b.min())
+        hi = max(acts_a.max(), acts_b.max())
+        edges = np.linspace(float(lo), float(hi), bins + 1)
+        expect = wasserstein_binned(np.histogram(acts_a, bins=edges)[0],
+                                    np.histogram(acts_b, bins=edges)[0], edges)
+        assert feature_distance(a, b, imgs, stage, bins=bins) == expect
 
 
 # ---------------------------------------------------------------------------

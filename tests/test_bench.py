@@ -8,8 +8,9 @@ import pytest
 import riformer.bench as bench
 import riformer.tensor as T
 from riformer import (BenchProtocol, Tensor, build_model, forward,
-                      latency_breakdown, op_count, reduce_timings,
-                      switch_to_deploy, thread_count, throughput)
+                      latency_breakdown, op_count, switch_to_deploy,
+                      thread_count, throughput)
+from riformer.bench import reduce_timings
 from riformer.models import COMPONENTS, ModelSpec
 from helpers import tiny_spec
 
@@ -69,33 +70,9 @@ def test_even_repeats_rejected():
 
 
 def test_thread_count_env_override(monkeypatch):
-    # without a bundled OpenBLAS the count is RIFORMER_THREADS, else 1
+    # without a bundled OpenBLAS the count is 1
     monkeypatch.setattr(bench, "_openblas", lambda: None)
-    monkeypatch.setenv("RIFORMER_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.delenv("RIFORMER_THREADS")
     assert thread_count() == 1
-    for bad in ("0", "-2", "x", "1.5"):
-        monkeypatch.setenv("RIFORMER_THREADS", bad)
-        with pytest.raises(ValueError, match="RIFORMER_THREADS"):
-            thread_count()
-
-
-def test_limit_threads_sets_the_live_count(monkeypatch):
-    from riformer.cli import _limit_threads
-    blas = bench._openblas()  # numpy's wheels bundle OpenBLAS
-    get, put = blas.get_threads, blas.set_threads
-    before = get()
-    target = 2 if before == 1 else 1
-    monkeypatch.setenv("RIFORMER_THREADS", str(target))
-    try:
-        _limit_threads()
-        assert get() == thread_count() == target
-        monkeypatch.setenv("RIFORMER_THREADS", "3")
-        assert thread_count() == target  # the live value, not the variable
-    finally:
-        put(before)  # later tests time forwards at the default count
-    assert thread_count() == before
 
 
 def test_op_count_deploy_strictly_below_train_affine():

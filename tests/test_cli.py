@@ -2,13 +2,17 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riformer.tensor as T
 from riformer.cli import build_parser, main, parse_config
 from helpers import tiny_spec
 
@@ -85,19 +89,6 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_bad_flag_value_is_usage_error(capsys):
     assert main(["bench", "--batch", "x"]) == 1
     assert "--batch" in _usage_error_line(capsys, "riformer bench")
-
-
-@pytest.mark.parametrize("threads", ["0", "x"])
-def test_bad_thread_variable_is_runtime_error(threads, capsys, monkeypatch):
-    monkeypatch.setenv("RIFORMER_THREADS", threads)
-    # read before any config or file
-    for command in (["bench"], ["breakdown"], ["train"], ["distill"],
-                    ["erf", "--ckpt", "x"]):
-        assert main(command) == 3
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith("error: ") and out.err.count("\n") == 1
-        assert "RIFORMER_THREADS" in out.err
 
 
 def test_missing_config_file_is_runtime_error(capsys):
@@ -259,11 +250,16 @@ def test_empty_analysis_is_runtime_error(argv, tiny_config, tmp_path, capsys):
 
 
 def test_gen_data_writes_npz(tiny_config, tmp_path, capsys):
-    out = str(tmp_path / "data.npz")
-    assert main(["gen-data", "--config", tiny_config, "--out", out]) == 0
-    blob = np.load(out)
-    assert blob["train_images"].shape == (8, 3, 32, 32)
-    assert blob["val_images"].shape == (8, 3, 32, 32)
+    # the file is --out exactly, with or without the .npz suffix
+    for i, name in enumerate(("data.npz", "data")):
+        (tmp_path / str(i)).mkdir()
+        out = str(tmp_path / str(i) / name)
+        assert main(["gen-data", "--config", tiny_config, "--out", out]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f" to {out}")
+        assert not os.path.exists(out + ".npz")
+        blob = np.load(out)
+        assert blob["train_images"].shape == (8, 3, 32, 32)
+        assert blob["val_images"].shape == (8, 3, 32, 32)
 
 
 def test_bench_json_report(tiny_config, tmp_path, capsys):
@@ -278,6 +274,34 @@ def test_bench_json_report(tiny_config, tmp_path, capsys):
     assert report["images_per_second"] > 0
     assert "raw_timings" not in report
     assert report["blas"].startswith("OpenBLAS ")  # numpy's bundled BLAS
+
+
+def _run_at_threads(threads, args):
+    """`python *args` in a new process whose OpenBLAS starts at `threads`."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return done.stdout
+
+
+def test_openblas_variable_sets_the_thread_count(tiny_config, tmp_path):
+    # OPENBLAS_NUM_THREADS, read as numpy loads OpenBLAS, is the one setting
+    with open(tiny_config) as f:
+        cfg = json.load(f)
+    cfg["bench"] = {"batch_size": 1, "resolution": 32, "warmup_runs": 0,
+                    "timed_runs": 1, "repeats": 1}
+    path = tmp_path / "bench_cfg.json"
+    path.write_text(json.dumps(cfg))
+    for threads in (1, 2):
+        out = _run_at_threads(threads, ["-m", "riformer.cli", "bench",
+                                        "--config", str(path)])
+        assert json.loads(out)["thread_count"] == min(threads, T._cpus())
+    # at one BLAS thread on two CPUs or more, the worker runs
+    out = _run_at_threads(1, ["-c", "import riformer.tensor as T; "
+                                    "print(T._cpus(), T._worker() is not None)"])
+    cpus, on = out.split()
+    assert on == str(int(cpus) >= 2)
 
 
 def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):

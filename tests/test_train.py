@@ -127,16 +127,20 @@ def test_deploy_model_rejected():
 
 
 def test_ce_log_has_only_ce_columns(tmp_path):
-    model = build_model(tiny_spec("identity"), seed=0)
+    # hard_kd is cross-entropy on the teacher's labels: no soft term either
     tr, va = small_data()
-    log = str(tmp_path / "log.csv")
-    train(model, tr, va, quick_cfg("ce", epochs=1), log_path=log)
-    rows = list(csv.DictReader(open(log)))
-    assert list(rows[0].keys()) == list(LOG_COLUMNS)
-    assert rows[0]["loss_total"] != ""
-    assert rows[0]["loss_soft"] == ""
-    assert rows[0]["loss_rel"] == ""
-    assert rows[0]["val_top1"] != ""
+    teacher = build_model(tiny_spec("pooling"), seed=3)
+    for recipe in ("ce", "hard_kd"):
+        model = build_model(tiny_spec("identity"), seed=0)
+        log = str(tmp_path / f"{recipe}.csv")
+        train(model, tr, va, quick_cfg(recipe, epochs=1), log_path=log,
+              teacher=teacher if recipe == "hard_kd" else None)
+        rows = list(csv.DictReader(open(log)))
+        assert list(rows[0].keys()) == list(LOG_COLUMNS)
+        assert rows[0]["loss_total"] != ""
+        assert rows[0]["loss_soft"] == ""
+        assert rows[0]["loss_rel"] == ""
+        assert rows[0]["val_top1"] != ""
 
 
 def test_determinism_identical_checkpoints(tmp_path):
