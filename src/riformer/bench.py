@@ -29,7 +29,6 @@ from .tensor import Tensor
 @dataclass
 class BenchProtocol:
     batch_size: int = 32
-    resolution: int = 64
     warmup_runs: int = 10
     timed_runs: int = 30
     repeats: int = 3
@@ -37,8 +36,6 @@ class BenchProtocol:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
         if self.warmup_runs < 0:
             raise ValueError("warmup_runs must be >= 0")
         if self.timed_runs < 1:
@@ -121,25 +118,21 @@ def reduce_timings(raw: list[list[float]], batch_size: int
     return means_ms, median_ms, batch_size / (median_ms / 1e3)
 
 
-def _time_callable(fn, protocol: BenchProtocol) -> list[list[float]]:
-    for _ in range(protocol.warmup_runs):
-        fn()
-    raw = []
-    for _ in range(protocol.repeats):
-        runs = []
-        for _ in range(protocol.timed_runs):
-            t0 = time.perf_counter()
-            fn()
-            runs.append(time.perf_counter() - t0)
-        raw.append(runs)
-    return raw
-
-
-def _probe(model: ModelWeights, protocol: BenchProtocol, seed: int) -> Tensor:
+def _measure(model: ModelWeights, protocol: BenchProtocol, run: Callable,
+             seed: int) -> list[list]:
+    """`repeats` lists of `timed_runs` results of `run(x)`, after
+    `warmup_runs` calls, where x is a seeded normal probe of
+    `batch_size` images at the spec's `input_resolution`."""
+    protocol.validate()
+    spec = model.spec
+    res = spec.input_resolution
     rng = np.random.default_rng(seed)
-    return Tensor(rng.normal(0, 1, (protocol.batch_size, model.spec.in_channels,
-                                    protocol.resolution, protocol.resolution)
-                             ).astype(np.float32))
+    x = Tensor(rng.normal(0, 1, (protocol.batch_size, spec.in_channels,
+                                 res, res)).astype(np.float32))
+    for _ in range(protocol.warmup_runs):
+        run(x)
+    return [[run(x) for _ in range(protocol.timed_runs)]
+            for _ in range(protocol.repeats)]
 
 
 def _profiled_forward(model: ModelWeights, x: Tensor) -> T._Profile:
@@ -150,9 +143,12 @@ def _profiled_forward(model: ModelWeights, x: Tensor) -> T._Profile:
 
 def throughput(model: ModelWeights, protocol: BenchProtocol,
                model_id: str = "model", seed: int = 0) -> BenchReport:
-    protocol.validate()
-    x = _probe(model, protocol, seed)
-    raw = _time_callable(lambda: forward(model, x), protocol)
+    def timed_forward(x: Tensor) -> float:
+        t0 = time.perf_counter()
+        forward(model, x)
+        return time.perf_counter() - t0
+
+    raw = _measure(model, protocol, timed_forward, seed)
     means_ms, median_ms, ips = reduce_timings(raw, protocol.batch_size)
     return BenchReport(model_id=model_id, images_per_second=ips,
                        ms_per_batch=means_ms, median_ms=median_ms,
@@ -168,24 +164,19 @@ def latency_breakdown(model: ModelWeights, protocol: BenchProtocol,
     forwards, median over repeats) and FLOPs. Every kernel's time goes to
     exactly one component, so no row is negative and the rows of one
     forward sum to its wall time."""
-    protocol.validate()
-    x = _probe(model, protocol, seed)
-    for _ in range(protocol.warmup_runs):
-        forward(model, x)
-    per_repeat: dict[str, list[float]] = {c: [] for c in COMPONENTS}
-    for _ in range(protocol.repeats):
-        runs = [_profiled_forward(model, x) for _ in range(protocol.timed_runs)]
-        for c, ms in per_repeat.items():
-            ms.append(1e3 * sum(p.seconds.get(c, 0.0) for p in runs) / len(runs))
-    return [BreakdownRow(component=c, ms=statistics.median(ms),
-                         flops=runs[-1].flops.get(c, 0))
-            for c, ms in per_repeat.items()]
+    profiles = _measure(model, protocol,
+                        lambda x: _profiled_forward(model, x), seed)
+    return [BreakdownRow(
+        component=c,
+        ms=statistics.median([1e3 * sum(p.seconds.get(c, 0.0) for p in runs)
+                              / len(runs) for runs in profiles]),
+        flops=profiles[-1][-1].flops.get(c, 0)) for c in COMPONENTS]
 
 
 def op_count(model_or_spec, batch_size: int = 1,
              deploy: bool | None = None) -> int:
     """Scalar floating-point operations of one forward pass at the spec's
-    input resolution, as the kernels count them. `deploy=True` counts the
+    `input_resolution`, as the kernels count them. `deploy=True` counts the
     fused form of an affine train model or spec; other mixers, and
     `deploy=False` on a deploy model, raise ValueError."""
     if isinstance(model_or_spec, ModelWeights):

@@ -22,6 +22,7 @@ import numpy as np
 from . import analysis, bench, reparam
 from .checkpoint import load_checkpoint, read_header, save_checkpoint
 from .data import Dataset, SynthSpec, load_cifar10_binary, synth_dataset
+from .imitation import imitation_layers
 from .models import ModelSpec, _from_dict, build_model
 from .tensor import NumericsError
 from .train import TrainConfig, train
@@ -124,14 +125,9 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
     if tc.init_from_teacher and spec.mixer_kind != "affine":
         raise ValueError(f"train.init_from_teacher needs an affine model, "
                          f"got mixer_kind {spec.mixer_kind!r}")
-    mi, total = tc.imitation, spec.total_blocks
-    if mi is not None and not all(0 <= i < total for i in mi.layers or ()):
-        raise ValueError(f"imitation.layers must lie in [0, {total - 1}], "
-                         f"got {list(mi.layers)}")
-    if (tc.recipe == "soft_kd_mi" and not mi.layers
-            and not 1 <= mi.layer_count <= total):
-        raise ValueError(f"imitation.layer_count must be in [1, {total}], "
-                         f"got {mi.layer_count}")
+    mi = tc.imitation
+    if mi is not None and (mi.layers or tc.recipe == "soft_kd_mi"):
+        imitation_layers(spec, mi)
 
     source = dblock.pop("source", "synthetic")
     if source == "cifar10_binary":

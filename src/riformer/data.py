@@ -122,10 +122,9 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
                    labels=np.asarray(labels, dtype=np.int64))
 
 
-def load_cifar10_binary(path: str, split: str = "train",
-                        mean: tuple = CIFAR_MEAN,
-                        std: tuple = CIFAR_STD) -> Dataset:
-    """Load CIFAR-10 binary batches from a file or a directory.
+def load_cifar10_binary(path: str, split: str = "train") -> Dataset:
+    """Load CIFAR-10 binary batches from a file or a directory, normalized
+    per channel by `CIFAR_MEAN` and `CIFAR_STD`.
 
     A directory is resolved to the conventional batch files for `split`;
     a file path is loaded as-is.
@@ -156,6 +155,6 @@ def load_cifar10_binary(path: str, split: str = "train",
         labels.append(lab)
     images = np.concatenate(images)
     labels = np.concatenate(labels)
-    m = np.asarray(mean, np.float32)[None, :, None, None]
-    s = np.asarray(std, np.float32)[None, :, None, None]
+    m = np.asarray(CIFAR_MEAN, np.float32)[None, :, None, None]
+    s = np.asarray(CIFAR_STD, np.float32)[None, :, None, None]
     return Dataset(images=(images - m) / s, labels=labels)

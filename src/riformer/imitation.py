@@ -166,7 +166,8 @@ def select_layers(spec: ModelSpec, count: int) -> tuple[int, ...]:
     """
     total = spec.total_blocks
     if not (1 <= count <= total):
-        raise ValueError(f"count must be in [1, {total}], got {count}")
+        raise ValueError(f"imitation.layer_count must be in [1, {total}], "
+                         f"got {count}")
     if count == len(spec.stages):
         picks = []
         offset = 0
@@ -175,6 +176,18 @@ def select_layers(spec: ModelSpec, count: int) -> tuple[int, ...]:
             picks.append(offset - 1)
         return tuple(picks)
     return tuple(ceil((j + 1) * total / count) - 1 for j in range(count))
+
+
+def imitation_layers(spec: ModelSpec, mi: ImitationConfig) -> tuple[int, ...]:
+    """The blocks `mi` imitates on `spec`: its `layers`, checked to lie in the
+    model, else `select_layers(spec, mi.layer_count)`."""
+    if not mi.layers:
+        return select_layers(spec, mi.layer_count)
+    total = spec.total_blocks
+    if not all(0 <= i < total for i in mi.layers):
+        raise ValueError(f"imitation.layers must lie in [0, {total - 1}], "
+                         f"got {list(mi.layers)}")
+    return tuple(mi.layers)
 
 
 def load_from_teacher(student: ModelWeights, teacher: ModelWeights) -> ModelWeights:

@@ -296,9 +296,9 @@ def _apply(out_data: np.ndarray,
            flops: Optional[int] = None) -> Tensor:
     """Wrap a kernel result, recording on the active tape when needed;
     `flops` (default: one per output element) goes to the active profile."""
-    _check_finite(out_data)
     out = Tensor.__new__(Tensor)
     out.data = _f32(out_data)
+    _check_finite(out.data)  # the float32 cast may overflow to inf
     out.grad = None
     out.requires_grad = False
     out._node = None

@@ -21,7 +21,7 @@ from . import imitation
 from . import tensor as T
 from .data import Dataset
 from .imitation import (MI_TERMS, ImitationConfig, LossReport,
-                        load_from_teacher, loss_soft, select_layers,
+                        imitation_layers, load_from_teacher, loss_soft,
                         total_loss)
 from .models import CaptureSet, ModelWeights, forward
 from .optim import AdamW
@@ -34,6 +34,7 @@ LOG_COLUMNS = ("epoch", "lr", "loss_total", "loss_soft",
 # the logits and later-read MI activations of the whole train set exceed it,
 # nothing is kept and the teacher runs live on every step.
 TEACHER_CACHE_BYTES = 256 * 2**20
+EVAL_BATCH = 64  # images per evaluate() batch
 
 
 class TrainingDiverged(RuntimeError):
@@ -114,7 +115,7 @@ def _hits(model: ModelWeights, xb: np.ndarray, yb: np.ndarray) -> int:
     return int((np.argmax(logits.data, axis=1) == yb).sum())
 
 
-def evaluate(model: ModelWeights, data: Dataset, batch_size: int = 64) -> float:
+def evaluate(model: ModelWeights, data: Dataset) -> float:
     """Top-1 accuracy; argmax ties resolve to the lower class index.
 
     When the worker thread is on (`tensor._worker`), each batch of 2 or
@@ -130,7 +131,7 @@ def evaluate(model: ModelWeights, data: Dataset, batch_size: int = 64) -> float:
         raise ValueError("empty dataset")
     worker = T._worker()
     correct = 0
-    for xb, yb, _ in data.batches(batch_size):
+    for xb, yb, _ in data.batches(EVAL_BATCH):
         if worker is None or len(yb) < 2:
             correct += _hits(model, xb, yb)
             continue
@@ -174,20 +175,18 @@ def train(model: ModelWeights, train_data: Dataset, val_data: Dataset,
             raise ValueError(f"{split} labels must lie in [0, {k}) "
                              f"(model.num_classes), got {data.labels.min()} "
                              f"to {data.labels.max()}")
+    mi_layers = (imitation_layers(model.spec, cfg.imitation)
+                 if cfg.recipe == "soft_kd_mi" else ())
     if cfg.init_from_teacher:
         load_from_teacher(model, teacher)
 
     opt = AdamW(list(model.named_parameters()), weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng([cfg.seed, 101])
 
-    mi_cfg = cfg.imitation
-    mi_layers: tuple[int, ...] = ()
     cache = None
     if cfg.recipe != "ce" and cfg.epochs > 1:
         cache = _TeacherCache(len(train_data),
                               _mi_fields(cfg, range(1, cfg.epochs)))
-    if cfg.recipe == "soft_kd_mi":
-        mi_layers = mi_cfg.layers or select_layers(model.spec, mi_cfg.layer_count)
 
     # the LossReport fields this recipe logs, each as loss_{name}
     logged = ["total"]

@@ -34,8 +34,8 @@ def test_reduce_timings_means_within_repeat():
 
 def test_report_is_re_reducible_from_raw():
     model = build_model(tiny_spec("identity"), seed=0)
-    protocol = BenchProtocol(batch_size=2, resolution=32, warmup_runs=1,
-                             timed_runs=2, repeats=3)
+    protocol = BenchProtocol(batch_size=2, warmup_runs=1, timed_runs=2,
+                             repeats=3)
     report = throughput(model, protocol, model_id="tiny")
     means, median, ips = reduce_timings(report.raw_timings, protocol.batch_size)
     assert report.ms_per_batch == pytest.approx(means)
@@ -47,8 +47,8 @@ def test_report_is_re_reducible_from_raw():
 
 def test_report_names_the_blas(monkeypatch):
     model = build_model(tiny_spec("identity"), seed=0)
-    protocol = BenchProtocol(batch_size=1, resolution=32, warmup_runs=0,
-                             timed_runs=1, repeats=1)
+    protocol = BenchProtocol(batch_size=1, warmup_runs=0, timed_runs=1,
+                             repeats=1)
     # numpy's wheels bundle OpenBLAS, whose build string starts with its
     # name and version
     blas = throughput(model, protocol).blas
@@ -65,8 +65,6 @@ def test_even_repeats_rejected():
         BenchProtocol(timed_runs=0).validate()
     with pytest.raises(ValueError):
         BenchProtocol(batch_size=0).validate()
-    with pytest.raises(ValueError):
-        BenchProtocol(resolution=0).validate()
 
 
 def test_thread_count_env_override(monkeypatch):
@@ -133,8 +131,8 @@ def test_breakdown_rows_cover_the_forward(form):
                         seed=0)
     if form == "deploy":
         model = switch_to_deploy(model)
-    protocol = BenchProtocol(batch_size=2, resolution=32, warmup_runs=1,
-                             timed_runs=2, repeats=3)
+    protocol = BenchProtocol(batch_size=2, warmup_runs=1, timed_runs=2,
+                             repeats=3)
     rows = latency_breakdown(model, protocol)
     assert [r.component for r in rows] == list(COMPONENTS)
     assert all(r.ms >= 0.0 for r in rows)

@@ -265,8 +265,8 @@ def test_gen_data_writes_npz(tiny_config, tmp_path, capsys):
 def test_bench_json_report(tiny_config, tmp_path, capsys):
     with open(tiny_config) as f:
         cfg = json.load(f)
-    cfg["bench"] = {"batch_size": 2, "resolution": 32, "warmup_runs": 1,
-                    "timed_runs": 2, "repeats": 3}
+    cfg["bench"] = {"batch_size": 2, "warmup_runs": 1, "timed_runs": 2,
+                    "repeats": 3}
     path = tmp_path / "bench_cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["bench", "--config", str(path)]) == 0
@@ -289,8 +289,8 @@ def test_openblas_variable_sets_the_thread_count(tiny_config, tmp_path):
     # OPENBLAS_NUM_THREADS, read as numpy loads OpenBLAS, is the one setting
     with open(tiny_config) as f:
         cfg = json.load(f)
-    cfg["bench"] = {"batch_size": 1, "resolution": 32, "warmup_runs": 0,
-                    "timed_runs": 1, "repeats": 1}
+    cfg["bench"] = {"batch_size": 1, "warmup_runs": 0, "timed_runs": 1,
+                    "repeats": 1}
     path = tmp_path / "bench_cfg.json"
     path.write_text(json.dumps(cfg))
     for threads in (1, 2):
@@ -319,12 +319,15 @@ def test_bench_zero_batch_is_runtime_error(tiny_config, capsys):
     {"imitation": {"tau": 4.0}},
     {"data": {"bogus": 1}},
     {"bench": {"bogus": 1}},
+    # the probe is drawn at model.input_resolution, so bench sets none
+    {"bench": {"resolution": 32, "batch_size": 1, "warmup_runs": 0,
+               "timed_runs": 1, "repeats": 1}},
     {"model": {"\n": 1}},
     {"train": {"a\r\nb": 1}},
     {"model": {"drop_path_rate": 0.0}},
 ], ids=["train", "train_cosine", "model", "stage", "imitation",
-        "imitation_tau", "data", "bench", "model_newline", "train_crlf",
-        "model_drop_path_rate"])
+        "imitation_tau", "data", "bench", "bench_resolution", "model_newline",
+        "train_crlf", "model_drop_path_rate"])
 def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -338,7 +341,7 @@ def test_unknown_config_key_is_runtime_error(cfg, tmp_path, capsys):
     # the key is named quoted, so a line break in it stays on the line
     assert any(repr(key) in out.err for key in ("bogus", "cosine", "depths",
                                                 "dims", "tau", "\n", "a\r\nb",
-                                                "drop_path_rate"))
+                                                "drop_path_rate", "resolution"))
 
 
 def test_config_teacher_ckpt_is_used(tiny_config, tmp_path, capsys):
@@ -422,8 +425,8 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys, monkeypatch):
     from riformer import bench, build_model, op_count
     with open(tiny_config) as f:
         cfg = json.load(f)
-    cfg["bench"] = {"batch_size": 2, "resolution": 32, "warmup_runs": 1,
-                    "timed_runs": 2, "repeats": 3}
+    cfg["bench"] = {"batch_size": 2, "warmup_runs": 1, "timed_runs": 2,
+                    "repeats": 3}
     path = tmp_path / "bench_cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["breakdown", "--config", str(path)]) == 0
@@ -440,6 +443,21 @@ def test_breakdown_csv(tiny_config, tmp_path, capsys, monkeypatch):
     assert main(["breakdown", "--config", str(path)]) == 0
     rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()[1:]))
     assert [r[4] for r in rows] == [""] * 5
+
+
+def test_breakdown_ckpt_probes_at_its_own_resolution(tmp_path, capsys):
+    # the config's model is the 64x64 nano; a 32x32 checkpoint is profiled
+    # at its header spec's 32x32
+    from riformer import build_model, op_count, save_checkpoint
+    model = build_model(tiny_spec("pooling"), seed=0)
+    ckpt = str(tmp_path / "tiny.ckpt")
+    save_checkpoint(model, ckpt)
+    path = tmp_path / "bench_cfg.json"
+    path.write_text(json.dumps({"bench": {"batch_size": 2, "warmup_runs": 0,
+                                          "timed_runs": 1, "repeats": 1}}))
+    assert main(["breakdown", "--config", str(path), "--ckpt", ckpt]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()[1:]))
+    assert sum(int(r[2]) for r in rows) == op_count(model, batch_size=2)
 
 
 def _huge_mlp_ratio_model() -> dict:
@@ -654,9 +672,9 @@ _KEYS = {
         **dict.fromkeys(["feat_epochs", "rel_epochs", "total_epochs"],
                         st.integers(-1, 80))},
     "bench": {
-        "batch_size": st.integers(0, 64), "resolution": st.integers(0, 64),
-        "warmup_runs": st.integers(-2, 9), "timed_runs": st.integers(0, 9),
-        "repeats": st.integers(0, 5), "bogus": _JUNK},
+        "batch_size": st.integers(0, 64), "warmup_runs": st.integers(-2, 9),
+        "timed_runs": st.integers(0, 9), "repeats": st.integers(0, 5),
+        "bogus": _JUNK},
 }
 
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from riformer import Dataset, SynthSpec, load_cifar10_binary, synth_dataset
+from riformer.data import CIFAR_MEAN, CIFAR_STD
 
 
 def test_same_seed_identical_bytes():
@@ -88,8 +89,12 @@ def test_pixel_normalization(tmp_path):
     f = tmp_path / "batch.bin"
     record = np.concatenate([[np.uint8(1)], np.full(3072, 255, np.uint8)])
     record.tofile(str(f))
-    ds = load_cifar10_binary(str(f), mean=(0.0, 0.0, 0.0), std=(1.0, 1.0, 1.0))
-    np.testing.assert_allclose(ds.images, 1.0, atol=1e-6)
+    ds = load_cifar10_binary(str(f))
+    # a 255 byte is 1.0 before each channel's normalization
+    for c in range(3):
+        np.testing.assert_allclose(ds.images[0, c],
+                                   (1 - CIFAR_MEAN[c]) / CIFAR_STD[c],
+                                   rtol=1e-6)
 
 
 def test_truncated_file_rejected(tmp_path):

@@ -1125,6 +1125,10 @@ def test_non_finite_input_rejected():
     # a kernel whose float32 output overflows
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         T.mul(Tensor(np.array([3e38], np.float32)), 10.0)
+    # a float64 kernel result finite in float64 but past float32's range
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match="non-finite values in kernel output"):
+        T.log_softmax(Tensor([[3e38, -3e38]]))
 
 
 def test_shape_mismatch_rejected():

@@ -48,6 +48,27 @@ def test_labels_outside_the_model_classes_rejected():
                       quick_cfg(epochs=1))
 
 
+@pytest.mark.parametrize("layers", [(99,), (-1,), (0, 5)])
+def test_imitation_layers_outside_the_model_rejected_before_a_forward(
+        layers, monkeypatch):
+    # tiny_spec has 5 blocks; the check runs before the teacher's first
+    # forward, not as a KeyError in the first MI step
+    train_mod = importlib.import_module("riformer.train")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a forward ran before the layers were checked")
+
+    monkeypatch.setattr(train_mod, "forward", never)
+    tr, va = small_data()
+    cfg = quick_cfg("soft_kd_mi", epochs=1,
+                    imitation=ImitationConfig(layers=layers, feat_epochs=1,
+                                              rel_epochs=0, total_epochs=1))
+    with pytest.raises(ValueError, match=r"^imitation.layers must lie in "
+                                         r"\[0, 4\]"):
+        train(build_model(tiny_spec(), seed=0), tr, va, cfg,
+              teacher=build_model(tiny_spec("pooling"), seed=3))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(recipe="mse").validate()
