@@ -21,9 +21,7 @@ def erf_map(model_or_fn, images: np.ndarray) -> np.ndarray:
     computed and no parameter's `.grad` changes.
     """
     if isinstance(model_or_fn, ModelWeights):
-        frozen = ModelWeights(model_or_fn.spec, {
-            name: Tensor(p.data)
-            for name, p in model_or_fn.named_parameters()}, model_or_fn.deploy)
+        frozen = model_or_fn.views(requires_grad=False)
         fn: Callable[[Tensor], Tensor] = lambda t: forward_features(frozen, t)
     else:
         fn = model_or_fn

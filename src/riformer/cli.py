@@ -85,7 +85,8 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
     `train.recipe`; `seed`, `epochs` and `batch` override `train.seed`,
     `train.epochs` and `train.batch_size`, and `bench_batch` overrides
     `bench.batch_size`, with a notice when they change a value. The resolved
-    `train.seed` is the default `data.seed`."""
+    `train.seed` is the default `data.seed`, and `model.input_resolution`
+    the default and only valid synthetic `data.resolution`."""
     if not isinstance(cfg, dict):
         raise ValueError(f"config root must be a JSON object, "
                          f"got {type(cfg).__name__}")
@@ -152,6 +153,7 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
     else:
         val_per_class = dblock.pop("val_per_class", 25)
         dblock.setdefault("seed", tc.seed)
+        dblock.setdefault("resolution", spec.input_resolution)
         data = (_from_dict(SynthSpec, dict(dblock, stream="train")),
                 _from_dict(SynthSpec, dict(dblock, stream="val",
                                            samples_per_class=val_per_class)))
@@ -159,10 +161,10 @@ def parse_config(cfg, *, recipe=None, seed=None, epochs=None, batch=None,
         if synth.num_classes > spec.num_classes:
             raise ValueError(f"data.num_classes {synth.num_classes} exceeds "
                              f"model.num_classes {spec.num_classes}")
-        if synth.resolution % spec.total_stride:
-            raise ValueError(f"data.resolution must be a multiple of the "
-                             f"model's total stride {spec.total_stride}, "
-                             f"got {synth.resolution}")
+        if synth.resolution != spec.input_resolution:
+            raise ValueError(f"data.resolution {synth.resolution} differs "
+                             f"from model.input_resolution "
+                             f"{spec.input_resolution}")
 
     _override(bblock, "batch_size", bench_batch, "batch")
     proto = _from_dict(bench.BenchProtocol, bblock)

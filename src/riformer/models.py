@@ -293,6 +293,15 @@ class ModelWeights:
     def clone(self) -> "ModelWeights":
         return copy.deepcopy(self)
 
+    def views(self, requires_grad: bool) -> "ModelWeights":
+        """The same weights as new tensors over the same arrays, each with
+        `requires_grad` and a `.grad` of its own, so a backward through
+        them leaves this model's `.grad` alone. An optimizer step rebinds
+        a parameter's array, so a view shows the weights when it is made."""
+        return ModelWeights(self.spec, {
+            name: Tensor(p.data, requires_grad)
+            for name, p in self.params.items()}, self.deploy)
+
 
 def build_model(spec: ModelSpec, seed: int) -> ModelWeights:
     """Deterministic initialization; affine starts at s=1, t=0 so the model

@@ -13,11 +13,10 @@ no higher-order gradients, no devices other than CPU.
 """
 from __future__ import annotations
 
-import contextvars
 import itertools
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Callable, Optional, Sequence
 
@@ -97,19 +96,8 @@ class Tape:
     or a leaf Tensor. The tape holds no output, so an output that no
     closure captured is freed with its last reference, and `backward` pops
     each node before running it, so the arrays its closure saved go right
-    after; after `backward` the tape holds no node.
-
-    A backward closure returns, per input, None, the gradient, or a job: a
-    zero-argument callable that returns the gradient. Kernels return jobs
-    for the weight-position inputs whose gradient nothing before the end of
-    the pass reads (conv and channel-linear weights and biases, per-channel
-    scales and shifts). A job calls numpy only, never a kernel or `_apply`,
-    and reads only arrays that no backward closure writes in place: its
-    closure's forward operands and incoming gradient. So `backward` may run
-    it on the worker thread (`_worker`), in a copy of the caller's context,
-    which holds numpy's error state, while the input-gradient chain goes
-    on; a job's result holds the bytes an inline call gives, and it warns
-    or raises as an inline call would.
+    after; after `backward` the tape holds no node. A backward closure
+    returns, per input, None or the gradient.
     """
 
     def __init__(self):
@@ -148,31 +136,11 @@ class Tape:
         # gradients stay float32, the forward's precision; kernels that need
         # wider accumulation widen internally and cast on return. Nodes'
         # gradients are keyed by node index, leaves' by identity, each leaf
-        # in the order of its first contribution. A slot holds a job's
-        # Future until a node, a second contribution or the leaf pass
-        # reads it.
-        grads: dict[int, np.ndarray | Future] = {
-            loss._node[1]: np.ones_like(loss.data)}
+        # in the order of its first contribution.
+        grads: dict[int, np.ndarray] = {loss._node[1]: np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
-        leaf_grads: dict[int, np.ndarray | Future] = {}
+        leaf_grads: dict[int, np.ndarray] = {}
         nodes = self._nodes
-        worker = _worker()
-        jobs: list[Future] = []
-
-        def start(gi):
-            if not callable(gi):
-                return gi
-            if worker is None:
-                return gi()
-            jobs.append(worker.submit(contextvars.copy_context().run, gi))
-            return jobs[-1]
-
-        def value(g) -> np.ndarray:
-            return g.result() if isinstance(g, Future) else g
-
-        def accumulate(slots, key, gi) -> None:
-            slots[key] = value(slots[key]) + value(gi) if key in slots else gi
-
         try:
             while nodes:
                 # popped, so its closure and the arrays it saved are freed
@@ -181,24 +149,19 @@ class Tape:
                 g = grads.pop(len(nodes), None)
                 if g is None:
                     continue
-                for entry, gi in zip(entries, backward_fn(value(g))):
+                for entry, gi in zip(entries, backward_fn(g)):
                     if entry is None or gi is None:
                         continue
-                    gi = start(gi)
+                    slots, key = grads, entry
                     if isinstance(entry, Tensor):
-                        leaves.setdefault(id(entry), entry)
-                        accumulate(leaf_grads, id(entry), gi)
-                    else:
-                        accumulate(grads, entry, gi)
-            done = [(leaf, value(leaf_grads[key]))
-                    for key, leaf in leaves.items()]
+                        slots, key = leaf_grads, id(entry)
+                        leaves.setdefault(key, entry)
+                    slots[key] = slots[key] + gi if key in slots else gi
         finally:
             nodes.clear()
-            # no job outlives the pass, whether it returns or raises
-            wait(jobs)
         # Leaves accumulate into the persistent buffer; intermediates are dropped.
-        for leaf, g in done:
-            acc = g.astype(np.float32)
+        for key, leaf in leaves.items():
+            acc = leaf_grads[key].astype(np.float32)
             leaf.grad = acc if leaf.grad is None else leaf.grad + acc
 
 
@@ -210,7 +173,7 @@ def _drop_worker() -> None:
     _WORKER = None
 
 
-# a forked child inherits the pool but not its thread, so a job sent to it
+# a forked child inherits the pool but not its thread, so work sent to it
 # would never run; the child starts its own on first use
 os.register_at_fork(after_in_child=_drop_worker)
 
@@ -224,32 +187,42 @@ def _cpus() -> int:
 
 
 def _worker() -> Optional[ThreadPoolExecutor]:
-    """The one thread beside the caller's: it runs a backward's jobs beside
-    its input-gradient chain (`Tape.backward`), and the second half of each
-    evaluation batch (`train.evaluate`). Started on first use; None, so that
-    both run inline, unless numpy's bundled OpenBLAS reports one live thread
-    and the process may run on two CPUs or more. numpy releases the GIL
-    inside BLAS calls and ufunc loops, so the two threads compute at once;
-    more BLAS threads would compete with the worker for the cores."""
+    """The one thread beside the caller's: it runs the second half of each
+    train step (`train._step`) and of each evaluation batch
+    (`train.evaluate`) while the caller runs the first. Started on first
+    use; None, so that both halves run in series on the caller's thread,
+    unless numpy's bundled OpenBLAS reports one live thread and the process
+    may run on two CPUs or more. Also None on the worker itself: a half it
+    runs never queues work behind itself on its one thread. numpy releases
+    the GIL inside BLAS calls and ufunc loops, so the two threads compute at
+    once; more BLAS threads would compete with the worker for the cores."""
     from . import bench  # bench imports this module
     blas = bench._openblas()
-    if blas is None or blas.get_threads() != 1 or _cpus() < 2:
+    if (_LOCAL.on_worker or blas is None or blas.get_threads() != 1
+            or _cpus() < 2):
         return None
     global _WORKER
     if _WORKER is None:
-        _WORKER = ThreadPoolExecutor(1, thread_name_prefix="riformer-worker")
+        _WORKER = ThreadPoolExecutor(1, thread_name_prefix="riformer-worker",
+                                     initializer=_mark_worker)
     return _WORKER
+
+
+def _mark_worker() -> None:
+    _LOCAL.on_worker = True
 
 
 class _ThreadState(threading.local):
     """Each thread's stack of recording tapes and active profile, so a
     forward on the worker neither records onto the caller's tape nor
-    charges its profile. Thread-local rather than a ContextVar: the worker
-    runs in a copy of the caller's context, which would carry both."""
+    charges its profile, and whether it is the worker. Thread-local rather
+    than a ContextVar: the worker runs in a copy of the caller's context,
+    which would carry all three."""
 
     def __init__(self):
         self.tapes: list[Tape] = []
         self.profile: Optional[_Profile] = None
+        self.on_worker = False
 
 
 _LOCAL = _ThreadState()
@@ -367,8 +340,7 @@ def channel_affine(x: Tensor, s: Tensor, t: Optional[Tensor] = None) -> Tensor:
 
     The multiply and the add round to float32 one after the other. A
     vector's gradient sums in float32 over the samples, then the rows, then
-    the columns, in a backward job (`Tape`). Counted as 1 FLOP per element,
-    2 with the shift.
+    the columns. Counted as 1 FLOP per element, 2 with the shift.
     """
     dx, ds = _coerce(x), _coerce(s)
     if (dx.ndim != 4 or ds.shape != (dx.shape[1],)
@@ -386,8 +358,8 @@ def channel_affine(x: Tensor, s: Tensor, t: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g):
         return (g * s3 if need_x else None,
-                (lambda: per_channel(g * dx)) if need_s else None,
-                (lambda: per_channel(g)) if need_t else None)
+                per_channel(g * dx) if need_s else None,
+                per_channel(g) if need_t else None)
 
     return _apply(out, (x, s, t), bwd, (1 + (t is not None)) * dx.size)
 
@@ -524,9 +496,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-location channel map, i.e. 1x1 convolution: (N,C,H,W) -> (N,D,H,W).
-
-    The weight and bias gradients are backward jobs (`Tape`)."""
+    """Per-location channel map, i.e. 1x1 convolution: (N,C,H,W) -> (N,D,H,W)."""
     dx, dw = _coerce(x), _coerce(w)
     if dx.ndim != 4 or dw.ndim != 2 or dw.shape[1] != dx.shape[1]:
         raise ShapeError(f"channel_linear: x {dx.shape}, w {dw.shape}")
@@ -540,9 +510,8 @@ def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         g3 = g.reshape(n, d, h * wdt)
         gx = (dw.T @ g3).reshape(dx.shape) if need_x else None
-        gw = ((lambda: np.tensordot(g3, x3, axes=([0, 2], [0, 2])))
-              if need_w else None)
-        gb = (lambda: g.sum(axis=(0, 2, 3))) if need_b else None
+        gw = np.tensordot(g3, x3, axes=([0, 2], [0, 2])) if need_w else None
+        gb = g.sum(axis=(0, 2, 3)) if need_b else None
         return (gx, gw, gb)
 
     return _apply(out.reshape(n, d, h, wdt), (x, w, b), bwd,
@@ -703,8 +672,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
     of the grid fills a (C, k, k, OH, OW, N) column buffer. Read as its
     transpose, with a row per (output position, sample), that buffer is the
     column matrix, so the forward and the weight gradient are each one GEMM
-    against the (D, C*k*k) weight matrix; the weight and bias gradients are
-    backward jobs (`Tape`). col2im, the input gradient, is the
+    against the (D, C*k*k) weight matrix. col2im, the input gradient, is the
     adjoint: k*k strided slab adds into the grid (the windows overlap, so
     they cannot be one add), then the border folded back onto the edge rows
     and columns. The forward GEMM can give last-bit different rows when the
@@ -755,8 +723,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int, pad: int) -> Tensor:
 
     def bwd(g):
         g2 = g.transpose(1, 2, 3, 0).reshape(cout, oh * ow * n)
-        gw = (lambda: (g2 @ cols).reshape(dw.shape)) if need_w else None
-        gb = (lambda: g.sum(axis=(0, 2, 3))) if need_b else None
+        gw = (g2 @ cols).reshape(dw.shape) if need_w else None
+        gb = g.sum(axis=(0, 2, 3)) if need_b else None
         if not need_x:
             return (None, gw, gb)
         # col2im: the forward's window copy, reversed into k*k slab adds

@@ -11,7 +11,8 @@ from __future__ import annotations
 import contextvars
 import csv
 from concurrent.futures import wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import reduce
 from math import cos, inf, pi
 from typing import Optional
 
@@ -110,6 +111,30 @@ class TrainResult:
     final_val_top1: float = 0.0
 
 
+def _halves(fn, n: int) -> list:
+    """[fn(0, n)] when n < 2, else [fn(0, h), fn(h, n)] with h = n // 2.
+
+    The worker thread (`tensor._worker`), when it is on, runs the second
+    half in a copy of the caller's context, which holds numpy's error
+    state, while this thread runs the first; otherwise this thread runs
+    both, first half first. The split does not depend on the worker, so
+    neither do the bytes a half computes. Both halves end before a failure
+    of either raises, and this thread's failure wins when both fail.
+    """
+    if n < 2:
+        return [fn(0, n)]
+    h = n // 2
+    worker = T._worker()
+    if worker is None:
+        return [fn(0, h), fn(h, n)]
+    second = worker.submit(contextvars.copy_context().run, fn, h, n)
+    try:
+        first = fn(0, h)
+    finally:
+        wait([second])
+    return [first, second.result()]
+
+
 def _hits(model: ModelWeights, xb: np.ndarray, yb: np.ndarray) -> int:
     logits = forward(model, Tensor(xb))
     return int((np.argmax(logits.data, axis=1) == yb).sum())
@@ -118,31 +143,19 @@ def _hits(model: ModelWeights, xb: np.ndarray, yb: np.ndarray) -> int:
 def evaluate(model: ModelWeights, data: Dataset) -> float:
     """Top-1 accuracy; argmax ties resolve to the lower class index.
 
-    When the worker thread is on (`tensor._worker`), each batch of 2 or
-    more samples runs as two forwards: the worker takes the second half, in
-    a copy of the caller's context, while this thread takes the first. Both
-    end before the next batch is drawn, and before a failure of either
-    raises; this thread's failure wins when both fail. As with a short
-    trailing batch, a small half's logits may differ from the whole batch's
-    in the last bits (BLAS may sum a small product in another order), which
-    moves only an argmax that ties within rounding.
+    Each batch of 2 or more samples runs as two forwards (`_halves`), the
+    second on the worker thread when it is on, else after the first; both
+    end before the next batch is drawn. As with a short trailing batch, a
+    small half's logits may differ from the whole batch's in the last bits
+    (BLAS may sum a small product in another order), which moves only an
+    argmax that ties within rounding; they do not depend on the thread.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    worker = T._worker()
     correct = 0
     for xb, yb, _ in data.batches(EVAL_BATCH):
-        if worker is None or len(yb) < 2:
-            correct += _hits(model, xb, yb)
-            continue
-        h = len(yb) // 2
-        half = worker.submit(contextvars.copy_context().run,
-                             _hits, model, xb[h:], yb[h:])
-        try:
-            correct += _hits(model, xb[:h], yb[:h])
-        finally:
-            wait([half])
-        correct += half.result()
+        correct += sum(_halves(
+            lambda lo, hi: _hits(model, xb[lo:hi], yb[lo:hi]), len(yb)))
     return correct / len(data)
 
 
@@ -297,65 +310,94 @@ def _teacher_outputs(teacher: ModelWeights, cache: Optional[_TeacherCache],
                      ) -> tuple[Tensor, Optional[CaptureSet]]:
     """Teacher logits, plus its MI capture when the epoch reads `fields`:
     gathered from `cache` after the first epoch when it kept them, else a
-    live forward."""
+    live forward, which the caller stores in the first epoch."""
     if cache is not None and epoch > 0 and cache.kept:
         return cache.gather(idx, mi_layers, fields)
     # Outside any tape: teacher activations come out as constants, so the
     # teacher receives no gradient and its weights are untouched.
     cap = CaptureSet.for_layers(mi_layers) if fields else None
-    logits = forward(teacher, Tensor(xb), capture=cap)
-    if cache is not None and epoch == 0:
-        cache.store(idx, logits, cap)
-    return logits, cap
+    return forward(teacher, Tensor(xb), capture=cap), cap
+
+
+def _loss(model: ModelWeights, xb, yb, teacher_logits, teacher_cap,
+          cfg: TrainConfig, mi_layers: tuple[int, ...], fields: set[str],
+          epoch: int, batch_size: int) -> tuple[Tensor, LossReport]:
+    """The recipe's loss on samples xb, recorded on the active tape, and its
+    report; the MI weights are divided by the whole step's `batch_size`."""
+    student_cap = CaptureSet.for_layers(mi_layers) if fields else None
+    logits = forward(model, Tensor(xb), capture=student_cap)
+    if cfg.recipe in ("ce", "hard_kd"):
+        labels, eps = ((yb, cfg.label_smoothing) if cfg.recipe == "ce"
+                       else (np.argmax(teacher_logits.data, axis=1), 0.0))
+        loss = _cross_entropy(logits, _smoothed_targets(
+            labels, model.spec.num_classes, eps))
+        return loss, LossReport(total=loss.item())
+    soft = loss_soft(logits, teacher_logits, cfg.tau)
+    if cfg.recipe == "soft_kd":
+        return soft, LossReport(soft=soft.item(), total=soft.item())
+    active = cfg.imitation.active_terms(epoch)
+    # layer-major, terms in table order: the tape's order; each loss is
+    # looked up when called, so a patched one is used
+    per_layer = {m: {name: getattr(imitation, f"loss_{name}")(
+                         getattr(student_cap, cap_field)[m],
+                         getattr(teacher_cap, cap_field)[m])
+                     for name, cap_field, *_ in MI_TERMS if name in active}
+                 for m in mi_layers}
+    return total_loss(soft, per_layer, epoch, cfg.imitation, batch_size)
 
 
 def _step(model, teacher, cache: Optional[_TeacherCache], xb, yb, idx,
           cfg: TrainConfig, mi_layers: tuple[int, ...], epoch: int,
           opt: AdamW, lr: float) -> LossReport:
-    fields = _mi_fields(cfg, (epoch,))
-    teacher_logits = teacher_cap = None
-    if cfg.recipe != "ce":
-        teacher_logits, teacher_cap = _teacher_outputs(
-            teacher, cache, epoch, xb, idx, mi_layers, fields)
+    """One optimizer step on a batch of n samples, run as two halves
+    (`_halves`) when n >= 2: the second on the worker thread when it is on.
 
-    try:
-        with Tape() as tape:
-            student_cap = CaptureSet.for_layers(mi_layers) if fields else None
-            logits = forward(model, Tensor(xb), capture=student_cap)
-            if cfg.recipe == "ce":
-                targets = _smoothed_targets(yb, model.spec.num_classes,
-                                            cfg.label_smoothing)
-                loss = _cross_entropy(logits, targets)
-                report = LossReport(total=loss.item())
-            elif cfg.recipe == "hard_kd":
-                hard = np.argmax(teacher_logits.data, axis=1)
-                targets = _smoothed_targets(hard, model.spec.num_classes, 0.0)
-                loss = _cross_entropy(logits, targets)
-                report = LossReport(total=loss.item())
-            elif cfg.recipe == "soft_kd":
-                loss = loss_soft(logits, teacher_logits, cfg.tau)
-                report = LossReport(soft=loss.item(), total=loss.item())
-            else:  # soft_kd_mi
-                soft = loss_soft(logits, teacher_logits, cfg.tau)
-                active = cfg.imitation.active_terms(epoch)
-                # layer-major, terms in table order: the tape's order; each
-                # loss is looked up when called, so a patched one is used
-                per_layer = {m: {name: getattr(imitation, f"loss_{name}")(
-                                     getattr(student_cap, cap_field)[m],
-                                     getattr(teacher_cap, cap_field)[m])
-                                 for name, cap_field, *_ in MI_TERMS
-                                 if name in active}
-                             for m in mi_layers}
-                loss, report = total_loss(soft, per_layer, epoch,
-                                          cfg.imitation, len(yb))
-            tape.backward(loss)
-    except NumericsError as e:
-        raise TrainingDiverged(
-            f"non-finite loss at epoch {epoch} (recipe {cfg.recipe}): {e}"
-        ) from e
+    Each half runs its teacher outputs, forward, loss and backward on a tape
+    of its own, against its own gradient view of the weights
+    (`ModelWeights.views`), so the two threads never write one array. Every
+    loss is a mean over its samples, so a half's loss is weighted by its
+    share of the batch before its backward, and the step's gradient is the
+    first half's plus the second's, in that order. The report is the
+    halves' reports weighted the same way. The first epoch's live teacher
+    outputs go into `cache` here, first half first, after both halves end.
+    A NumericsError in either half's student forward or loss raises
+    TrainingDiverged.
+    """
+    fields = _mi_fields(cfg, (epoch,))
+    n = len(yb)
+
+    def half(lo: int, hi: int):
+        teacher_out = (None, None)
+        if cfg.recipe != "ce":
+            teacher_out = _teacher_outputs(teacher, cache, epoch, xb[lo:hi],
+                                           idx[lo:hi], mi_layers, fields)
+        view = model.views(requires_grad=True)
+        share = (hi - lo) / n
+        try:
+            with Tape() as tape:
+                loss, report = _loss(view, xb[lo:hi], yb[lo:hi], *teacher_out,
+                                     cfg, mi_layers, fields, epoch, n)
+                tape.backward(T.mul(loss, share))
+        except NumericsError as e:
+            raise TrainingDiverged(
+                f"non-finite loss at epoch {epoch} (recipe {cfg.recipe}): {e}"
+            ) from e
+        weighted = {key: share * value
+                    for key, value in asdict(report).items()}
+        grads = [p.grad for _, p in view.named_parameters()]
+        return idx[lo:hi], teacher_out, weighted, grads
+
+    halves = _halves(half, n)
+    if cache is not None and epoch == 0:
+        for half_idx, (logits, cap), _, _ in halves:
+            cache.store(half_idx, logits, cap)
+    for i, (_, p) in enumerate(model.named_parameters()):
+        parts = [grads[i] for *_, grads in halves if grads[i] is not None]
+        p.grad = reduce(np.add, parts) if parts else None
     opt.step(lr)
     opt.zero_grad()
-    return report
+    return LossReport(**{key: sum(weighted[key] for *_, weighted, _ in halves)
+                         for key in halves[0][2]})
 
 
 def write_log(rows: list[dict], path: str) -> None:

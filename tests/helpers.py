@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, tiny specs,
-control and observation of the backward worker, and a reference for
-gelu's derivative."""
+control and observation of the worker thread, and a reference for gelu's
+derivative."""
 import threading
 from contextlib import contextmanager
 
@@ -41,9 +41,9 @@ def blas_threads(n):
 
 def spy_gradients(monkeypatch):
     """A list that receives (thread name, dtype) for each gradient a
-    backward closure returns from here on; a job's entry comes from the
-    thread that ran it. The process counts as able to run on two CPUs, so
-    whether the worker runs turns on the BLAS thread count alone."""
+    backward closure returns from here on, from the thread that ran it.
+    The process counts as able to run on two CPUs, so whether the worker
+    runs turns on the BLAS thread count alone."""
     seen = []
     record = Tape._record
 
@@ -53,19 +53,13 @@ def spy_gradients(monkeypatch):
 
     def spy(self, out, inputs, backward_fn):
         def noted(g):
-            return tuple(gi if gi is None
-                         else (lambda job=gi: note(job())) if callable(gi)
-                         else note(gi) for gi in backward_fn(g))
+            return tuple(gi if gi is None else note(gi)
+                         for gi in backward_fn(g))
         record(self, out, inputs, noted)
 
     monkeypatch.setattr(Tape, "_record", spy)
     monkeypatch.setattr(T, "_cpus", lambda: 2)
     return seen
-
-
-def on_worker(seen):
-    """How many of `spy_gradients`' entries the worker thread made."""
-    return sum(name.startswith("riformer-worker") for name, _ in seen)
 
 
 def gelu_phi(x):

@@ -557,6 +557,21 @@ def test_bad_config_value_named_before_any_file_is_read(cmd, cfg, key,
     assert key in out.err
 
 
+def test_synthetic_data_defaults_to_the_models_resolution():
+    conf = parse_config({"model": {"input_resolution": 32}})
+    assert conf.model.input_resolution == 32
+    assert [s.resolution for s in conf.data] == [32, 32]
+    assert [s.resolution for s in parse_config({}).data] == [64, 64]
+
+
+def test_synthetic_data_at_another_resolution_is_refused():
+    # even at a multiple of the total stride, which the model could run
+    with pytest.raises(ValueError) as info:
+        parse_config({"data": {"resolution": 128}})
+    assert str(info.value) == ("data.resolution 128 differs from "
+                               "model.input_resolution 64")
+
+
 def _strided_model(stride: int) -> dict:
     model = asdict(tiny_spec(num_classes=10, input_resolution=64))
     model["stages"][0].update(stride=stride, patch_size=stride)

@@ -4,11 +4,6 @@ import ast
 import contextvars
 import inspect
 import math
-import os
-import signal
-import sys
-import threading
-import time
 import warnings
 import weakref
 from pathlib import Path
@@ -21,9 +16,9 @@ from hypothesis import strategies as st
 
 import riformer.tensor as T
 from riformer import (ModelSpec, NumericsError, ShapeError, Tape, TapeError,
-                      Tensor, bench, build_model, forward)
+                      Tensor, build_model, forward)
 from helpers import (blas_threads, check_gradients, gelu_grad_reference,
-                     gelu_phi, on_worker, spy_gradients, tiny_spec)
+                     gelu_phi, tiny_spec)
 
 SEEDS = list(range(10))
 
@@ -487,39 +482,33 @@ MASKED_KERNELS = {
 
 
 @pytest.mark.parametrize("kernel", sorted(MASKED_KERNELS))
-def test_needs_grad_mask_is_exact(kernel, monkeypatch):
-    seen = spy_gradients(monkeypatch)
+def test_needs_grad_mask_is_exact(kernel):
     fn, shapes = MASKED_KERNELS[kernel]
     rng = np.random.default_rng(0)
     arrays = [rng.normal(0, 1, s).astype(np.float32) for s in shapes]
     weight = rng.normal(0, 1, fn([Tensor(a) for a in arrays]).shape)
 
-    def grads(trained, threads):
+    def grads(trained):
         ts = [Tensor(a, requires_grad=i in trained) for i, a in enumerate(arrays)]
-        with blas_threads(threads), Tape() as tape:
+        with Tape() as tape:
             out = fn(ts)
             # the kernel's node, taken before the backward drops it
             kernel_bwd, _ = tape._nodes[0]
             tape.backward(T.tsum(T.mul(out, Tensor(weight))))
         # the kernel's own backward skips the constants, listed or not, and
-        # a job it returns for the others yields the input's shape
-        got = [g() if callable(g) else g
-               for g in kernel_bwd(np.ones_like(weight))]
+        # gives the others the input's shape
+        got = kernel_bwd(np.ones_like(weight))
         assert [g is None for g in got] == [i not in trained
                                             for i in range(len(got))]
         assert all(g.shape == a.shape
                    for g, a in zip(got, arrays) if g is not None)
         return [t.grad for t in ts]
 
-    # jobs run inline at 2 BLAS threads and on the worker at 1
-    every = grads(set(range(len(arrays))), 2)
-    for threads in (2, 1):
-        for i in range(len(arrays)):
-            alone = grads({i}, threads)
-            assert np.array_equal(alone[i], every[i]), f"input {i}"
-            assert all(g is None for j, g in enumerate(alone) if j != i)
-    assert (on_worker(seen) > 0) == (
-        kernel in ("conv2d", "channel_linear", "channel_affine"))
+    every = grads(set(range(len(arrays))))
+    for i in range(len(arrays)):
+        alone = grads({i})
+        assert np.array_equal(alone[i], every[i]), f"input {i}"
+        assert all(g is None for j, g in enumerate(alone) if j != i)
 
 
 def test_constant_operand_keeps_gradient_positions():
@@ -961,10 +950,9 @@ def test_no_tape_means_constant_outputs():
     assert not y.requires_grad
 
 
-def test_weight_gradients_produced_on_the_tape(monkeypatch):
+def test_weight_gradients_produced_on_the_tape():
     # weight-position inputs computed by kernels: the node that produced one
-    # reads its gradient mid-chain, and a weight used twice sums two jobs
-    seen = spy_gradients(monkeypatch)
+    # reads its gradient mid-chain, and a weight used twice sums both uses
     rng = np.random.default_rng(3)
     x = param(rng, 2, 4, 8, 8)
     w, b = param(rng, 4, 4, 3, 3, scale=0.3), param(rng, 4)
@@ -977,128 +965,7 @@ def test_weight_gradients_produced_on_the_tape(monkeypatch):
         h = T.channel_linear(T.channel_linear(h, half, lb), half, lb)
         return T.channel_affine(h, T.mul(s, 2.0), T.sub(t, 0.5))
 
-    with blas_threads(1):
-        check_gradients(make, [x, w, b, lw, lb, s, t], rng, wseed=3)
-    assert on_worker(seen) >= 8
-
-
-def test_a_failing_job_raises_from_backward_after_every_job_ends(monkeypatch):
-    monkeypatch.setattr(T, "_cpus", lambda: 2)
-    ran = []
-
-    def failing():
-        raise RuntimeError("job failed")
-
-    def slow():
-        time.sleep(0.2)
-        ran.append(threading.current_thread().name)
-        return np.ones(3, np.float32)
-
-    a, b = (Tensor(np.ones(3, np.float32), requires_grad=True) for _ in "ab")
-    with blas_threads(1), Tape() as tape:
-        # a's gradient fails at once, while b's is still being computed
-        out = T._apply(a.data + b.data, (a, b), lambda g: (failing, slow))
-        with pytest.raises(RuntimeError, match="job failed"):
-            tape.backward(T.tsum(out))
-    assert len(ran) == 1 and ran[0].startswith("riformer-worker")
-    assert a.grad is None and b.grad is None
-    assert not tape._nodes
-
-
-def test_jobs_run_in_the_callers_numpy_error_state(monkeypatch):
-    # the scale's gradient, 16 * 3e38, overflows on the worker
-    seen = spy_gradients(monkeypatch)
-    x = Tensor(np.full((1, 1, 4, 4), 3e38, np.float32))
-    s = Tensor(np.full(1, 1e-30, np.float32), requires_grad=True)
-    with blas_threads(1), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore"), Tape() as tape:
-            tape.backward(T.tsum(T.channel_affine(x, s)))
-    assert on_worker(seen) == 1
-    assert s.grad[0] == np.inf
-
-
-def _linear_backward(seed=0):
-    rng = np.random.default_rng(seed)
-    x, w, b = param(rng, 2, 3, 4, 4), param(rng, 5, 3), param(rng, 5)
-    with Tape() as tape:
-        tape.backward(T.tsum(T.channel_linear(x, w, b)))
-    return w.grad
-
-
-def test_jobs_run_inline_at_two_blas_threads_or_on_one_cpu(monkeypatch):
-    seen = spy_gradients(monkeypatch)
-    with blas_threads(1):
-        want = _linear_backward()
-        assert T._worker() is not None and on_worker(seen) == 2
-        for target, name, value in ((T, "_cpus", lambda: 1),
-                                    (bench, "_openblas", lambda: None)):
-            with monkeypatch.context() as m:
-                m.setattr(target, name, value)
-                assert T._worker() is None
-                seen.clear()
-                assert np.array_equal(_linear_backward(), want)
-                assert len(seen) == 4 and on_worker(seen) == 0
-    with blas_threads(2):
-        assert T._worker() is None
-        seen.clear()
-        assert np.array_equal(_linear_backward(), want)
-        assert len(seen) == 4 and on_worker(seen) == 0
-
-
-def test_worker_gradients_match_inline_under_fast_thread_switching(
-        monkeypatch):
-    # the worker and the main thread read the same arrays; switching
-    # threads every microsecond must not change a byte
-    seen = spy_gradients(monkeypatch)
-    model = build_model(ModelSpec.nano("affine"), seed=0)
-    x = np.random.default_rng(0).normal(0, 1, (2, 3, 64, 64))
-
-    def grads():
-        for _, p in model.named_parameters():
-            p.zero_grad()
-        with Tape() as tape:
-            tape.backward(T.tsum(forward(model, Tensor(x))))
-        return [p.grad for _, p in model.named_parameters()]
-
-    with blas_threads(2):
-        want = grads()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with blas_threads(1):
-            runs = [grads() for _ in range(5)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert on_worker(seen) > 0
-    for got in runs:
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_backward_in_a_forked_child_finishes(monkeypatch):
-    # a forked child inherits the parent's worker without its thread
-    seen = spy_gradients(monkeypatch)
-    with blas_threads(1):
-        want = _linear_backward()
-        assert on_worker(seen) == 2  # the parent's worker exists
-        pid = os.fork()
-        if pid == 0:  # exits 0 only if its jobs ran on a worker of its own
-            code = 1
-            try:
-                seen.clear()
-                code = 0 if (np.array_equal(_linear_backward(), want)
-                             and on_worker(seen) == 2) else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while ((done := os.waitpid(pid, os.WNOHANG))[0] == 0
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    assert done[0] == pid, "the child's backward did not finish in 60 s"
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+    check_gradients(make, [x, w, b, lw, lb, s, t], rng, wseed=3)
 
 
 def test_a_forward_on_the_worker_leaves_the_callers_tape_and_profile(
@@ -1117,6 +984,16 @@ def test_a_forward_on_the_worker_leaves_the_callers_tape_and_profile(
         assert profile.flops == {} and profile.seconds == {}
         assert T._tape() is tape and T._profile() is profile
     assert not out.requires_grad and out._node is None
+
+
+def test_the_worker_queues_no_work_behind_itself(monkeypatch):
+    # a half on the worker that asked for the worker would wait on its own
+    # one thread forever; there `_worker()` is None, so it runs in series
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    with blas_threads(1):
+        worker = T._worker()
+        assert worker is not None
+        assert worker.submit(T._worker).result(timeout=60) is None
 
 
 def test_non_finite_input_rejected():

@@ -6,18 +6,20 @@ import signal
 import threading
 import time
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import riformer.tensor as T
 from riformer import (LOG_COLUMNS, ImitationConfig, ModelSpec, NumericsError,
-                      SynthSpec, Tensor, TrainConfig, build_model, evaluate,
-                      forward, save_checkpoint, switch_to_deploy,
-                      synth_dataset, train)
+                      SynthSpec, Tape, Tensor, TrainConfig, TrainingDiverged,
+                      build_model, evaluate, forward, save_checkpoint,
+                      switch_to_deploy, synth_dataset, train)
 from riformer.data import Dataset
+from riformer.models import CaptureSet
 from riformer.train import write_log
-from helpers import blas_threads, on_worker, spy_gradients, tiny_spec
+from helpers import blas_threads, spy_gradients, tiny_spec
 
 
 def small_data(seed=0, per_class=4, classes=4):
@@ -179,21 +181,21 @@ def test_determinism_identical_checkpoints(tmp_path):
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch):
-    # at 1 BLAS thread the weight gradients run on the backward worker, at 2
-    # inline; the bytes are the same either way
-    seen = spy_gradients(monkeypatch)
+    # at 1 BLAS thread the second half of each step runs on the worker, at 2
+    # after the first; the bytes are the same either way
+    ended = _spy_halves(monkeypatch, target="_loss")
     tr, va = small_data()
-    ckpts, worker_jobs = [], []
+    ckpts, worker_halves = [], []
     for threads in (1, 2):
-        seen.clear()
+        ended.clear()
         with blas_threads(threads):
             model = build_model(tiny_spec("affine"), seed=7)
             result = train(model, tr, va, quick_cfg("ce", epochs=2, seed=7))
         path = tmp_path / f"threads{threads}.ckpt"
         save_checkpoint(result.model, str(path))
         ckpts.append(path.read_bytes())
-        worker_jobs.append(on_worker(seen))
-    assert worker_jobs[0] > 0 and worker_jobs[1] == 0
+        worker_halves.append(len(_worker_sizes(ended)))
+    assert worker_halves[0] > 0 and worker_halves[1] == 0
     assert ckpts[0] == ckpts[1]
 
 
@@ -329,16 +331,17 @@ def test_evaluate_empty_dataset_rejected():
         evaluate(model, empty)
 
 
-def _spy_halves(monkeypatch, fail=None):
-    """A list that receives (thread name, batch size, outcome) as each
-    evaluation forward ends. `fail` maps "main" or "worker" to the
-    (delay in s, exception or None) a forward on that thread meets
-    before it runs."""
+def _spy_halves(monkeypatch, fail=None, target="forward"):
+    """A list that receives (thread name, batch size, outcome) as each call
+    of `target` on riformer.train ends: `forward`, once per evaluation
+    half, or `_loss`, once per train-step half. `fail` maps "main" or
+    "worker" to the (delay in s, exception or None) a call on that thread
+    meets before it runs."""
     train_mod = importlib.import_module("riformer.train")
-    real = train_mod.forward
+    real = getattr(train_mod, target)
     ended = []
 
-    def spied(model, x, **kw):
+    def spied(model, x, *args, **kw):
         name = threading.current_thread().name
         outcome = "ok"
         try:
@@ -347,14 +350,14 @@ def _spy_halves(monkeypatch, fail=None):
             time.sleep(delay)
             if error is not None:
                 raise error
-            return real(model, x, **kw)
+            return real(model, x, *args, **kw)
         except Exception as e:
             outcome = type(e).__name__
             raise
         finally:
             ended.append((name, x.shape[0], outcome))
 
-    monkeypatch.setattr(train_mod, "forward", spied)
+    monkeypatch.setattr(train_mod, target, spied)
     monkeypatch.setattr(T, "_cpus", lambda: 2)
     return ended
 
@@ -433,32 +436,207 @@ def test_evaluate_raises_only_after_both_halves_end(worker_error, monkeypatch):
         "ok" if worker_error is None else "RuntimeError")}
 
 
+def _finishes_in_a_forked_child(check):
+    """Whether `check()` returns true in a forked child within 60 s."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if check() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while ((done := os.waitpid(pid, os.WNOHANG))[0] == 0
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        return False
+    return os.waitstatus_to_exitcode(done[1]) == 0
+
+
 def test_evaluate_in_a_forked_child_finishes(monkeypatch):
     # a forked child inherits the parent's worker without its thread
     _, va = small_data()
     model = build_model(tiny_spec("pooling"), seed=0)
     ended = _spy_halves(monkeypatch)
+
+    def child():  # true only if a worker of its own ran a half
+        ended.clear()
+        return evaluate(model, va) == want and _worker_sizes(ended)
+
     with blas_threads(1):
         want = evaluate(model, va)
         assert _worker_sizes(ended)  # the parent's worker exists
-        pid = os.fork()
-        if pid == 0:  # exits 0 only if a worker of its own ran a half
-            code = 1
-            try:
-                ended.clear()
-                code = 0 if (evaluate(model, va) == want
-                             and _worker_sizes(ended)) else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while ((done := os.waitpid(pid, os.WNOHANG))[0] == 0
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    assert done[0] == pid, "the child's evaluate did not finish in 60 s"
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert _finishes_in_a_forked_child(child), \
+            "the child's evaluate did not finish in 60 s"
+
+
+# ---------------------------------------------------------------------------
+# Train steps as two halves
+
+def _recorded_step(model, teacher, xb, yb, cfg, epoch):
+    """`_step` on one batch with a live teacher, and the gradient it hands
+    the optimizer."""
+    train_mod = importlib.import_module("riformer.train")
+
+    class Recorder:
+        def step(self, lr):
+            self.grads = [p.grad for _, p in model.named_parameters()]
+
+        def zero_grad(self):
+            for _, p in model.named_parameters():
+                p.zero_grad()
+
+    opt = Recorder()
+    mi_layers = (train_mod.imitation_layers(model.spec, cfg.imitation)
+                 if cfg.recipe == "soft_kd_mi" else ())
+    report = train_mod._step(model, teacher, None, xb, yb,
+                             np.arange(len(yb)), cfg, mi_layers, epoch, opt,
+                             1e-3)
+    return report, opt.grads
+
+
+def _one_tape_step(model, teacher, xb, yb, cfg, epoch):
+    """The whole batch's loss report and gradient from one tape. The
+    teacher's outputs are those of `_step`'s halves, joined: a teacher
+    forward of other batch sizes may differ in the last bits (`conv2d`),
+    as a cached epoch's would not."""
+    train_mod = importlib.import_module("riformer.train")
+    mi_layers = (train_mod.imitation_layers(model.spec, cfg.imitation)
+                 if cfg.recipe == "soft_kd_mi" else ())
+    fields = train_mod._mi_fields(cfg, (epoch,))
+    teacher_out = (None, None)
+    if cfg.recipe != "ce":
+        h = len(yb) // 2 if len(yb) > 1 else 1
+        halves = [train_mod._teacher_outputs(teacher, None, epoch, x, None,
+                                             mi_layers, fields)
+                  for x in (xb[:h], xb[h:]) if len(x)]
+        cap = CaptureSet.for_layers(mi_layers) if fields else None
+        for f in fields:
+            getattr(cap, f).update({m: Tensor(np.concatenate(
+                [getattr(c, f)[m].data for _, c in halves]))
+                for m in mi_layers})
+        teacher_out = (Tensor(np.concatenate(
+            [logits.data for logits, _ in halves])), cap)
+    view = model.views(requires_grad=True)
+    with Tape() as tape:
+        loss, report = train_mod._loss(view, xb, yb, *teacher_out, cfg,
+                                       mi_layers, fields, epoch, len(yb))
+        tape.backward(loss)
+    return report, [p.grad for _, p in view.named_parameters()]
+
+
+@pytest.mark.parametrize("recipe,epoch", [
+    ("ce", 0), ("hard_kd", 0), ("soft_kd", 0), ("soft_kd_mi", 0),
+    ("soft_kd_mi", 1), ("soft_kd_mi", 2)],
+    ids=["ce", "hard_kd", "soft_kd", "mi_feat", "mi_rel", "mi_soft"])
+def test_two_half_step_matches_one_tape(recipe, epoch, monkeypatch):
+    # halves of 4 and 5: weights that are not 1/2 show a wrong share, and the
+    # MI terms' large weights show a half's size given for the batch's. The
+    # teacher is confident, as a trained one is: between two near-uniform
+    # random models the soft gradient is a difference of near-equal
+    # softmaxes, which the last-bit changes of a half's smaller products
+    # (`conv2d`) move by about 1e-5 of its norm
+    ended = _spy_halves(monkeypatch, target="_loss")
+    tr, _ = small_data(per_class=3)
+    xb, yb = tr.images[:9], tr.labels[:9]
+    teacher = build_model(tiny_spec("pooling"), seed=3)
+    teacher.head_w.data *= 30.0
+    cfg = quick_cfg(recipe, epochs=3, imitation=_mi_config(1, 1, 3)
+                    if recipe == "soft_kd_mi" else None)
+    model = build_model(tiny_spec("affine"), seed=4)
+    want_report, want = _one_tape_step(model, teacher, xb, yb, cfg, epoch)
+    with blas_threads(1):
+        ended.clear()
+        report, got = _recorded_step(model, teacher, xb, yb, cfg, epoch)
+    assert sorted(size for _, size, _ in ended) == [4, 5]
+    assert len(_worker_sizes(ended)) == 1
+    got, want = np.concatenate([g.ravel() for g in got]), np.concatenate(
+        [w.ravel() for w in want])
+    assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+    for key, value in asdict(want_report).items():
+        assert getattr(report, key) == pytest.approx(value, rel=1e-6,
+                                                     abs=1e-12), key
+
+
+def test_a_batch_of_one_runs_one_tape(monkeypatch):
+    ended = _spy_halves(monkeypatch, target="_loss")
+    tr, _ = small_data()
+    teacher = build_model(tiny_spec("pooling"), seed=3)
+    model = build_model(tiny_spec("affine"), seed=4)
+    cfg = quick_cfg("soft_kd_mi", epochs=3, imitation=_mi_config(1, 1, 3))
+    want_report, want = _one_tape_step(model, teacher, tr.images[:1],
+                                       tr.labels[:1], cfg, 0)
+    ended.clear()
+    with blas_threads(1):
+        report, got = _recorded_step(model, teacher, tr.images[:1],
+                                     tr.labels[:1], cfg, 0)
+    assert [(name, size) for name, size, _ in ended] == [("MainThread", 1)]
+    assert report == want_report
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_a_step_raises_a_divergence_of_the_workers_half(monkeypatch):
+    # the first block's w1 overflows every nonzero hidden input; the zero
+    # images of the first half keep their hidden inputs zero, and with w2
+    # zero no gradient reaches w1's input
+    model = build_model(tiny_spec("identity"), seed=0)
+    model.blocks[0][0].mlp_w1.data[:] = 3e38
+    model.blocks[0][0].mlp_w2.data[:] = 0.0
+    images = np.zeros((4, 3, 32, 32), np.float32)
+    images[2:] = np.random.default_rng(0).normal(0, 1, (2, 3, 32, 32))
+    ended = _spy_halves(monkeypatch, target="_loss")
+    # the worker runs in the caller's numpy error state: an overflow warning
+    # there would raise RuntimeWarning, not NumericsError
+    with blas_threads(1), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
+            _recorded_step(model, None, images, np.zeros(4, np.int64),
+                           quick_cfg("ce"), 0)
+    assert sorted((name.startswith("riformer-worker"), outcome)
+                  for name, _, outcome in ended) == [
+        (False, "ok"), (True, "NumericsError")]
+    assert all(p.grad is None for _, p in model.named_parameters())
+
+
+@pytest.mark.parametrize("worker_error", [None, RuntimeError("worker half")])
+def test_a_step_raises_only_after_both_halves_end(worker_error, monkeypatch):
+    # the main thread's half fails at once while the worker's takes 0.2 s;
+    # the main thread's error wins whether or not the worker's half fails
+    ended = _spy_halves(monkeypatch, target="_loss", fail={
+        "main": (0.0, RuntimeError("main half")),
+        "worker": (0.2, worker_error)})
+    tr, va = small_data()
+    with blas_threads(1), pytest.raises(RuntimeError, match="^main half$"):
+        train(build_model(tiny_spec("identity"), seed=0), tr, va,
+              quick_cfg("ce", epochs=1))
+    assert len(ended) == 2 and len(_worker_sizes(ended)) == 1
+    assert {outcome for *_, outcome in ended} == {"RuntimeError", (
+        "ok" if worker_error is None else "RuntimeError")}
+
+
+def test_a_train_step_in_a_forked_child_finishes(monkeypatch):
+    # a forked child inherits the parent's worker without its thread
+    tr, va = small_data()
+    ended = _spy_halves(monkeypatch, target="_loss")
+
+    def trained():
+        model = build_model(tiny_spec("affine"), seed=0)
+        train(model, tr, va, quick_cfg("ce", epochs=1))
+        return [p.data for _, p in model.named_parameters()]
+
+    def child():  # true only if a worker of its own ran a half
+        ended.clear()
+        return (all(np.array_equal(a, b) for a, b in zip(trained(), want))
+                and _worker_sizes(ended))
+
+    with blas_threads(1):
+        want = trained()
+        assert _worker_sizes(ended)  # the parent's worker exists
+        assert _finishes_in_a_forked_child(child), \
+            "the child's training step did not finish in 60 s"
 
 
 def test_write_log_schema(tmp_path):
@@ -541,10 +719,12 @@ def test_teacher_cache_is_exact(recipe, monkeypatch):
     # step gathers exactly the MI fields its epoch reads, and the same
     # config and seed give the same bytes twice
     assert cached_samples == len(tr)
-    steps = -(-len(tr) // cfg.batch_size)
+    # each half of a step gathers its own rows; every batch here has 2 or
+    # more samples, so two halves
+    halves = 2 * -(-len(tr) // cfg.batch_size)
     phases = ([{"block_out", "mixer_out"}, {"block_out"}, {"block_out"},
                set()] if recipe == "soft_kd_mi" else [set()] * (epochs - 1))
-    assert cached_fields == [f for f in phases for _ in range(steps)]
+    assert cached_fields == [f for f in phases for _ in range(halves)]
     assert all(np.array_equal(cached[k].data, again[k].data) for k in cached)
     # at budget 0 the teacher runs live on every step; it then sees other
     # batch mates, so it agrees with the cached run to float32 rounding
@@ -576,10 +756,12 @@ def test_single_epoch_keeps_no_teacher_cache(monkeypatch):
 
 def test_backward_is_float32(monkeypatch):
     seen = spy_gradients(monkeypatch)
+    ended = _spy_halves(monkeypatch, target="_loss")
     tr, va = small_data()
-    # at 1 BLAS thread jobs run on the worker, at 2 inline
+    # at 1 BLAS thread half of each step runs on the worker, at 2 none
     for threads in (1, 2):
         seen.clear()
+        ended.clear()
         # one step per epoch: a ce step, then a feat and a rel soft_kd_mi step
         student = build_model(tiny_spec("affine"), seed=4)
         teacher = build_model(tiny_spec("pooling"), seed=3)
@@ -591,7 +773,7 @@ def test_backward_is_float32(monkeypatch):
                                              batch_size=len(tr)),
                   teacher=teacher)
         assert len(seen) > 100
-        assert (on_worker(seen) > 0) == (threads == 1)
+        assert (len(_worker_sizes(ended)) > 0) == (threads == 1)
         assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
         assert all(p.grad is None or p.grad.dtype == np.float32
                    for _, p in student.named_parameters())
@@ -600,14 +782,14 @@ def test_backward_is_float32(monkeypatch):
 def test_imitation_losses_are_looked_up_when_called(monkeypatch):
     # a benchmark tracer replaces the loss functions on riformer.imitation
     # after train.py is imported; train() must call the replacements, layer
-    # by layer and in table order within a layer
+    # by layer and in table order within a layer, in each half of a step
     imitation_mod = importlib.import_module("riformer.imitation")
-    calls = []
+    calls = {}  # thread name -> the names called there, in order
     for name in ("in_prime", "out", "rel"):
         original = getattr(imitation_mod, f"loss_{name}")
 
         def replaced(*args, name=name, original=original):
-            calls.append(name)
+            calls.setdefault(threading.current_thread().name, []).append(name)
             return original(*args)
 
         monkeypatch.setattr(imitation_mod, f"loss_{name}", replaced)
@@ -616,6 +798,11 @@ def test_imitation_losses_are_looked_up_when_called(monkeypatch):
     tr, va = small_data()
     cfg = quick_cfg("soft_kd_mi", epochs=2, imitation=_mi_config(1, 1, 2))
     train(student, tr, va, cfg, teacher=teacher)
-    steps_x_layers = -(-len(tr) // cfg.batch_size) * 4  # 4 MI layers
-    assert calls == (["in_prime", "out"] * steps_x_layers
-                     + ["rel"] * steps_x_layers)
+    # a feat epoch, then a rel epoch, of two halves per step, on whichever
+    # threads ran them; a thread's halves run one after another
+    feat_halves = rel_halves = 0
+    for names in calls.values():
+        feat, rel = names.count("in_prime") // 4, names.count("rel") // 4
+        assert names == ["in_prime", "out"] * 4 * feat + ["rel"] * 4 * rel
+        feat_halves, rel_halves = feat_halves + feat, rel_halves + rel
+    assert feat_halves == rel_halves == 2 * -(-len(tr) // cfg.batch_size)
